@@ -10,13 +10,16 @@ search beat the timeout, else a PARTIAL response (``is_partial=True``,
 ``delete`` cancels/forgets. Responses expire ``keep_alive`` seconds
 after submit unless refreshed by ``get(..., keep_alive=...)``.
 
-Execution model: partitions play the reference's shards. A background
-thread walks them, merging each partition's top-k into a mutable
-response under a lock (MutableSearchResponse.updatePartialResponse);
-readers snapshot it without blocking the runner. Partial hits are the
-best-k over COMPLETED partitions with the usual (score desc, part, doc)
-merge order, so a partial response is always a correct prefix view of
-the partitions it covers.
+Execution model: partitions play the reference's shards. The engine's
+candidate selection (``QueryEngine._candidate_parts``) decides which
+partitions can match; the rest count as completed up front, like the
+reference's can_match-skipped shards. A background thread walks the
+candidates, adding each partition's top-k to a mutable response under a
+lock (MutableSearchResponse.updatePartialResponse); readers snapshot it
+without blocking the runner. Partial hits are the engine's own top-k
+merge (``engine._merge_topk``: score desc, part, doc) over COMPLETED
+partitions, so a partial response is always a correct prefix view of the
+partitions it covers.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ import itertools
 import threading
 import time
 
-import numpy as np
-import pyarrow as pa
+from elasticsearch_ray.search.engine import _merge_topk
 
 
 class AsyncSearchError(KeyError):
@@ -39,7 +41,7 @@ class _Task:
         self.done = threading.Event()
         self.total_shards = total_shards
         self.completed = 0
-        self.results = []  # (part, docs, scores)
+        self.results = []  # (part, (docs, scores))
         self.error: Exception | None = None
         self.cancelled = False
         self.start_time = time.time()
@@ -84,13 +86,15 @@ class AsyncSearchService:
         def run():
             try:
                 scorers, _ = eng._scorers_cached(q_resolved)
-                for p in eng.parts:
+                cand = eng._candidate_parts(q_resolved)
+                with task.lock:
+                    task.completed = len(eng.parts) - len(cand)
+                for p in cand:
                     if task.cancelled:
                         return
-                    d, s = _part_topk(eng, p, q_resolved, scorers, k,
-                                      mode)
+                    d, s = eng._searcher(p).topk(q_resolved, scorers, k, mode)
                     with task.lock:
-                        task.results.append((p, d, s))
+                        task.results.append((p, (d, s)))
                         task.completed += 1
                     if _between_parts is not None:
                         _between_parts(p)
@@ -149,7 +153,7 @@ class AsyncSearchService:
         with task.lock:
             results = list(task.results)
             completed = task.completed
-        tbl = _merge_topk(self.engine, results, k, fetch)
+        tbl = self.engine._attach_fetch(_merge_topk(results, k), fetch)
         return {"id": task_id, "is_running": running,
                 "is_partial": running,
                 "start_time": task.start_time,
@@ -158,29 +162,3 @@ class AsyncSearchService:
                              "successful_shards": completed,
                              "hits": tbl}}
 
-
-def _part_topk(eng, p, q, scorers, k, mode):
-    return eng._searcher(p).topk(q, scorers, k, mode, None, p)
-
-
-def _merge_topk(eng, results, k, fetch) -> pa.Table:
-    parts_l, docs_l, scores_l = [], [], []
-    for p, d, s in results:
-        parts_l.append(np.full(len(d), p, dtype=np.int64))
-        docs_l.append(np.asarray(d, np.int64))
-        scores_l.append(np.asarray(s, np.float64))
-    if not docs_l or sum(map(len, docs_l)) == 0:
-        return pa.table({"rank": pa.array([], pa.int64()),
-                         "score": pa.array([], pa.float64()),
-                         "part": pa.array([], pa.int64()),
-                         "local": pa.array([], pa.int64())})
-    parts_a = np.concatenate(parts_l)
-    docs_a = np.concatenate(docs_l)
-    scores_a = np.concatenate(scores_l)
-    order = np.lexsort((docs_a, parts_a, -scores_a))[:k]
-    parts_a, docs_a, scores_a = parts_a[order], docs_a[order], scores_a[order]
-    tbl = pa.table({"rank": pa.array(np.arange(1, len(order) + 1)),
-                    "score": pa.array(scores_a),
-                    "part": pa.array(parts_a),
-                    "local": pa.array(docs_a)})
-    return eng._attach_fetch(tbl, parts_a, docs_a, fetch)

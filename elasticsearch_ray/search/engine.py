@@ -19,6 +19,9 @@ Execution backends:
     subset of partitions with warm readers (mmapped postings, cached term
     dicts) — the 'long-lived warm scorer' design from SURVEY §3.2; used by
     bench for QPS.
+Every read API reaches the partitions through ``QueryEngine._fanout``
+(one PartitionSearcher method per partition → ``[(part, result)]``) and
+ranks through ``_merge_topk``, so it is written once for both backends.
 """
 
 from __future__ import annotations
@@ -97,12 +100,36 @@ def _as_np(docs):
     return np.asarray(docs, dtype=np.int64)
 
 
+# purely term-scored query types: a partition whose bloom excludes every
+# query term cannot produce hits, so can_match may skip it
+_CAN_MATCH_TYPES = (TermQuery, TermsQuery, MatchQuery, MatchPhraseQuery,
+                    SpanNearQuery, IntervalsQuery)
+
+
+def _merge_topk(results, k: int) -> pa.Table:
+    """Merge per-partition top-k lists ``[(part, (docs, scores)), ...]`` into
+    the global top-k Table(rank, score, part, local), ordered (score desc,
+    part asc, doc asc) — the reference's TopDocs.merge tie-break — with
+    scores compared as float64. Typed and empty when nothing matched."""
+    parts = [np.empty(0, np.int64)] + [np.full(len(d), p, np.int64) for p, (d, _s) in results]
+    docs = [np.empty(0, np.int64)] + [np.asarray(d, np.int64) for _p, (d, _s) in results]
+    scores = [np.empty(0)] + [np.asarray(s, np.float64) for _p, (_d, s) in results]
+    parts_a, docs_a, scores_a = map(np.concatenate, (parts, docs, scores))
+    order = np.lexsort((docs_a, parts_a, -scores_a))[:k]
+    return pa.table({"rank": pa.array(np.arange(1, len(order) + 1, dtype=np.int64)),
+                     "score": pa.array(scores_a[order]),
+                     "part": pa.array(parts_a[order]),
+                     "local": pa.array(docs_a[order])})
+
+
 class PartitionSearcher:
     """Evaluates a query tree over one partition's segment."""
 
-    def __init__(self, reader: SegmentReader, default_analyzer: str, params: BM25Params,
-                 dtype: str = "float32", runtime_fields: dict | None = None):
+    def __init__(self, reader: SegmentReader, part: int, default_analyzer: str,
+                 params: BM25Params, dtype: str = "float32",
+                 runtime_fields: dict | None = None):
         self.r = reader
+        self.part = part
         self.analyzer_name = default_analyzer
         self.params = params
         self.dtype = dtype
@@ -1256,7 +1283,7 @@ class PartitionSearcher:
         return base_docs, (base_scores * q.boost).astype(dtype)
 
     def topk(self, q: Query, scorers, k: int, mode: str = "bmw",
-             search_after: tuple | None = None, part: int = -1):
+             search_after: tuple | None = None):
         """Per-partition top-k. When a ``search_after`` cursor
         (score, part, local) is given it is applied BEFORE the top-k cut
         (SearchAfterBuilder semantics): hits beyond the local top-k must stay
@@ -1267,16 +1294,20 @@ class PartitionSearcher:
         docs, scores = self._eval_scoring(q, scorers, k=k, mode=mode)
         if search_after is not None:
             ca_s, ca_p, ca_l = search_after
+            part = self.part
             keep = (scores < ca_s) | (
                 (scores == ca_s) & ((part > ca_p) | ((part == ca_p) & (docs > ca_l)))
             )
             docs, scores = docs[keep], scores[keep]
         return topk_select(docs, scores, k)
 
-    def inner_hits_candidates(self, q, scorers, collapse: str, values,
-                              size: int, part: int = 0):
+    def count(self, q: Query, scorers) -> int:
+        """Matching-doc count (the _count API ships ints, never doc ids)."""
+        return len(self._eval_scoring(q, scorers, None, "exhaustive")[0])
+
+    def inner_hits_candidates(self, q, scorers, collapse: str, values, size: int):
         """Per-partition inner_hits pre-cut: ≤ size best hits per collapse
-        value — (part, values, scores, locals) columns, driver-mergeable."""
+        value — (values, scores, locals) columns, driver-mergeable."""
         docs, scores = self._eval_scoring(q, scorers, None, "exhaustive")
         v_out: list = []
         s_out: list = []
@@ -1307,7 +1338,7 @@ class PartitionSearcher:
                 v_out = np.asarray(list(values))[codes[sel]].tolist()
                 s_out = np.asarray(scores[sel], np.float64).tolist()
                 l_out = np.asarray(docs[sel], np.int64).tolist()
-        return (part, v_out, s_out, l_out)
+        return v_out, s_out, l_out
 
     def suggest_candidates(self, tok: str, max_edits: int,
                            prefix_length: int = 1) -> dict[str, int]:
@@ -1456,8 +1487,7 @@ class PartitionSearcher:
         return a
 
     def extended_candidates(self, q, scorers, sort, k, search_after=None,
-                            collapse=None, min_score=None, part=0,
-                            index_sorted=False):
+                            collapse=None, min_score=None, index_sorted=False):
         """Per-partition candidate collection for the field-sort / collapse /
         rescore path: exhaustive eval → min_score → sort keys → search_after
         cursor → per-value best (collapse) → top-k BY SORT ORDER. The driver
@@ -1484,7 +1514,7 @@ class PartitionSearcher:
                 cols = key_cols
                 ds_ = [sort[0][1] == "desc"]
                 if len(search_after) == len(key_cols) + 2:
-                    cols = key_cols + [np.full(len(docs), int(part), np.int64),
+                    cols = key_cols + [np.full(len(docs), self.part, np.int64),
                                        np.asarray(docs, np.int64)]
                     ds_ = ds_ + [False, False]
                 keep = _after_mask(cols, ds_, search_after)
@@ -1510,7 +1540,7 @@ class PartitionSearcher:
         if search_after is not None:
             cols, ds_ = key_cols, descs
             if len(search_after) == len(key_cols) + 2:
-                cols = key_cols + [np.full(len(docs), int(part), np.int64),
+                cols = key_cols + [np.full(len(docs), self.part, np.int64),
                                    np.asarray(docs, np.int64)]
                 ds_ = descs + [False, False]
             keep = _after_mask(cols, ds_, search_after)
@@ -1795,6 +1825,7 @@ class QueryEngine:
         if s is None:
             s = PartitionSearcher(
                 SegmentReader(part_dir(self.index_dir, part)),
+                part,
                 self.analyzer_name,
                 self.params,
                 self.dtype,
@@ -1834,9 +1865,9 @@ class QueryEngine:
                                  self.runtime_fields)
                 for g in groups if g
             ])
-        # stats / suggest / vocab gathers iterate self._actors and SUM over
-        # actors — they must see every partition exactly ONCE, so they are
-        # pinned to pool 0 regardless of replica count
+        # stats / suggest / vocab gathers SUM over partitions — they must
+        # see every partition exactly ONCE, so they are pinned to pool 0
+        # regardless of replica count
         self._actors = self._actor_pools[0]
 
     def _qpool(self):
@@ -1906,10 +1937,6 @@ class QueryEngine:
                 for a in pool:
                     ray.kill(a)
             self._actor_pools = None
-            self._actors = None
-        elif self._actors:
-            for a in self._actors:
-                ray.kill(a)
             self._actors = None
 
     def _apply_field_analyzers(self, q: Query) -> Query:
@@ -2179,104 +2206,84 @@ class QueryEngine:
                 out.append(p)
         return out
 
-    def _global_stats(self, terms: list[str]) -> dict[str, int]:
-        """DFS phase: global df per term (sum of per-partition dfs); cached —
-        term stats are immutable per index, so repeat queries skip the
-        gather round entirely. Partitions whose bloom excludes every missing
-        term are not consulted (and never opened)."""
-        missing = [t for t in terms if t not in self._df_cache]
-        if missing:
-            df = dict.fromkeys(missing, 0)
-            cand = set(self.can_match_parts(missing))
-            if self._actors:
-                import ray
+    def _candidate_parts(self, q: Query) -> list[int]:
+        """Partitions a search for ``q`` visits: for purely term-scored
+        query types, those whose bloom admits a query term (can_match);
+        every partition otherwise. search, count and the profiler all
+        prune through here."""
+        if isinstance(q, _CAN_MATCH_TYPES):
+            return self.can_match_parts(query_terms(q, self.analyzer_name))
+        return list(self.parts)
 
-                results = ray.get([a.local_stats.remote(missing) for a in self._actors])
-            else:
-                results = [self._searcher(p).local_stats(missing) for p in self.parts
-                           if p in cand]
-            for st in results:
-                for t, (d, _ttf) in st.items():
-                    df[t] += d
-            self._df_cache.update(df)
-        return {t: self._df_cache[t] for t in terms}
+    def _fanout(self, method: str, *args, parts=None, pool=None) -> list:
+        """``PartitionSearcher.<method>(*args)`` on each of ``parts``
+        (default: all) → ``[(part, result), ...]``: a driver loop over the
+        cached local searchers, or ONE ray.get over an actor pool. ``pool``
+        defaults to pool 0 (every partition exactly once); per-query calls
+        pass ``self._qpool()`` to spread load over replica pools."""
+        parts = self.parts if parts is None else parts
+        pool = pool or self._actors
+        if not pool:
+            return [(p, getattr(self._searcher(p), method)(*args)) for p in parts]
+        import ray
+
+        groups = ray.get([a.call.remote(method, parts, *args) for a in pool])
+        return [r for g in groups for r in g]
 
     def raw_stats(self, terms: list[str]) -> dict[str, tuple[int, int]]:
-        """THIS index's (df, ttf) per term, bypassing (and not touching)
-        the DFS caches — the building block MultiIndexEngine uses to
-        combine stats across indices before priming each index's caches
-        with the totals (ttf matters for the LM similarity family, where
-        P(w|C) must come from the COMBINED collection)."""
+        """DFS gather: THIS index's (df, ttf) per term, summed over the
+        partitions whose bloom admits some term (the rest are never
+        opened). Always gathers — MultiIndexEngine combines these raw
+        per-index numbers across indices — and refreshes both DFS caches
+        (ttf matters for the LM similarity family, where P(w|C) must come
+        from the collection)."""
         stats = {t: (0, 0) for t in terms}
         if not terms:
             return stats
-        if self._actors:
-            import ray
-
-            results = ray.get([a.local_stats.remote(terms) for a in self._actors])
-        else:
-            cand = set(self.can_match_parts(terms))
-            results = [self._searcher(p).local_stats(terms) for p in self.parts
-                       if p in cand]
-        for st in results:
+        for _p, st in self._fanout("local_stats", terms, parts=self.can_match_parts(terms)):
             for t, (d, tt) in st.items():
                 pd, pt = stats[t]
                 stats[t] = (pd + d, pt + tt)
+        self._df_cache.update((t, d) for t, (d, _tt) in stats.items())
+        self._ttf_cache.update((t, tt) for t, (_d, tt) in stats.items())
         return stats
 
     def raw_df(self, terms: list[str]) -> dict[str, int]:
         """THIS index's df per term (raw_stats projection)."""
         return {t: d for t, (d, _tt) in self.raw_stats(terms).items()}
 
+    def _global_stats(self, terms: list[str]) -> dict[str, int]:
+        """DFS phase: global df per term; cached — term stats are immutable
+        per index, so repeat queries skip the gather round entirely."""
+        missing = [t for t in terms if t not in self._df_cache]
+        if missing:
+            self.raw_stats(missing)
+        return {t: self._df_cache[t] for t in terms}
+
     def _global_ttf(self, terms: list[str]) -> dict[str, int]:
-        """Global total term frequency per term (sum of per-partition ttfs;
-        cached like _global_stats) — the unigram counts of the
+        """Global total term frequency per term (cached like _global_stats,
+        filled by the same gather) — the unigram counts of the
         phrase-suggester language model."""
         missing = [t for t in terms if t not in self._ttf_cache]
         if missing:
-            ttf = dict.fromkeys(missing, 0)
-            if self._actors:
-                import ray
-
-                results = ray.get([a.local_stats.remote(missing) for a in self._actors])
-            else:
-                cand = set(self.can_match_parts(missing))
-                results = [self._searcher(p).local_stats(missing) for p in self.parts
-                           if p in cand]
-            for st in results:
-                for t, (_d, tt) in st.items():
-                    ttf[t] += tt
-            self._ttf_cache.update(ttf)
+            self.raw_stats(missing)
         return {t: self._ttf_cache[t] for t in terms}
 
     def _global_bigram_freqs(self, pairs: list) -> dict:
         """Global adjacent-occurrence counts for candidate word pairs: one
         fan-out carrying ALL pairs (not one call per pair), summed on the
         driver — the phrase-suggester shingle statistics."""
-        if not pairs:
-            return {}
-        if self._actors:
-            import ray
-
-            results = ray.get([a.bigram_freqs.remote(pairs) for a in self._actors])
-        else:
-            results = [self._searcher(p).bigram_freqs(pairs) for p in self.parts]
         out = dict.fromkeys(pairs, 0)
-        for d in results:
-            for k, v in d.items():
-                out[k] = out.get(k, 0) + v
+        if pairs:
+            for _p, d in self._fanout("bigram_freqs", pairs):
+                for k, v in d.items():
+                    out[k] += v
         return out
 
     def _vocab_size(self) -> int:
         v = getattr(self, "_vocab_total", None)
         if v is None:
-            if self._actors:
-                import ray
-
-                v = sum(ray.get([a.vocab_size.remote() for a in self._actors]))
-            else:
-                v = sum(self._searcher(p).vocab_size() for p in self.parts)
-            self._vocab_total = v
+            v = self._vocab_total = sum(n for _p, n in self._fanout("vocab_size"))
         return v
 
     def avgdl_for(self, field: str | None) -> float:
@@ -2386,24 +2393,27 @@ class QueryEngine:
         return scorers
 
     def _scorers_cached(self, q: Query):
-        """(scorers, object-store ref) per query — segments are immutable so
-        term stats and scorer weights never change; repeated queries skip
-        both scorer construction and re-serialization."""
+        """(scorers, what _fanout ships for them) per query: on the actor
+        backend an object-store ref — serialized ONCE, every searcher task
+        gets the ref (pickling the scorer dict per task was the dominant
+        per-query driver cost) — else the scorers themselves. Segments are
+        immutable so term stats and scorer weights never change; repeated
+        queries skip both scorer construction and re-serialization."""
         try:
             ent = self._scorer_cache.get(q)
         except TypeError:  # unhashable query (shouldn't happen; all frozen)
             scorers = self._scorers(q)
-            return scorers, None
+            return scorers, scorers
         if ent is None:
             scorers = self._scorers(q)
-            ref = None
+            ship = scorers
             if self._actors:
                 import ray
 
-                ref = ray.put(scorers)
+                ship = ray.put(scorers)
             if len(self._scorer_cache) >= 512:
                 self._scorer_cache.clear()
-            ent = (scorers, ref)
+            ent = (scorers, ship)
             self._scorer_cache[q] = ent
         return ent
 
@@ -2512,8 +2522,8 @@ class QueryEngine:
                 doc order (QueryPhase terminate_after; counts become lower
                 bounds, like the reference's terminated_early response).
 
-        sort/collapse/rescore evaluate on the local backend (cached readers);
-        the warm-actor backend serves the hot default-order top-k path.
+        post_filter/terminate_after evaluate on the local backend (cached
+        readers); every other path fans out to the warm actors when enabled.
         """
         if isinstance(q, str):
             q = MatchQuery(q)
@@ -2532,60 +2542,16 @@ class QueryEngine:
             self._coord_rr = (i + 1) % len(self._coords)
             tbl = ray.get(self._coords[i].search.remote(
                 q, k, mode, sort, search_after, collapse, rescore, min_score))
-            if len(tbl) == 0:
-                return tbl
-            parts_a = tbl["part"].to_numpy()
-            docs_a = tbl["local"].to_numpy()
-            return self._attach_fetch(tbl, parts_a, docs_a, fetch)
+            return self._attach_fetch(tbl, fetch)
         if sort or collapse or rescore:
             return self._search_extended(q, k, mode, fetch, sort, search_after, collapse,
                                          rescore, min_score)
-        scorers, scorers_ref = self._scorers_cached(q)
-        # can_match pruning: for purely term-scored query types, partitions
-        # whose bloom excludes every query term cannot produce hits
-        if isinstance(q, (TermQuery, TermsQuery, MatchQuery, MatchPhraseQuery,
-                          SpanNearQuery, IntervalsQuery)):
-            cand = self.can_match_parts(query_terms(q, self.analyzer_name))
-        else:
-            cand = list(self.parts)
-        if self._actors:
-            import ray
-
-            cand_set = set(cand)
-            # scorers were serialized ONCE into the object store (cached);
-            # every actor task gets the ref (submitting N tasks each pickling
-            # the scorer dict was the dominant per-query driver cost)
-            results = ray.get([a.topk.remote(q, scorers_ref, k, mode, list(cand_set),
-                                             search_after)
-                               for a in self._qpool()])
-            results = [r for group in results for r in group]
-        else:
-            results = [(p, *self._searcher(p).topk(q, scorers, k, mode, search_after, p))
-                       for p in cand]
+        _scorers, ship = self._scorers_cached(q)
+        results = self._fanout("topk", q, ship, k, mode, search_after,
+                               parts=self._candidate_parts(q), pool=self._qpool())
         if min_score is not None:
-            results = [(p, d[s >= min_score], s[s >= min_score]) for p, d, s in results]
-        parts_l, docs_l, scores_l = [], [], []
-        for p, d, s in results:
-            parts_l.append(np.full(len(d), p, dtype=np.int64))
-            docs_l.append(d)
-            scores_l.append(np.asarray(s, np.float64))
-        if not docs_l or sum(map(len, docs_l)) == 0:
-            return pa.table({"rank": pa.array([], pa.int64()), "score": pa.array([], pa.float64()),
-                             "part": pa.array([], pa.int64()), "local": pa.array([], pa.int64())})
-        parts_a = np.concatenate(parts_l)
-        docs_a = np.concatenate(docs_l)
-        scores_a = np.concatenate(scores_l)
-        order = np.lexsort((docs_a, parts_a, -scores_a))[:k]
-        parts_a, docs_a, scores_a = parts_a[order], docs_a[order], scores_a[order]
-        cols = {
-            "rank": pa.array(np.arange(1, len(order) + 1)),
-            "score": pa.array(scores_a),
-            "part": pa.array(parts_a),
-            "local": pa.array(docs_a),
-        }
-        tbl = pa.table(cols)
-        return self._attach_fetch(tbl, parts_a, docs_a, fetch)
-
+            results = [(p, (d[s >= min_score], s[s >= min_score])) for p, (d, s) in results]
+        return self._attach_fetch(_merge_topk(results, k), fetch)
 
     def _search_post(self, q: Query, k: int, fetch: tuple,
                      post_filter: Query | None, terminate_after: int | None,
@@ -2601,7 +2567,7 @@ class QueryEngine:
             # DSL) — it needs its OWN scorers for analyzed/phrase members
             pf = self._apply_field_analyzers(self._rewrite(post_filter))
             pf_scorers = self._scorers(pf)
-        parts_l, docs_l, scores_l = [], [], []
+        results = []
         for p in self.parts:
             s = self._searcher(p)
             docs, scores = s._eval_scoring(q, scorers, k=None, mode="exhaustive")
@@ -2614,23 +2580,8 @@ class QueryEngine:
             if min_score is not None and len(docs):
                 m = np.asarray(scores) >= min_score
                 docs, scores = docs[m], np.asarray(scores)[m]
-            parts_l.append(np.full(len(docs), p, dtype=np.int64))
-            docs_l.append(docs)
-            scores_l.append(np.asarray(scores, np.float64))
-        if not docs_l or sum(map(len, docs_l)) == 0:
-            return pa.table({"rank": pa.array([], pa.int64()),
-                             "score": pa.array([], pa.float64()),
-                             "part": pa.array([], pa.int64()),
-                             "local": pa.array([], pa.int64())})
-        parts_a = np.concatenate(parts_l)
-        docs_a = np.concatenate(docs_l)
-        scores_a = np.concatenate(scores_l)
-        order = np.lexsort((docs_a, parts_a, -scores_a))[:k]
-        parts_a, docs_a, scores_a = parts_a[order], docs_a[order], scores_a[order]
-        tbl = pa.table({"rank": pa.array(np.arange(1, len(order) + 1)),
-                        "score": pa.array(scores_a),
-                        "part": pa.array(parts_a), "local": pa.array(docs_a)})
-        return self._attach_fetch(tbl, parts_a, docs_a, fetch)
+            results.append((p, (docs, scores)))
+        return self._attach_fetch(_merge_topk(results, k), fetch)
 
     def analyze(self, text: str, analyzer: str | None = None,
                 explain: bool = False):
@@ -2659,16 +2610,8 @@ class QueryEngine:
         prefix cuts (field-scoped keys excluded BEFORE the cut limit),
         gathered from the warm actor pool when one exists, merged on the
         driver (the reference's per-shard terms enum + coordinator merge)."""
-        if self._actors:
-            import ray
-
-            results = ray.get([a.terms_with_prefix.remote(prefix, size)
-                               for a in self._actors])
-            out = {t for group in results for t in group}
-        else:
-            out = set()
-            for p in self.parts:
-                out.update(self._searcher(p).terms_with_prefix(prefix, size))
+        out = {t for _p, terms in self._fanout("terms_with_prefix", prefix, size)
+               for t in terms}
         return sorted(out)[:size]
 
     def inner_hits(self, q: "Query | str", collapse: str, values,
@@ -2683,24 +2626,13 @@ class QueryEngine:
         if isinstance(q, str):
             q = MatchQuery(q)
         q = self._apply_field_analyzers(self._rewrite(q))
-        scorers, scorers_ref = self._scorers_cached(q)
+        _scorers, ship = self._scorers_cached(q)
         # dedupe, order-preserving: duplicate values would duplicate
         # candidate rows AND multiply through the _attach_fetch join
         vals = list(dict.fromkeys(values))
         rows = {"_coll": [], "score": [], "part": [], "local": []}
-        if self._actors:
-            import ray
-
-            results = ray.get([
-                a.inner_hits_candidates.remote(q, scorers_ref, collapse,
-                                               vals, size)
-                for a in self._actors])
-            groups = [g for chunk in results for g in chunk]
-        else:
-            groups = [self._searcher(p).inner_hits_candidates(
-                q, scorers, collapse, vals, size, part=p)
-                for p in self.parts]
-        for p, v_arr, sc_arr, loc_arr in groups:
+        for p, (v_arr, sc_arr, loc_arr) in self._fanout(
+                "inner_hits_candidates", q, ship, collapse, vals, size):
             rows["_coll"].extend(v_arr)
             rows["score"].extend(sc_arr)
             rows["part"].extend([p] * len(v_arr))
@@ -2719,10 +2651,7 @@ class QueryEngine:
         df["rank"] = np.arange(1, len(df) + 1)
         tbl = pa.Table.from_pandas(
             df.rename(columns={"_coll": collapse}), preserve_index=False)
-        if len(tbl) == 0:
-            return tbl
-        return self._attach_fetch(tbl, tbl["part"].to_numpy(),
-                                  tbl["local"].to_numpy(), fetch)
+        return self._attach_fetch(tbl, fetch)
 
     def termvectors(self, doc_id: int | None = None, doc: str | None = None,
                     **kw) -> dict:
@@ -2951,21 +2880,9 @@ class QueryEngine:
         if isinstance(q, str):
             q = MatchQuery(q)
         q = self._apply_field_analyzers(self._rewrite(q))
-        scorers, scorers_ref = self._scorers_cached(q)
-        if isinstance(q, (TermQuery, TermsQuery, MatchQuery, MatchPhraseQuery,
-                          SpanNearQuery, IntervalsQuery)):
-            cand = self.can_match_parts(query_terms(q, self.analyzer_name))
-        else:
-            cand = list(self.parts)
-        if self._actors:
-            import ray
-
-            counts = ray.get([a.count_local.remote(q, scorers_ref, list(set(cand)))
-                              for a in self._qpool()])
-            return int(sum(counts))
-        return int(sum(
-            len(self._searcher(p)._eval_scoring(q, scorers, None, "exhaustive")[0])
-            for p in cand))
+        _scorers, ship = self._scorers_cached(q)
+        return int(sum(n for _p, n in self._fanout(
+            "count", q, ship, parts=self._candidate_parts(q), pool=self._qpool())))
 
     def msearch(self, queries: list, k: int = 10, **kw) -> list:
         """The `_msearch` bulk API: execute several searches in one call.
@@ -3018,48 +2935,29 @@ class QueryEngine:
             if suggest_mode == "missing" and df_tok > 0:
                 out[tok] = []
                 continue
-            cand: dict[str, int] = {}
-            if self._actors:
-                import ray
-
-                results = ray.get([
-                    a.suggest_candidates.remote(tok, max_edits, prefix_length)
-                    for a in self._actors
-                ])
-                results = [d for group in results for d in group]
-            else:
-                results = [
-                    self._searcher(p).suggest_candidates(tok, max_edits, prefix_length)
-                    for p in self.parts
-                ]
-            for d in results:
-                for t, df in d.items():
-                    cand[t] = cand.get(t, 0) + df
-            ranked = sorted(
-                cand.items(),
-                key=lambda kv: (_true_distance(tok, kv[0], max_edits), -kv[1], kv[0]),
-            )[:size]
+            ranked = self._suggest_ranked(tok, max_edits, prefix_length)[:size]
             out[tok] = [
                 {"text": t, "freq": df, "distance": _true_distance(tok, t, max_edits)}
                 for t, df in ranked
             ]
         return out
 
+    def _suggest_ranked(self, tok: str, max_edits: int, prefix_length: int) -> list:
+        """Term-suggester candidates for ``tok`` with their summed df,
+        ranked by (fewer edits, higher df, term asc)."""
+        cand: dict[str, int] = {}
+        for _p, d in self._fanout("suggest_candidates", tok, max_edits, prefix_length):
+            for t, df in d.items():
+                cand[t] = cand.get(t, 0) + df
+        return sorted(cand.items(),
+                      key=lambda kv: (_true_distance(tok, kv[0], max_edits), -kv[1], kv[0]))
+
     def complete(self, prefix: str, size: int = 5) -> list[dict]:
         """Completion suggester analog (search/suggest/completion — the FST
         prefix automaton is our sorted term dict): terms with the prefix,
         ranked by (df desc, term asc), merged across partitions."""
-        prefix = prefix.lower()
-        if self._actors:
-            import ray
-
-            results = ray.get([a.completion_candidates.remote(prefix)
-                               for a in self._actors])
-            results = [d for group in results for d in group]
-        else:
-            results = [self._searcher(p).completion_candidates(prefix) for p in self.parts]
         merged: dict[str, int] = {}
-        for d in results:
+        for _p, d in self._fanout("completion_candidates", prefix.lower()):
             for t, df in d.items():
                 merged[t] = merged.get(t, 0) + df
         ranked = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))[:size]
@@ -3086,19 +2984,9 @@ class QueryEngine:
                 boosts[s["context"]] = float(s.get("boost", 1.0))
             else:
                 boosts[s] = 1.0
-        prefix = prefix.lower()
-        args = (prefix, field, list(boosts), limit)
-        if self._actors:
-            import ray
-
-            results = ray.get([a.completion_candidates_ctx.remote(*args)
-                               for a in self._actors])
-            results = [d for group in results for d in group]
-        else:
-            results = [self._searcher(p).completion_candidates_ctx(*args)
-                       for p in self.parts]
         merged: dict[str, dict] = {}
-        for d in results:
+        for _p, d in self._fanout("completion_candidates_ctx", prefix.lower(), field,
+                                  list(boosts), limit):
             for t, per in d.items():
                 agg = merged.setdefault(t, {})
                 for v, n in per.items():
@@ -3119,19 +3007,9 @@ class QueryEngine:
         mirrors Lucene's exact-first boosting deterministically: (edits
         asc, df desc, term asc) — an exact-prefix completion always beats
         a fuzzy one regardless of frequency."""
-        prefix = prefix.lower()
-        args = (prefix, fuzziness, prefix_length, min_length)
-        if self._actors:
-            import ray
-
-            results = ray.get([a.fuzzy_completion_candidates.remote(*args)
-                               for a in self._actors])
-            results = [d for group in results for d in group]
-        else:
-            results = [self._searcher(p).fuzzy_completion_candidates(*args)
-                       for p in self.parts]
         merged: dict[str, list] = {}
-        for d in results:
+        for _p, d in self._fanout("fuzzy_completion_candidates", prefix.lower(),
+                                  fuzziness, prefix_length, min_length):
             for t, (df, e) in d.items():
                 cur = merged.get(t)
                 if cur is None:
@@ -3196,24 +3074,7 @@ class QueryEngine:
         per_token: list[list[tuple[str, float]]] = []
         for tok in tokens:
             opts = [(tok, 0.0)]
-            if self._actors:
-                import ray
-
-                results = ray.get([a.suggest_candidates.remote(tok, max_edits, 1)
-                                   for a in self._actors])
-                results = [d for group in results for d in group]
-            else:
-                results = [self._searcher(p).suggest_candidates(tok, max_edits, 1)
-                           for p in self.parts]
-            cand: dict[str, int] = {}
-            for d in results:
-                for t, df in d.items():
-                    cand[t] = cand.get(t, 0) + df
-            ranked = sorted(
-                cand.items(),
-                key=lambda kv: (_true_distance(tok, kv[0], max_edits), -kv[1], kv[0]),
-            )[:candidates_per_token]
-            for t, _df in ranked:
+            for t, _df in self._suggest_ranked(tok, max_edits, 1)[:candidates_per_token]:
                 opts.append((t, -edit_penalty * _true_distance(tok, t, max_edits) / 10.0))
             per_token.append(opts)
         # one distributed gather for every model statistic the beam needs
@@ -3282,7 +3143,7 @@ class QueryEngine:
         FINAL sort order (cursor + collapse applied inside the partition);
         the driver merges ≤ k·P rows. Runs on the warm-actor backend when
         enabled, sequential cached readers otherwise."""
-        scorers, scorers_ref = self._scorers_cached(q)
+        _scorers, ship = self._scorers_cached(q)
         if rescore is not None and sort and list(sort) != [("_score", "desc")]:
             # QueryRescorer rejects explicit sort + rescore (the rescorer
             # would silently re-order the sorted window by _score).
@@ -3299,26 +3160,11 @@ class QueryEngine:
             and sort[0] == (self.spec["sort_field"], self.spec.get("sort_order", "asc"))
             and rescore is None and collapse is None and min_score is None
         )
-        if self._actors:
-            import ray
-
-            groups = ray.get([
-                a.extended_candidates.remote(q, scorers_ref, sort, fetch_k, search_after,
-                                             collapse, min_score, index_sorted)
-                for a in self._qpool()
-            ])
-            per_part = [r for g in groups for r in g]
-        else:
-            per_part = [
-                (p, *self._searcher(p).extended_candidates(q, scorers, sort, fetch_k,
-                                                           search_after, collapse, min_score,
-                                                           part=p, index_sorted=index_sorted))
-                for p in self.parts
-            ]
-        per_part = [r for r in per_part if len(r[1])]
+        per_part = [(p, *r) for p, r in self._fanout(
+            "extended_candidates", q, ship, sort, fetch_k, search_after, collapse,
+            min_score, index_sorted, pool=self._qpool()) if len(r[0])]
         if not per_part:
-            return pa.table({"rank": pa.array([], pa.int64()), "score": pa.array([], pa.float64()),
-                             "part": pa.array([], pa.int64()), "local": pa.array([], pa.int64())})
+            return _merge_topk([], k)
         parts_a = np.concatenate([np.full(len(d), p, np.int64) for p, d, *_ in per_part])
         docs_a = np.concatenate([d for _, d, *_ in per_part])
         scores_a = np.concatenate([s for _, _, s, _, _ in per_part])
@@ -3337,9 +3183,10 @@ class QueryEngine:
             rq = self._apply_field_analyzers(self._rewrite(rq))
             window_idx = order[:window]
             rscorers = self._scorers(rq)
-            need_parts = set(np.unique(parts_a[window_idx]).tolist())
+            need_parts = np.unique(parts_a[window_idx]).tolist()
             rmap: dict[tuple, float] = {}
-            for p, rd_, rs in self._eval_exhaustive_parts(rq, rscorers, need_parts):
+            for p, (rd_, rs) in self._fanout("_eval_scoring", rq, rscorers, None, "exhaustive",
+                                             parts=need_parts, pool=self._qpool()):
                 for d, sc in zip(rd_.tolist(), np.asarray(rs, np.float64).tolist()):
                     rmap[(int(p), d)] = sc
             new_scores = scores_a.copy()
@@ -3360,23 +3207,15 @@ class QueryEngine:
                 "local": pa.array(docs_a[order]),
             }
         )
-        return self._attach_fetch(tbl, parts_a[order], docs_a[order], fetch)
+        return self._attach_fetch(tbl, fetch)
 
-    def _eval_exhaustive_parts(self, q, scorers, parts):
-        """(part, docs, scores) exhaustive eval for a subset of partitions —
-        rescore's second phase; distributed on the actor backend."""
-        if self._actors:
-            import ray
-
-            groups = ray.get([a.eval_exhaustive.remote(q, scorers, list(parts))
-                              for a in self._qpool()])
-            return [r for g in groups for r in g]
-        return [(p, *self._searcher(p)._eval_scoring(q, scorers, None, "exhaustive"))
-                for p in parts]
-
-    def _attach_fetch(self, tbl, parts_a, docs_a, fetch):
+    def _attach_fetch(self, tbl, fetch):
+        """Fetch phase: join ``fetch`` doc columns onto a hits table by its
+        (part, local) columns, keeping rank order."""
         if not fetch or len(tbl) == 0:
             return tbl
+        parts_a = tbl["part"].to_numpy()
+        docs_a = tbl["local"].to_numpy()
         fetched = []
         for p in np.unique(parts_a):
             mask = parts_a == p
@@ -3975,7 +3814,7 @@ def _hl_searcher(index_dir: str, part: int, analyzer_name: str, params_kb: tuple
         if len(_HL_SEARCHERS) > 256:
             _HL_SEARCHERS.clear()
         s = PartitionSearcher(
-            SegmentReader(part_dir(index_dir, part)), analyzer_name,
+            SegmentReader(part_dir(index_dir, part)), part, analyzer_name,
             BM25Params(*params_kb), dtype
         )
         _HL_SEARCHERS[key] = s
@@ -4062,90 +3901,18 @@ class SearcherActor:
         params = BM25Params(*params_kb)
         self.searchers = {
             p: PartitionSearcher(
-                SegmentReader(part_dir(index_dir, p)), analyzer_name, params, dtype,
+                SegmentReader(part_dir(index_dir, p)), p, analyzer_name, params, dtype,
                 runtime_fields=runtime_fields,
             )
             for p in parts
         }
 
-    def local_stats(self, terms):
-        out: dict[str, tuple[int, int]] = {}
-        for s in self.searchers.values():
-            for t, (d, ttf) in s.local_stats(terms).items():
-                prev = out.get(t, (0, 0))
-                out[t] = (prev[0] + d, prev[1] + ttf)
-        return out
-
-    def topk(self, q, scorers, k, mode, parts=None, search_after=None):
-        items = self.searchers.items()
-        if parts is not None:
-            allowed = set(parts)
-            items = [(p, s) for p, s in items if p in allowed]
-        return [(p, *s.topk(q, scorers, k, mode, search_after, p)) for p, s in items]
-
-    def count_local(self, q, scorers, parts=None):
-        """Matching-doc count over this actor's partitions — only an int
-        crosses the wire (the _count API never ships doc ids)."""
-        items = self.searchers.items()
-        if parts is not None:
-            allowed = set(parts)
-            items = [(p, s) for p, s in items if p in allowed]
-        return sum(len(s._eval_scoring(q, scorers, None, "exhaustive")[0])
-                   for _p, s in items)
-
-    def extended_candidates(self, q, scorers, sort, k, search_after=None, collapse=None,
-                            min_score=None, index_sorted=False):
-        return [
-            (p, *s.extended_candidates(q, scorers, sort, k, search_after, collapse,
-                                       min_score, part=p, index_sorted=index_sorted))
-            for p, s in self.searchers.items()
-        ]
-
-    def completion_candidates(self, prefix, limit=1000):
-        return [s.completion_candidates(prefix, limit) for s in self.searchers.values()]
-
-    def completion_candidates_ctx(self, prefix, ctx_field, ctx_values, limit=200):
-        return [s.completion_candidates_ctx(prefix, ctx_field, ctx_values, limit)
-                for s in self.searchers.values()]
-
-    def fuzzy_completion_candidates(self, prefix, max_edits=1, prefix_length=1,
-                                    min_length=3):
-        return [s.fuzzy_completion_candidates(prefix, max_edits, prefix_length,
-                                              min_length)
-                for s in self.searchers.values()]
-
-    def terms_with_prefix(self, prefix, limit):
-        out: set = set()
-        for s in self.searchers.values():
-            out.update(s.terms_with_prefix(prefix, limit))
-        return sorted(out)[:limit]
-
-    def suggest_candidates(self, tok, max_edits, prefix_length=1):
-        return [s.suggest_candidates(tok, max_edits, prefix_length)
-                for s in self.searchers.values()]
-
-    def bigram_freqs(self, pairs):
-        out: dict = {}
-        for s in self.searchers.values():
-            for k, v in s.bigram_freqs(pairs).items():
-                out[k] = out.get(k, 0) + v
-        return out
-
-    def vocab_size(self):
-        return sum(s.vocab_size() for s in self.searchers.values())
-
-    def eval_exhaustive(self, q, scorers, parts):
-        allowed = set(parts)
-        return [
-            (p, *s._eval_scoring(q, scorers, None, "exhaustive"))
-            for p, s in self.searchers.items()
-            if p in allowed
-        ]
-
-    def inner_hits_candidates(self, q, scorers, collapse, values, size):
-        return [s.inner_hits_candidates(q, scorers, collapse, values, size,
-                                        part=p)
-                for p, s in self.searchers.items()]
+    def call(self, method, parts, *args):
+        """``[(part, PartitionSearcher.<method>(*args)), ...]`` over the
+        requested partitions this actor owns (QueryEngine._fanout reduces)."""
+        wanted = set(parts)
+        return [(p, getattr(s, method)(*args))
+                for p, s in self.searchers.items() if p in wanted]
 
 
 class _CombinedScorer:

@@ -2,11 +2,14 @@
 
 Profiler (``server/.../search/profile/ProfileResult.java``,
 ``query/QueryProfiler.java``, SearchSourceBuilder ``profile: true``):
-``profile_search`` runs the engine's normal local top-k path with
-per-phase wall timing — rewrite, weight creation (the stats/scorer
-phase), can_match pruning, per-partition scoring (one entry per shard,
-like the reference's per-shard ProfileShardResult), merge, fetch — and
-returns the SAME hits a plain search returns plus the profile tree.
+``profile_search`` runs the engine's local top-k path with per-phase wall
+timing — rewrite, weight creation (the stats/scorer phase), can_match
+pruning, per-partition scoring (one entry per shard, like the reference's
+per-shard ProfileShardResult), merge, fetch. It keeps its own
+per-partition loop (for the per-shard timings) but reuses the engine's
+candidate selection (``QueryEngine._candidate_parts``) and top-k merge
+(``engine._merge_topk``), so it scores the same partitions and returns the
+SAME hits a plain search returns, plus the profile tree.
 
 _cat (``rest/action/cat/RestIndicesAction.java``,
 ``RestSegmentsAction.java``, ``RestCountAction.java``): fixed-column
@@ -19,13 +22,10 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
 import pandas as pd
-import pyarrow as pa
 
-from elasticsearch_ray.search.query import (MatchPhraseQuery, MatchQuery,
-                                            SpanNearQuery, TermQuery,
-                                            TermsQuery, query_terms)
+from elasticsearch_ray.search.engine import _merge_topk
+from elasticsearch_ray.search.query import MatchQuery
 
 
 def profile_search(eng, q, k: int = 10, mode: str = "bmw",
@@ -47,18 +47,14 @@ def profile_search(eng, q, k: int = 10, mode: str = "bmw",
     create_weight_ns = time.perf_counter_ns() - t0
 
     t0 = time.perf_counter_ns()
-    if isinstance(q2, (TermQuery, TermsQuery, MatchQuery,
-                       MatchPhraseQuery, SpanNearQuery)):
-        cand = eng.can_match_parts(query_terms(q2, eng.analyzer_name))
-    else:
-        cand = list(eng.parts)
+    cand = eng._candidate_parts(q2)
     can_match_ns = time.perf_counter_ns() - t0
 
     shards = []
-    parts_l, docs_l, scores_l = [], [], []
+    results = []
     for p in cand:
         t0 = time.perf_counter_ns()
-        d, s = eng._searcher(p).topk(q2, scorers, k, mode, None, p)
+        d, s = eng._searcher(p).topk(q2, scorers, k, mode)
         score_ns = time.perf_counter_ns() - t0
         shards.append({
             "id": f"[part={p}]",
@@ -70,32 +66,14 @@ def profile_search(eng, q, k: int = 10, mode: str = "bmw",
                               "collected_hits": int(len(d))},
             }]}],
         })
-        parts_l.append(np.full(len(d), p, dtype=np.int64))
-        docs_l.append(np.asarray(d, np.int64))
-        scores_l.append(np.asarray(s, np.float64))
+        results.append((p, (d, s)))
 
     t0 = time.perf_counter_ns()
-    if docs_l and sum(map(len, docs_l)):
-        parts_a = np.concatenate(parts_l)
-        docs_a = np.concatenate(docs_l)
-        scores_a = np.concatenate(scores_l)
-        order = np.lexsort((docs_a, parts_a, -scores_a))[:k]
-        parts_a, docs_a = parts_a[order], docs_a[order]
-        tbl = pa.table({"rank": pa.array(np.arange(1, len(order) + 1)),
-                        "score": pa.array(scores_a[order]),
-                        "part": pa.array(parts_a),
-                        "local": pa.array(docs_a)})
-    else:
-        parts_a = docs_a = np.empty(0, np.int64)
-        tbl = pa.table({"rank": pa.array([], pa.int64()),
-                        "score": pa.array([], pa.float64()),
-                        "part": pa.array([], pa.int64()),
-                        "local": pa.array([], pa.int64())})
+    tbl = _merge_topk(results, k)
     merge_ns = time.perf_counter_ns() - t0
 
     t0 = time.perf_counter_ns()
-    if len(tbl):
-        tbl = eng._attach_fetch(tbl, parts_a, docs_a, fetch)
+    tbl = eng._attach_fetch(tbl, fetch)
     fetch_ns = time.perf_counter_ns() - t0
 
     took = time.perf_counter_ns() - t_start

@@ -1,0 +1,184 @@
+"""The local, actor-pool and coordinator backends of QueryEngine must return
+identical results for every distributed read API, on a Zipf-vocabulary index
+with several partitions (so can_match pruning is exercised); plus the
+candidate-selection and DFS-gather guarantees the backends share."""
+
+import itertools
+import os
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+from elasticsearch_ray.index.build import build_index
+from elasticsearch_ray.index.spec import IndexSpec
+from elasticsearch_ray.search.async_search import AsyncSearchService
+from elasticsearch_ray.search.engine import PartitionSearcher, QueryEngine
+from elasticsearch_ray.search.profile import profile_search
+from elasticsearch_ray.search.query import IntervalsQuery, MatchQuery, TermQuery
+
+N_PARTS = 4
+NEEDLE = "zzneedle"  # planted into one file only → one partition
+_SYL = [c + v for c, v in itertools.product("bdfghklmnprstvz", "aeiou")]
+
+
+def _vocabulary(rng, size: int = 2000) -> list[str]:
+    """Consonant+vowel syllable words: dense edit-distance neighbourhoods,
+    so the suggesters and fuzzy completion have real candidates."""
+    two = ["".join(p) for p in itertools.product(_SYL, repeat=2)]
+    return [two[i] for i in rng.choice(len(two), size=size, replace=False)]
+
+
+def _write_zipf_corpus(src: str, seed: int = 11, docs_per_file: int = 60) -> list[str]:
+    """N_PARTS parquet files of Zipf(s=1.07) text; returns the vocabulary
+    in rank order (rank 0 = most frequent)."""
+    rng = np.random.default_rng(seed)
+    vocab = _vocabulary(rng)
+    w = 1.0 / np.arange(1, len(vocab) + 1) ** 1.07
+    cdf = np.cumsum(w) / w.sum()
+    os.makedirs(src)
+    for f in range(N_PARTS):
+        texts = []
+        for i in range(docs_per_file):
+            ranks = np.searchsorted(cdf, rng.random(int(rng.integers(20, 60))))
+            words = [vocab[min(r, len(vocab) - 1)] for r in ranks]
+            if f == 2 and i < 5:
+                words.append(NEEDLE)
+            texts.append(" ".join(words))
+        n = len(texts)
+        pq.write_table(pa.table({
+            "url": [f"u{f}-{i}" for i in range(n)],
+            "text": texts,
+            "lang": rng.choice(["en", "de", "fr"], n).tolist(),
+            "ts": rng.integers(0, 10_000, n).astype(np.int64),
+        }), os.path.join(src, f"part-{f}.parquet"))
+    return vocab
+
+
+def _spec(**kw) -> IndexSpec:
+    return IndexSpec(use_html=False, text_column="text",
+                     doc_columns=("url", "lang", "ts"),
+                     fields={"lang": "lang"}, field_analyzers={"lang": "keyword"},
+                     files_per_partition=1, **kw)
+
+
+@pytest.fixture(scope="module")
+def zipf(ray_session, tmp_path_factory):
+    base = tmp_path_factory.mktemp("zipf")
+    src = str(base / "src")
+    vocab = _write_zipf_corpus(src)
+    idx = str(base / "index")
+    build_index(src, idx, _spec(), concurrency=2)
+    return idx, vocab
+
+
+@pytest.fixture(scope="module")
+def backends(zipf):
+    idx, _vocab = zipf
+    engines = {
+        "local": QueryEngine(idx),
+        "actors": QueryEngine(idx, parallel="ray", num_actors=2),
+        "coordinator": QueryEngine(idx, parallel="ray", num_actors=2,
+                                   num_coordinators=1),
+    }
+    yield engines
+    for e in engines.values():
+        if e.parallel == "ray":
+            e.close()
+
+
+def _typo(word: str) -> str:
+    return word[:-1] + "q"  # 'q' is in no vocabulary word
+
+
+def test_backends_agree_on_every_read_api(zipf, backends):
+    _idx, v = zipf
+    local = backends["local"]
+    assert len(local.parts) >= N_PARTS
+    q = MatchQuery(f"{v[5]} {v[30]} {v[200]}")
+    page1 = local.search(q, k=5, fetch=("url",)).to_pylist()
+    cursor = (page1[-1]["score"], page1[-1]["part"], page1[-1]["local"])
+    needle_parts = local.can_match_parts([NEEDLE])
+    assert 1 <= len(needle_parts) < len(local.parts)  # pruning is exercised
+    stat_terms = [v[0], v[7], v[150], v[1999], NEEDLE, "absentterm"]
+
+    calls = {
+        "search_bmw": lambda e: e.search(q, k=10, fetch=("url",)).to_pylist(),
+        "search_exhaustive": lambda e: e.search(
+            q, k=10, mode="exhaustive", fetch=("url",)).to_pylist(),
+        "search_after": lambda e: e.search(
+            q, k=5, search_after=cursor, fetch=("url",)).to_pylist(),
+        "search_needle": lambda e: e.search(
+            TermQuery(NEEDLE), k=10, fetch=("url",)).to_pylist(),
+        "search_intervals": lambda e: e.search(
+            IntervalsQuery(source=("match", f"{v[3]} {v[4]}", 8, False)),
+            k=10, fetch=("url",)).to_pylist(),
+        "search_field_sort": lambda e: e.search(
+            q, k=10, sort=[("ts", "desc")], fetch=("url", "ts")).to_pylist(),
+        "count": lambda e: (e.count(q), e.count(TermQuery(NEEDLE))),
+        "terms_enum": lambda e: e.terms_enum(v[2][:2], size=20),
+        "suggest": lambda e: e.suggest(f"{_typo(v[10])} {_typo(v[60])}", size=5),
+        "complete": lambda e: e.complete(v[1][:2], size=8),
+        "complete_ctx": lambda e: e.complete_ctx(
+            v[1][:2], {"lang": ["en", {"context": "de", "boost": 2.0}]}, size=8),
+        "complete_fuzzy": lambda e: e.complete_fuzzy(_typo(v[9][:3]), size=8),
+        "suggest_phrase": lambda e: e.suggest_phrase(
+            f"{v[0]} {_typo(v[12])} {v[3]}", size=3),
+        "inner_hits": lambda e: e.inner_hits(
+            q, "lang", ["en", "de", "fr"], size=2, fetch=("url",)).to_pylist(),
+        "raw_stats": lambda e: e.raw_stats(stat_terms),
+        "_global_ttf": lambda e: e._global_ttf(stat_terms),
+        "_vocab_size": lambda e: e._vocab_size(),
+    }
+    for name, call in calls.items():
+        want = call(local)
+        assert want, name  # every API returns something non-trivial here
+        for backend in ("actors", "coordinator"):
+            assert call(backends[backend]) == want, (name, backend)
+
+
+def test_profile_prunes_like_search(zipf):
+    """profile_search and async search score exactly the partitions search
+    would (can_match applies to IntervalsQuery in all three)."""
+    idx, _vocab = zipf
+    eng = QueryEngine(idx)
+    q = IntervalsQuery(source=("match", NEEDLE, -1, False))
+    cand = eng.can_match_parts([NEEDLE])
+    assert len(cand) < len(eng.parts)
+    want = eng.search(q, k=10, fetch=("doc_id",)).to_pylist()
+    out = profile_search(eng, q, k=10)
+    assert [s["id"] for s in out["profile"]["shards"]] == [f"[part={p}]" for p in cand]
+    assert out["hits"].to_pylist() == want
+    scored = []
+    resp = AsyncSearchService(eng).submit(q, k=10, wait_for_completion_timeout=30.0,
+                                          _between_parts=scored.append)
+    assert scored == cand
+    assert resp["response"]["successful_shards"] == resp["response"]["total_shards"]
+    assert resp["response"]["hits"].to_pylist() == want
+
+
+def test_dfs_gather_once_per_fresh_term(zipf, tmp_path, monkeypatch):
+    """An LM-similarity search needs df AND ttf; both come from ONE
+    local_stats call per candidate partition per fresh term."""
+    idx, vocab = zipf
+    lm_idx = str(tmp_path / "lm")
+    src = os.path.join(os.path.dirname(idx), "src")
+    build_index(src, lm_idx, _spec(similarity="LMDirichlet"), concurrency=2)
+    eng = QueryEngine(lm_idx)
+    calls: list[int] = []
+    orig = PartitionSearcher.local_stats
+
+    def counted(self, terms):
+        calls.append(len(terms))
+        return orig(self, terms)
+
+    monkeypatch.setattr(PartitionSearcher, "local_stats", counted)
+    for term in (NEEDLE, vocab[0]):
+        calls.clear()
+        hits = eng.search(TermQuery(term), k=5)
+        assert len(hits) > 0
+        assert calls == [1] * len(eng.can_match_parts([term])), term
+        calls.clear()
+        eng.search(TermQuery(term), k=5)  # cached: no gather at all
+        assert calls == []
