@@ -229,8 +229,9 @@ def run_serving() -> dict:
     vdir = os.environ.get("BENCH_VEC_DIR")
     dim = int(os.environ.get("BENCH_VEC_DIM", "64"))
 
-    # query QPS on warm actors behind coordinator actors (the reference's
-    # any-node-coordinates model: driver does one submit+get per query)
+    # query QPS on warm actors: a sequential query fans out from the driver
+    # (one searcher round trip); overlapping ones go through coordinator
+    # actors (the reference's any-node-coordinates model)
     num_coords = 4
     # num_replicas: replica-shard pools (one per coordinator) — measured 3x
     # concurrent QPS at 1.5M docs vs a single shared pool (queries fan out
@@ -239,14 +240,13 @@ def run_serving() -> dict:
                       num_coordinators=num_coords,
                       num_replicas=int(os.environ.get("BENCH_REPLICAS", "4")))
     queries = {}
-    # warmup: every coordinator must build scorers for every query. The
-    # round-robin stride aligns when len(QUERY_SET) is a multiple of the
-    # coordinator count (query j would always land on coordinator j%4), so
-    # each round starts at a different coordinator explicitly.
-    for r in range(num_coords):
-        eng.set_coordinator_rotation(r)
-        for _name, _spec in QUERY_SET:
-            eng.search(build_query(_spec), k=10)
+    # warmup: sequential searches run on the driver, overlapping ones on the
+    # coordinators, so the driver and every coordinator build their scorer
+    # caches for every query (each coordinator addressed directly)
+    for _name, _spec in QUERY_SET:
+        eng.search(build_query(_spec), k=10)
+    ray.get([c.search.remote(build_query(_spec), 10, "bmw", None, None, None, None, None)
+             for c in eng._coords for _name, _spec in QUERY_SET])
     total_q = 0.0
     for name, spec in QUERY_SET:
         q = build_query(spec)
@@ -380,7 +380,7 @@ def _update_baseline_md(result, r_lo, r_hi, lo, hi):
 | docs/sec | {r_lo['docs_per_sec']} → {r_hi['docs_per_sec']} | |
 | scaling efficiency | {result['value']} | (T_lo/T_hi)/(hi/lo), target ≥ 0.8 |
 | query latencies @hi (sec) | {json.dumps(r_hi['queries'])} | warm actors, k=10, BMW |
-| sequential QPS @hi | {r_hi['query_qps']} | driver-serial, warm coordinators |
+| sequential QPS @hi | {r_hi['query_qps']} | driver-serial: sequential queries go direct to the searchers |
 | concurrent QPS @hi | {r_hi['concurrent_qps']} | 8 driver threads, replica-shard pools |
 | concurrent / sequential | {round(r_hi['concurrent_qps'] / r_hi['query_qps'], 2) if r_hi.get('query_qps') else 'n/a'} | target ≥ 1.5 at this corpus size |
 | core probe @lo → @hi (docs/s/core) | {r_lo.get('core_probe_docs_per_sec')} → {r_hi.get('core_probe_docs_per_sec')} | host-state control (tools/probe_core.py); calm ≈ 10k |

@@ -118,10 +118,11 @@ def manifest_path(index_dir: str, part: int) -> str:
 
 def read_manifest(index_dir: str, part: int) -> dict | None:
     p = manifest_path(index_dir, part)
-    if not os.path.exists(p):
+    try:
+        with open(p) as f:
+            m = json.load(f)
+    except FileNotFoundError:  # never built, or a rebuild replacing the dir
         return None
-    with open(p) as f:
-        m = json.load(f)
     if m.get("format") != FORMAT_VERSION:
         return None  # stale layout → partition rebuilds
     return m

@@ -54,7 +54,8 @@ def _include_exclude_mask(vals: pd.Series, include, exclude,
 
     from elasticsearch_ray.index.routing import murmur3_x86_32
 
-    uniq = pd.Series(vals.unique())
+    # a null key has no term: no include/exclude/partition ever admits it
+    uniq = pd.Series(vals.dropna().unique())
     keep = np.ones(len(uniq), bool)
     if include is not None:
         if isinstance(include, str):
@@ -78,7 +79,7 @@ def _include_exclude_mask(vals: pd.Series, include, exclude,
                           for u in uniq], np.int64)
         keep &= (np.mod(h, n) == p)  # np.mod is floorMod on signed ints
     accept = dict(zip(uniq, keep))
-    return vals.map(accept).to_numpy(bool)
+    return vals.map(accept).to_numpy(bool) & vals.notna().to_numpy()
 
 
 def terms_agg(ds: Dataset, key: str, size: int | None = None,

@@ -135,7 +135,7 @@ def _by_query(engine, dst_dir: str, q, mode: str, processors: list | None) -> in
     if isinstance(q, str):
         q = MatchQuery(q)
     q = engine._apply_field_analyzers(engine._rewrite(q))
-    scorers, _ = engine._scorers_cached(q)
+    scorers = engine._scorers_cached(q)
     import shutil
 
     shutil.rmtree(dst_dir, ignore_errors=True)  # deterministic names: stale

@@ -85,7 +85,7 @@ class AsyncSearchService:
 
         def run():
             try:
-                scorers, _ = eng._scorers_cached(q_resolved)
+                scorers = eng._scorers_cached(q_resolved)
                 cand = eng._candidate_parts(q_resolved)
                 with task.lock:
                     task.completed = len(eng.parts) - len(cand)

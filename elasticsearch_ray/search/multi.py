@@ -41,8 +41,8 @@ class MultiIndexEngine:
     def __init__(self, index_dirs: list[str], **engine_kwargs):
         # coordinators build scorers actor-side from their own stat copies,
         # which would bypass the combined stats — sub-engines stay
-        # coordinator-free (plain actor pools still work: scorers ship from
-        # the driver via the object store)
+        # coordinator-free (plain actor pools still work: the driver's
+        # scorers ship inline in each searcher task's arguments)
         engine_kwargs.pop("num_coordinators", None)
         self._init_from([QueryEngine(d, **engine_kwargs) for d in index_dirs])
 

@@ -43,7 +43,7 @@ def profile_search(eng, q, k: int = 10, mode: str = "bmw",
     rewrite_ns = time.perf_counter_ns() - t0
 
     t0 = time.perf_counter_ns()
-    scorers, _ = eng._scorers_cached(q2)
+    scorers = eng._scorers_cached(q2)
     create_weight_ns = time.perf_counter_ns() - t0
 
     t0 = time.perf_counter_ns()

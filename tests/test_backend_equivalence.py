@@ -5,11 +5,14 @@ candidate-selection and DFS-gather guarantees the backends share."""
 
 import itertools
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+import ray
 
 from elasticsearch_ray.index.build import build_index
 from elasticsearch_ray.index.spec import IndexSpec
@@ -103,19 +106,20 @@ def test_backends_agree_on_every_read_api(zipf, backends):
     assert 1 <= len(needle_parts) < len(local.parts)  # pruning is exercised
     stat_terms = [v[0], v[7], v[150], v[1999], NEEDLE, "absentterm"]
 
+    searches = {
+        "search_bmw": dict(q=q, k=10, fetch=("url",)),
+        "search_exhaustive": dict(q=q, k=10, mode="exhaustive", fetch=("url",)),
+        "search_after": dict(q=q, k=5, search_after=cursor, fetch=("url",)),
+        "search_needle": dict(q=TermQuery(NEEDLE), k=10, fetch=("url",)),
+        "search_intervals": dict(
+            q=IntervalsQuery(source=("match", f"{v[3]} {v[4]}", 8, False)),
+            k=10, fetch=("url",)),
+        "search_field_sort": dict(q=q, k=10, sort=[("ts", "desc")],
+                                  fetch=("url", "ts")),
+    }
     calls = {
-        "search_bmw": lambda e: e.search(q, k=10, fetch=("url",)).to_pylist(),
-        "search_exhaustive": lambda e: e.search(
-            q, k=10, mode="exhaustive", fetch=("url",)).to_pylist(),
-        "search_after": lambda e: e.search(
-            q, k=5, search_after=cursor, fetch=("url",)).to_pylist(),
-        "search_needle": lambda e: e.search(
-            TermQuery(NEEDLE), k=10, fetch=("url",)).to_pylist(),
-        "search_intervals": lambda e: e.search(
-            IntervalsQuery(source=("match", f"{v[3]} {v[4]}", 8, False)),
-            k=10, fetch=("url",)).to_pylist(),
-        "search_field_sort": lambda e: e.search(
-            q, k=10, sort=[("ts", "desc")], fetch=("url", "ts")).to_pylist(),
+        **{name: (lambda e, kw=kw: e.search(**kw).to_pylist())
+           for name, kw in searches.items()},
         "count": lambda e: (e.count(q), e.count(TermQuery(NEEDLE))),
         "terms_enum": lambda e: e.terms_enum(v[2][:2], size=20),
         "suggest": lambda e: e.suggest(f"{_typo(v[10])} {_typo(v[60])}", size=5),
@@ -136,6 +140,87 @@ def test_backends_agree_on_every_read_api(zipf, backends):
         assert want, name  # every API returns something non-trivial here
         for backend in ("actors", "coordinator"):
             assert call(backends[backend]) == want, (name, backend)
+
+    # a sequential search no longer reaches a coordinator: drive one directly
+    coord = backends["coordinator"]
+    for name, kw in searches.items():
+        tbl = ray.get(coord._coords[0].search.remote(
+            kw["q"], kw["k"], kw.get("mode", "bmw"), kw.get("sort"),
+            kw.get("search_after"), None, None, None))
+        assert coord._attach_fetch(tbl, kw["fetch"]).to_pylist() == calls[name](local), name
+
+
+@pytest.mark.parametrize("backend,first", [("actors", 500), ("coordinator", 520)])
+def test_sequential_search_is_one_round_trip(zipf, backends, monkeypatch, backend, first):
+    """A search with fresh terms makes ONE searcher fan-out (topk) from the
+    driver: the DFS runs on the engine's own readers, scorers ship inline
+    (no object-store put), and no coordinator hop is taken."""
+    _idx, v = zipf
+    eng = backends[backend]
+    terms = [v[first], v[first + 7], v[first + 300]]
+    assert not set(terms) & set(eng._df_cache)  # fresh: the DFS must run
+    q = MatchQuery(" ".join(terms))
+    want = backends["local"].search(q, k=10, fetch=("url",)).to_pylist()
+    fanouts, puts = [], []
+    orig_fanout, orig_put = QueryEngine._fanout, ray.put
+
+    def fanout(self, method, *a, **kw):
+        fanouts.append(method)
+        return orig_fanout(self, method, *a, **kw)
+
+    def put(*a, **kw):
+        puts.append(1)
+        return orig_put(*a, **kw)
+
+    monkeypatch.setattr(QueryEngine, "_fanout", fanout)
+    monkeypatch.setattr(ray, "put", put)
+    assert eng.search(q, k=10, fetch=("url",)).to_pylist() == want
+    assert fanouts == ["topk"]
+    assert puts == []
+
+
+def test_overlapping_searches_use_coordinators(zipf, backends, monkeypatch):
+    """Concurrent searches on the coordinator backend return the local
+    results; a search issued while another is in flight goes to a
+    coordinator instead of fanning out from the driver."""
+    _idx, v = zipf
+    local, coord = backends["local"], backends["coordinator"]
+    queries = [MatchQuery(f"{v[i]} {v[i + 50]} {v[i + 400]}") for i in range(40, 72)]
+    want = [local.search(q, k=10, fetch=("url",)).to_pylist() for q in queries]
+    n_threads = 8
+    barrier = threading.Barrier(n_threads)
+    got = {}
+
+    def worker(t):
+        barrier.wait()
+        for i in range(t, len(queries), n_threads):
+            got[i] = coord.search(queries[i], k=10, fetch=("url",)).to_pylist()
+
+    with ThreadPoolExecutor(n_threads) as ex:
+        list(ex.map(worker, range(n_threads)))
+    assert got == dict(enumerate(want))
+
+    entered, release = threading.Event(), threading.Event()
+    driver_fanouts = []
+    orig_fanout = coord._fanout
+
+    def held(method, *a, **kw):
+        driver_fanouts.append(method)
+        entered.set()
+        release.wait(60)
+        return orig_fanout(method, *a, **kw)
+
+    monkeypatch.setattr(coord, "_fanout", held)
+    with ThreadPoolExecutor(1) as ex:
+        first = ex.submit(coord.search, queries[0], k=10, fetch=("url",))
+        assert entered.wait(60)
+        try:
+            second = coord.search(queries[1], k=10, fetch=("url",)).to_pylist()
+        finally:
+            release.set()
+        assert first.result().to_pylist() == want[0]
+    assert second == want[1]
+    assert driver_fanouts == ["topk"]  # the overlapping search went to a coordinator
 
 
 def test_profile_prunes_like_search(zipf):

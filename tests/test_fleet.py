@@ -132,3 +132,13 @@ def test_fleet_search_gates_on_checkpoints(one_shard_index):
     with pytest.raises(ValueError, match="must equal number of shards"):
         fleet_search(eng, MatchQuery("beta"),
                      wait_for_checkpoints=[1, 2], timeout=0.3, k=10)
+
+
+def test_manifest_removed_mid_read_reads_as_uncommitted(tmp_path, monkeypatch):
+    """A rebuild replaces a partition dir while global_checkpoints polls
+    it: a manifest that passes an existence check and is gone by the open
+    reads as "not committed yet", not as an error."""
+    from elasticsearch_ray.index import segments
+
+    monkeypatch.setattr(segments.os.path, "exists", lambda _p: True)
+    assert segments.read_manifest(str(tmp_path), 0) is None

@@ -5,7 +5,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from elasticsearch_ray.ops.aggs import _mix64, terms_agg
+from elasticsearch_ray.ops.aggs import _include_exclude_mask, _mix64, terms_agg
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +105,13 @@ def test_order_by_key_and_submetric(ray_session, frame):
         terms_agg(_ds(frame), "k", order=("_count", "down"))
     with pytest.raises(ValueError, match="unknown order path"):
         terms_agg(_ds(frame), "k", order=("sum_nope", "asc"))
+
+
+def test_null_key_never_passes_a_filter():
+    """A null key has no term, so no partition slice, include or exclude
+    admits it (a NaN used to hash as the string "nan")."""
+    vals = pd.Series(["a", "b", np.nan])
+    for part in ((0, 2), (1, 2)):
+        assert not _include_exclude_mask(vals, None, None, part)[2], part
+    assert not _include_exclude_mask(vals, ".*", None, None)[2]
+    assert not _include_exclude_mask(vals, None, ["a"], None)[2]
