@@ -17,10 +17,12 @@ Pipeline (SURVEY §3.1, with an explicit map-side combine):
     → sort(part, term, salt, first_doc)      # the term-keyed shuffle
     → map_batches(RouteChunks): stream chunk rows into per-partition run
       files (sorted within each run)
-    → per-partition MergeParts task: k-way combines each term's chunks
-      (single-chunk blobs pass through; multi-chunk re-encoded canonically),
-      concatenates doc runs → docs.parquet, writes terms.parquet /
-      postings.bin / positions.bin / manifest.json (completion marker)
+    → per-partition MergeParts task: the segment-merge kernel
+      (index.merge.write_segment) k-way merges the run files in bounded
+      batches (single-chunk blobs pass through; multi-chunk terms re-encode
+      canonically), concatenates doc runs → docs.parquet, writes
+      terms.parquet / postings.bin / positions.bin / manifest.json
+      (completion marker, last)
     → index_meta.json (global stats: N, sum_dl)
 
 Skew handling (north rule): a head term's postings arrive as bounded chunks
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 import os
 import shutil
-import time
 import uuid
 from collections import Counter
 
@@ -58,14 +59,11 @@ import ray.data as rd
 from elasticsearch_ray.analysis.analyzers import get_analyzer
 from elasticsearch_ray.analysis.html_strip import strip_html
 from elasticsearch_ray.index.norms import int_to_byte4
-from elasticsearch_ray.index.postings import encode_postings, reencode_canonical
+from elasticsearch_ray.index.merge import run_source, write_segment
+from elasticsearch_ray.index.postings import encode_postings
 from elasticsearch_ray.index.segments import (
-    FORMAT_VERSION,
-    atomic_write_bytes,
-    write_term_bloom,
     atomic_write_json,
     atomic_write_table,
-    manifest_path,
     part_dir,
     read_manifest,
 )
@@ -84,8 +82,8 @@ def spec_fingerprint(spec: IndexSpec) -> str:
             sorted(
                 (k, repr(v))
                 for k, v in spec.to_dict().items()
-                if k not in ("files_per_partition", "merge_spill_bytes",
-                             "sample_docs", "max_result_window")
+                if k not in ("files_per_partition", "sample_docs",
+                             "max_result_window")
             )
         ).encode()
     ).hexdigest()[:16]
@@ -413,309 +411,10 @@ class RouteChunks:
         )
 
 
-def merge_part_streaming(index_dir: str, part: int, run_paths: list[str],
-                         shards: list[dict], spec: IndexSpec) -> dict:
-    """Spill path of merge_part: k-way HEAP merge over the term-sorted run
-    files with bounded memory — postings.bin and positions.bin are
-    appended incrementally; only the (small) term dictionary, norms column
-    and per-run read buffers are resident. Produces the identical segment
-    (postings.bin / terms.parquet byte-identical; docs/positions logically
-    identical, parquet row-group layout may differ). Used when a partition's
-    run bytes exceed ``spec.merge_spill_bytes``."""
-    import heapq
-
-    t0 = time.time()
-    pdir = part_dir(index_dir, part)
-    with_pos = spec.store_positions
-
-    # docs: stream docruns through a ParquetWriter; keep only norm/doclen
-    ddir = os.path.join(pdir, "docruns")
-    docrun_files = sorted(os.listdir(ddir)) if os.path.isdir(ddir) else []
-    norms_l, doclen_l = [], []
-    fnorm_l: dict[str, list] = {}
-    fdl_sums: dict[str, int] = {}
-    docs_tmp = os.path.join(pdir, "docs.parquet.tmp")
-    writer = None
-    for f in docrun_files:
-        t = pq.read_table(os.path.join(ddir, f))
-        if writer is None:
-            writer = pq.ParquetWriter(docs_tmp, t.schema)
-        writer.write_table(t)
-        norms_l.append(t["norm"].to_numpy())
-        doclen_l.append(t["doclen"].to_numpy())
-        for name in t.schema.names:
-            if name.startswith("norm_"):
-                fnorm_l.setdefault(name[5:], []).append(t[name].to_numpy())
-            elif name.startswith("doclen_"):
-                fld = name[7:]
-                fdl_sums[fld] = fdl_sums.get(fld, 0) + int(
-                    np.asarray(t[name].to_numpy()).sum()
-                )
-    if writer is not None:
-        writer.close()
-        os.replace(docs_tmp, os.path.join(pdir, "docs.parquet"))
-    norms_np = np.concatenate(norms_l) if norms_l else np.empty(0, np.uint8)
-    doclen_np = np.concatenate(doclen_l) if doclen_l else np.empty(0, np.int64)
-    field_norms_np = {f: np.concatenate(v) for f, v in fnorm_l.items()}
-
-    cols = ["term", "df", "total_tf", "first_doc", "blob"] + (
-        ["pos_flat"] if with_pos else []
-    )
-
-    def run_rows(path):
-        pf = pq.ParquetFile(path)
-        for b in pf.iter_batches(batch_size=1024, columns=cols):
-            rows = b.to_pylist()
-            yield from rows
-
-    # k-way merge on (term, first_doc); runs are sorted by construction
-    iters = [run_rows(p) for p in run_paths]
-    heap = []
-    for ri, it in enumerate(iters):
-        row = next(it, None)
-        if row is not None:
-            heapq.heappush(heap, (row["term"], row["first_doc"], ri, row))
-
-    final_terms: list[str] = []
-    final_df: list[int] = []
-    final_ttf: list[int] = []
-    offs_l: list[int] = []
-    lens_l: list[int] = []
-    pos_offs_l: list[int] = []
-    pos_lens_l: list[int] = []
-    n_multi = 0
-    group: list[dict] = []
-    off = 0
-    pos_off = 0
-
-    postings_tmp = os.path.join(pdir, "postings.bin.tmp")
-    pos_tmp = os.path.join(pdir, "positions.bin.tmp")
-
-    pos_out = open(pos_tmp, "wb") if with_pos else None
-    with open(postings_tmp, "wb") as pf_out:
-
-        def finalize_group():
-            nonlocal off, pos_off, n_multi
-            if not group:
-                return
-            term = group[0]["term"]
-            if len(group) == 1:
-                blob = group[0]["blob"]
-            else:
-                n_multi += 1
-                fld = field_of_term(term)
-                nl = norms_np if fld is None else field_norms_np[fld]
-                blob = reencode_canonical([g["blob"] for g in group], nl)
-            final_terms.append(term)
-            final_df.append(sum(g["df"] for g in group))
-            final_ttf.append(sum(g["total_tf"] for g in group))
-            offs_l.append(off)
-            lens_l.append(len(blob))
-            pf_out.write(blob)
-            off += len(blob)
-            if with_pos:
-                # group order = (term, first_doc) = doc order (chunk doc
-                # ranges are disjoint) — same invariant reencode relies on
-                flat = np.concatenate(
-                    [np.asarray(g["pos_flat"], dtype="<i4") for g in group]
-                )
-                b = flat.tobytes()
-                pos_offs_l.append(pos_off)
-                pos_lens_l.append(len(b))
-                pos_out.write(b)
-                pos_off += len(b)
-
-        while heap:
-            term, _fd, ri, row = heapq.heappop(heap)
-            if group and term != group[0]["term"]:
-                finalize_group()
-                group = []
-            group.append(row)
-            nxt = next(iters[ri], None)
-            if nxt is not None:
-                heapq.heappush(heap, (nxt["term"], nxt["first_doc"], ri, nxt))
-        finalize_group()
-    if pos_out is not None:
-        pos_out.close()
-        os.replace(pos_tmp, os.path.join(pdir, "positions.bin"))
-    os.replace(postings_tmp, os.path.join(pdir, "postings.bin"))
-
-    tcols = {
-        "term": pa.array(final_terms, pa.string()),
-        "df": pa.array(final_df, pa.int64()),
-        "total_tf": pa.array(final_ttf, pa.int64()),
-        "off": pa.array(offs_l, pa.int64()),
-        "len": pa.array(lens_l, pa.int64()),
-    }
-    if with_pos:
-        tcols["pos_off"] = pa.array(pos_offs_l, pa.int64())
-        tcols["pos_len"] = pa.array(pos_lens_l, pa.int64())
-    atomic_write_table(pa.table(tcols), os.path.join(pdir, "terms.parquet"))
-    bloom_bits = write_term_bloom(pdir, final_terms)
-    manifest = {
-        "format": FORMAT_VERSION,
-        "part": part,
-        "input_path": [s["path"] for s in shards],
-        "input_rows": int(sum(s["rows"] for s in shards)),
-        "input_bytes": int(sum(s.get("bytes", 0) for s in shards)),
-        "spec_fp": spec_fingerprint(spec),
-        "base_doc_id": int(shards[0]["part_base"]),
-        "n_docs": int(len(norms_np)),
-        "sum_dl": int(doclen_np.sum()),
-        "sum_dl_fields": fdl_sums,
-        "n_terms": len(final_terms),
-        "bloom_bits": int(bloom_bits),
-        "multi_chunk_terms": int(n_multi),
-        "runs_merged": len(run_paths),
-        "streaming_merge": True,
-        "postings_bytes": int(os.path.getsize(os.path.join(pdir, "postings.bin"))),
-        "elapsed_sec": round(time.time() - t0, 3),
-    }
-    shutil.rmtree(os.path.join(pdir, "runs"), ignore_errors=True)
-    shutil.rmtree(os.path.join(pdir, "docruns"), ignore_errors=True)
-    atomic_write_json(manifest_path(index_dir, part), manifest)
-    return manifest
-
-
-def merge_part(index_dir: str, part: int, run_paths: list[str], shards: list[dict],
-               spec: IndexSpec) -> dict:
-    """Combine one partition's chunk runs into the final canonical segment:
-    docruns → docs.parquet; per term, single-chunk blobs pass through
-    byte-identical, multi-chunk terms re-encode canonically (so segment bytes
-    are independent of shuffle batching). Falls back to the bounded-memory
-    ``merge_part_streaming`` when the partition's run bytes exceed
-    ``spec.merge_spill_bytes``."""
-    run_bytes = sum(os.path.getsize(p) for p in run_paths) if run_paths else 0
-    if run_bytes > spec.merge_spill_bytes:
-        return merge_part_streaming(index_dir, part, run_paths, shards, spec)
-    t0 = time.time()
-    pdir = part_dir(index_dir, part)
-    with_pos = spec.store_positions
-
-    ddir = os.path.join(pdir, "docruns")
-    docrun_files = sorted(os.listdir(ddir)) if os.path.isdir(ddir) else []
-    docs_tbl = pa.concat_tables([pq.read_table(os.path.join(ddir, f)) for f in docrun_files])
-    atomic_write_table(docs_tbl, os.path.join(pdir, "docs.parquet"))
-    norms_np = docs_tbl["norm"].to_numpy()
-    doclen_np = docs_tbl["doclen"].to_numpy()
-    field_norms_np = {
-        n[5:]: docs_tbl[n].to_numpy() for n in docs_tbl.schema.names if n.startswith("norm_")
-    }
-    fdl_sums = {
-        n[7:]: int(np.asarray(docs_tbl[n].to_numpy()).sum())
-        for n in docs_tbl.schema.names
-        if n.startswith("doclen_")
-    }
-
-    cols = ["term", "df", "total_tf", "first_doc", "blob"] + (
-        ["pos_flat"] if with_pos else []
-    )
-    tables = [pq.read_table(p, columns=cols) for p in run_paths]
-    runs = pa.concat_tables(tables) if tables else None
-
-    if runs is not None and len(runs):
-        runs = runs.sort_by([("term", "ascending"), ("first_doc", "ascending")])
-        term_np = np.asarray(runs["term"].to_pylist(), dtype=object)
-        df_np = runs["df"].to_numpy()
-        ttf_np = runs["total_tf"].to_numpy()
-        blobs = runs["blob"].to_pylist()
-        change = np.empty(len(term_np), dtype=bool)
-        change[0] = True
-        change[1:] = term_np[1:] != term_np[:-1]
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], len(term_np))
-
-        final_terms: list[str] = []
-        final_df = np.empty(len(starts), dtype=np.int64)
-        final_ttf = np.empty(len(starts), dtype=np.int64)
-        final_blobs: list[bytes] = []
-        n_multi = 0
-        for gi, (s, e) in enumerate(zip(starts, ends)):
-            final_terms.append(term_np[s])
-            final_df[gi] = df_np[s:e].sum()
-            final_ttf[gi] = ttf_np[s:e].sum()
-            if e - s == 1:
-                final_blobs.append(blobs[s])
-            else:
-                n_multi += 1
-                fld = field_of_term(term_np[s])
-                nl = norms_np if fld is None else field_norms_np[fld]
-                final_blobs.append(reencode_canonical(blobs[s:e], nl))
-        lens = np.array([len(b) for b in final_blobs], dtype=np.int64)
-        offs = np.zeros(len(lens), dtype=np.int64)
-        np.cumsum(lens[:-1], out=offs[1:])
-        atomic_write_bytes(b"".join(final_blobs), os.path.join(pdir, "postings.bin"))
-
-        tcols = {
-            "term": pa.array(final_terms, pa.string()),
-            "df": pa.array(final_df),
-            "total_tf": pa.array(final_ttf),
-            "off": pa.array(offs),
-            "len": pa.array(lens),
-        }
-        if with_pos:
-            # runs are sorted by (term, first_doc); within a term, chunk doc
-            # ranges are disjoint and ordered, so the pos_flat values buffer
-            # in row order IS the per-term doc-order flat positions stream —
-            # positions.bin is one contiguous write, offsets are arithmetic.
-            plist = runs["pos_flat"].combine_chunks()
-            el_offs = plist.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-            base_el = int(el_offs[0])
-            vals = plist.values.to_numpy(zero_copy_only=False)
-            atomic_write_bytes(
-                np.ascontiguousarray(
-                    vals[base_el : int(el_offs[-1])], dtype="<i4"
-                ).tobytes(),
-                os.path.join(pdir, "positions.bin"),
-            )
-            tcols["pos_off"] = pa.array((el_offs[starts] - base_el) * 4)
-            tcols["pos_len"] = pa.array((el_offs[ends] - el_offs[starts]) * 4)
-        atomic_write_table(pa.table(tcols), os.path.join(pdir, "terms.parquet"))
-        bloom_bits = write_term_bloom(pdir, final_terms)
-        n_terms = len(final_terms)
-    else:
-        atomic_write_bytes(b"", os.path.join(pdir, "postings.bin"))
-        tcols = {
-            "term": pa.array([], pa.string()),
-            "df": pa.array([], pa.int64()),
-            "total_tf": pa.array([], pa.int64()),
-            "off": pa.array([], pa.int64()),
-            "len": pa.array([], pa.int64()),
-        }
-        if with_pos:
-            atomic_write_bytes(b"", os.path.join(pdir, "positions.bin"))
-            tcols["pos_off"] = pa.array([], pa.int64())
-            tcols["pos_len"] = pa.array([], pa.int64())
-        atomic_write_table(pa.table(tcols), os.path.join(pdir, "terms.parquet"))
-        bloom_bits = write_term_bloom(pdir, [])
-        n_terms = 0
-        n_multi = 0
-
-    manifest = {
-        "format": FORMAT_VERSION,
-        "part": part,
-        "input_path": [s["path"] for s in shards],
-        "input_rows": int(sum(s["rows"] for s in shards)),
-        "input_bytes": int(sum(s.get("bytes", 0) for s in shards)),
-        "spec_fp": spec_fingerprint(spec),
-        "base_doc_id": int(shards[0]["part_base"]),
-        "n_docs": int(len(norms_np)),
-        "sum_dl": int(doclen_np.sum()),
-        "sum_dl_fields": fdl_sums,
-        "n_terms": int(n_terms),
-        "bloom_bits": int(bloom_bits),
-        "multi_chunk_terms": int(n_multi),
-        "runs_merged": len(run_paths),
-        "postings_bytes": int(os.path.getsize(os.path.join(pdir, "postings.bin"))),
-        "elapsed_sec": round(time.time() - t0, 3),
-    }
-    shutil.rmtree(os.path.join(pdir, "runs"), ignore_errors=True)
-    shutil.rmtree(os.path.join(pdir, "docruns"), ignore_errors=True)
-    atomic_write_json(manifest_path(index_dir, part), manifest)
-    return manifest
-
-
 class MergeParts:
+    """Per-partition merge stage: the partition's run files and doc runs go
+    through the segment-merge kernel (``index.merge.write_segment``)."""
+
     def __init__(self, index_dir: str, spec_dict: dict):
         self.index_dir = index_dir
         self.spec = IndexSpec.from_dict(spec_dict)
@@ -723,9 +422,21 @@ class MergeParts:
     def __call__(self, batch: pa.Table) -> pa.Table:
         out = []
         for row in batch.to_pylist():
-            m = merge_part(
-                self.index_dir, int(row["part"]), list(row["run_paths"]), row["shards"], self.spec
-            )
+            pdir = part_dir(self.index_dir, int(row["part"]))
+            ddir = os.path.join(pdir, "docruns")
+            docruns = sorted(os.listdir(ddir)) if os.path.isdir(ddir) else []
+            shards, with_pos = row["shards"], self.spec.store_positions
+            lineage = {
+                "input_path": [s["path"] for s in shards],
+                "input_rows": int(sum(s["rows"] for s in shards)),
+                "input_bytes": int(sum(s.get("bytes", 0) for s in shards)),
+                "spec_fp": spec_fingerprint(self.spec),
+                "base_doc_id": int(shards[0]["part_base"]),
+            }
+            m = write_segment(self.index_dir, int(row["part"]),
+                              [run_source(p, with_pos) for p in row["run_paths"]],
+                              [os.path.join(ddir, f) for f in docruns], with_pos, lineage,
+                              drop=(os.path.join(pdir, "runs"), ddir))
             out.append({"part": m["part"], "n_docs": m["n_docs"], "sum_dl": m["sum_dl"],
                         "n_terms": m["n_terms"]})
         return pa.Table.from_pylist(out)

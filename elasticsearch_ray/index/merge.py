@@ -1,42 +1,54 @@
-"""Tiered segment merge + force-merge.
+"""Segment merge: the one kernel that writes a segment, plus tiered merge
+and force-merge.
 
-The reference's merge layer (``index/MergePolicyConfig.java:104-112``:
+``write_segment`` is a batched k-way merge over term-sorted sources: Arrow
+tables ``(term, df, total_tf, first_doc, blob[, pos_flat])`` in the new
+segment's doc space. A build run file is a source (``run_source``); so is a
+finished segment (``segment_source``: zero-copy views over memory-mapped
+postings.bin/positions.bin; a doc offset rewrites only the block headers'
+first/last doc, as payloads hold deltas). Sources are read
+``MERGE_BATCH_ROWS`` rows at a time; a step emits only terms below the
+smallest last-buffered term of the sources still reading, since one term's
+chunks may straddle a batch. Per term: df/total_tf sum vectorized, a
+one-row group passes its blob through, a multi-row group re-encodes
+canonically, positions concatenate in (term, first_doc) = doc order. Build
+(``MergeParts``), tiered/force merge (``merge_group``) and shrink all call
+it, so a segment's bytes do not depend on how it was produced.
+
+Tiered policy: the reference's merge layer (``MergePolicyConfig.java:104-112``:
 floor 2 MB, ≤10 merges at once, 10 segments per tier, 5 GB max merged
-segment; force-merge via ``InternalEngine.forceMerge``,
-``InternalEngine.java:2106-2126``). In our layout a segment IS a partition
-(contiguous global doc-id range), so merging = combining ADJACENT partitions:
-doc ranges stay contiguous, partition-local ids remap by base offset, and the
-(score, part, doc) merge tie-break is preserved because global doc order is
-preserved.
-
-Merges run as parallel Ray tasks, one per merge group; each group k-way
-combines sorted term streams, remaps and canonically re-encodes postings, and
-concatenates positions in doc order. Gate: merged segments score-identically
-to unmerged (tested)."""
+segment; force-merge ``InternalEngine.java:2106-2126``). A segment IS a
+partition (contiguous global doc-id range), so a merge combines ADJACENT
+partitions: local ids shift by base offset and global doc order, hence the
+(score, part, doc) tie-break, is kept. Merges run as parallel Ray tasks,
+one per group; merged segments score-identically to unmerged ones and are
+byte-identical to a fresh build of the same files (tested)."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shutil
+import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
 
-from elasticsearch_ray.index.spec import field_of_term
-from elasticsearch_ray.index.postings import decode_postings, encode_postings
+from elasticsearch_ray.index.postings import reencode_canonical
 from elasticsearch_ray.index.segments import (
     FORMAT_VERSION,
-    atomic_write_bytes,
-    write_term_bloom,
     atomic_write_json,
     atomic_write_table,
     manifest_path,
     part_dir,
+    write_term_bloom,
 )
+from elasticsearch_ray.index.spec import field_of_term
 
 FLOOR_BYTES = 2 * 1024 * 1024  # MergePolicyConfig floor_segment
 MAX_MERGE_AT_ONCE = 10
@@ -99,6 +111,237 @@ def plan_tiered_merges(parts: list[dict]) -> list[list[int]]:
     return groups
 
 
+# Rows read from a source per step — the merge's memory bound. A source
+# buffers more only while one term's chunks fill its whole buffer.
+MERGE_BATCH_ROWS = 16384
+
+
+def run_source(path: str, with_pos: bool):
+    """A build run file (chunk rows sorted by term, first_doc) as a source."""
+    schema = pa.schema([("term", pa.string()), ("df", pa.int64()), ("total_tf", pa.int64()),
+                        ("first_doc", pa.int64()), ("blob", pa.large_binary()),
+                        ("pos_flat", pa.large_list(pa.int32()))][:6 if with_pos else 5])
+    with pq.ParquetFile(path) as pf:
+        for b in pf.iter_batches(batch_size=MERGE_BATCH_ROWS, columns=schema.names):
+            yield pa.Table.from_batches([b]).select(schema.names).cast(schema)
+
+
+def _u32_at(raw: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Little-endian u32 at each (unaligned) byte offset ``at`` of ``raw``."""
+    return raw[at[:, None] + np.arange(4)].view("<u4").ravel()
+
+
+def _shift_headers(raw: np.ndarray, starts: np.ndarray, offset: int) -> None:
+    """Add ``offset`` to first_doc/last_doc of every block header of the
+    blobs beginning at ``starts`` (postings.py layout), in place."""
+    nb = _u32_at(raw, starts).astype(np.int64)
+    hdr = np.repeat(starts + 4, nb) + 16 * (
+        np.arange(int(nb.sum())) - np.repeat(np.cumsum(nb) - nb, nb))
+    for field_at in (4, 8):  # first_doc, last_doc
+        at = (hdr + field_at)[:, None] + np.arange(4)
+        raw[at] = (raw[at].view("<u4") + np.uint32(offset)).view(np.uint8)
+
+
+def segment_source(pdir: str, offset: int, with_pos: bool):
+    """A finished segment as a source, its doc ids moved up by ``offset``.
+    Files are opened here, before the kernel replaces any of them."""
+    terms = pq.ParquetFile(os.path.join(pdir, "terms.parquet"))
+    postings = pa.memory_map(os.path.join(pdir, "postings.bin")).read_buffer()
+    positions = (pa.memory_map(os.path.join(pdir, "positions.bin")).read_buffer()
+                 if with_pos else None)
+    return _segment_batches(terms, postings, positions, offset)
+
+
+def _segment_batches(terms, postings, positions, offset):
+    cols = ["term", "df", "total_tf", "off", "len"]
+    if positions is not None:
+        cols += ["pos_off", "pos_len"]
+    with terms:
+        for b in terms.iter_batches(batch_size=MERGE_BATCH_ROWS, columns=cols):
+            if b.num_rows:
+                yield _segment_batch(b, postings, positions, offset)
+
+
+def _segment_batch(b, postings, positions, offset) -> pa.Table:
+    # a segment's blobs are contiguous in term order, so a batch's blobs are
+    # one byte range of postings.bin (and its positions one of positions.bin)
+    off = b.column("off").to_numpy()
+    lo, hi = int(off[0]), int(off[-1] + b.column("len").to_numpy()[-1])
+    starts = off - lo
+    data = postings.slice(lo, hi - lo)
+    raw = np.frombuffer(data, np.uint8)
+    if offset:
+        raw = raw.copy()
+        _shift_headers(raw, starts, offset)
+        data = pa.py_buffer(raw)
+    out = {
+        "term": b.column("term"),
+        "df": b.column("df"),
+        "total_tf": b.column("total_tf"),
+        "first_doc": pa.array(_u32_at(raw, starts + 8).astype(np.int64)),
+        "blob": pa.LargeBinaryArray.from_buffers(
+            pa.large_binary(), len(starts),
+            [None, pa.py_buffer(np.append(starts, hi - lo)), data]),
+    }
+    if positions is not None:
+        po = b.column("pos_off").to_numpy() // 4
+        plo, phi = int(po[0]), int(po[-1] + b.column("pos_len").to_numpy()[-1] // 4)
+        vals = pa.Array.from_buffers(pa.int32(), phi - plo,
+                                     [None, positions.slice(plo * 4, (phi - plo) * 4)])
+        out["pos_flat"] = pa.LargeListArray.from_arrays(
+            pa.array(np.append(po - plo, phi - plo)), vals)
+    return pa.table(out)
+
+
+class _Cursor:
+    """One source's read buffer."""
+
+    def __init__(self, source):
+        self.it = iter(source)
+        self.buf = None
+        self.done = False
+
+    def fill(self) -> None:
+        """Read until the buffer spans two terms or the source ends, so the
+        buffer's last term bounds what may still arrive."""
+        while not self.done and (not self.buf or self.buf["term"][0] == self.buf["term"][-1]):
+            b = next(self.it, None)
+            if b is None:
+                self.done = True
+            elif b.num_rows:
+                self.buf = b if not self.buf else pa.concat_tables([self.buf, b])
+
+    def take_below(self, bound: str | None) -> pa.Table:
+        """Pop the buffered rows whose term sorts below ``bound`` (all when None)."""
+        n = len(self.buf) if bound is None else int(
+            pc.sum(pc.less(self.buf["term"], bound)).as_py() or 0)
+        head, self.buf = self.buf.slice(0, n), self.buf.slice(n)
+        return head
+
+
+def _merged_steps(sources):
+    """Term-sorted tables, each holding every row of the terms it covers."""
+    cursors = [_Cursor(s) for s in sources]
+    while True:
+        for c in cursors:
+            c.fill()
+        lasts = [c.buf["term"][-1].as_py() for c in cursors if not c.done]
+        bound = min(lasts) if lasts else None
+        taken = [t for t in (c.take_below(bound) for c in cursors if c.buf) if len(t)]
+        if taken:
+            yield pa.concat_tables(taken).sort_by(
+                [("term", "ascending"), ("first_doc", "ascending")])
+        elif bound is None:
+            return
+
+
+def _write_blobs(blob, starts, ends, terms, norms, out):
+    """Write one step's term blobs to ``out``: one-row groups pass through,
+    copied between multi-row groups in single slices; multi-row groups
+    re-encode canonically. Returns (bytes per term, multi-row group count)."""
+    blob = blob.combine_chunks()
+    boff = np.frombuffer(blob.buffers()[1], np.int64)[blob.offset:blob.offset + len(blob) + 1]
+    data = memoryview(blob.buffers()[2])
+    lens = boff[ends] - boff[starts]
+    multi = np.flatnonzero(ends - starts > 1)
+    at = int(boff[0])
+    for g, term in zip(multi, terms.take(pa.array(starts[multi])).to_pylist()):
+        s, e = int(starts[g]), int(ends[g])
+        out.write(data[at:int(boff[s])])
+        merged = reencode_canonical([data[int(boff[i]):int(boff[i + 1])] for i in range(s, e)],
+                                    norms[field_of_term(term)])
+        out.write(merged)
+        lens[g] = len(merged)
+        at = int(boff[e])
+    out.write(data[at:int(boff[-1])])
+    return lens, len(multi)
+
+
+def write_segment(index_dir: str, part: int, sources: list, doc_paths: list[str],
+                  with_pos: bool, lineage: dict, drop: tuple = ()) -> dict:
+    """Merge ``sources`` into partition ``part``'s segment files — the only
+    writer of a segment. ``doc_paths`` concatenate, in doc order, into
+    docs.parquet; ``lineage`` (input_path, input_rows, input_bytes, spec_fp,
+    base_doc_id, ...) goes into the manifest; ``drop`` dirs are removed just
+    before it. Crash order: the old manifest goes first and the new one is
+    written last, so a partial rewrite never validates."""
+    t0 = time.time()
+    pdir = part_dir(index_dir, part)
+    mpath = manifest_path(index_dir, part)
+    if os.path.exists(mpath):
+        os.remove(mpath)
+    docs = pa.concat_tables([pq.read_table(p) for p in doc_paths])
+    norms = {None: docs["norm"].to_numpy()}
+    norms.update({n[5:]: docs[n].to_numpy()
+                  for n in docs.schema.names if n.startswith("norm_")})
+    sum_dl_fields = {n[7:]: int(np.asarray(docs[n].to_numpy()).sum())
+                     for n in docs.schema.names if n.startswith("doclen_")}
+
+    terms_l = [pa.array([], pa.string())]
+    df_l, ttf_l, len_l, plen_l = ([np.empty(0, np.int64)] for _ in range(4))
+    n_multi = 0
+    files = ["postings.bin"] + (["positions.bin"] if with_pos else [])
+    with contextlib.ExitStack() as stack:
+        outs = [stack.enter_context(open(os.path.join(pdir, f + ".tmp"), "wb"))
+                for f in files]
+        for step in _merged_steps(sources):
+            terms = step["term"].combine_chunks()
+            n = len(terms)
+            first = np.ones(n, dtype=bool)
+            first[1:] = pc.not_equal(terms.slice(1), terms.slice(0, n - 1)).to_numpy(
+                zero_copy_only=False)
+            starts = np.flatnonzero(first)
+            ends = np.append(starts[1:], n)
+            terms_l.append(terms.take(pa.array(starts)))
+            df_l.append(np.add.reduceat(step["df"].to_numpy(), starts))
+            ttf_l.append(np.add.reduceat(step["total_tf"].to_numpy(), starts))
+            lens, multi = _write_blobs(step["blob"], starts, ends, terms, norms, outs[0])
+            len_l.append(lens)
+            n_multi += multi
+            if with_pos:
+                # rows are in (term, first_doc) = doc order within a term, so
+                # the values in row order are each term's flat positions stream
+                plist = step["pos_flat"].combine_chunks()
+                el = plist.offsets.to_numpy()
+                vals = plist.values.to_numpy(zero_copy_only=False)[int(el[0]):int(el[-1])]
+                outs[1].write(np.ascontiguousarray(vals, dtype="<i4").tobytes())
+                plen_l.append((el[ends] - el[starts]) * 4)
+    for f in files:
+        os.replace(os.path.join(pdir, f + ".tmp"), os.path.join(pdir, f))
+
+    def _offsets(lens_list):
+        lens = np.concatenate(lens_list)
+        return pa.array(np.cumsum(lens) - lens), pa.array(lens)
+
+    terms = pa.concat_arrays(terms_l)
+    tcols = {"term": terms, "df": pa.array(np.concatenate(df_l)),
+             "total_tf": pa.array(np.concatenate(ttf_l))}
+    tcols["off"], tcols["len"] = _offsets(len_l)
+    if with_pos:
+        tcols["pos_off"], tcols["pos_len"] = _offsets(plen_l)
+    atomic_write_table(pa.table(tcols), os.path.join(pdir, "terms.parquet"))
+    atomic_write_table(docs, os.path.join(pdir, "docs.parquet"))
+    bloom_bits = write_term_bloom(pdir, terms.to_pylist())
+    manifest = {
+        "format": FORMAT_VERSION,
+        "part": part,
+        **lineage,
+        "n_docs": len(docs),
+        "sum_dl": int(docs["doclen"].to_numpy().sum()),
+        "sum_dl_fields": sum_dl_fields,
+        "n_terms": len(terms),
+        "bloom_bits": int(bloom_bits),
+        "multi_chunk_terms": int(n_multi),
+        "runs_merged": len(sources),
+        "postings_bytes": int(os.path.getsize(os.path.join(pdir, "postings.bin"))),
+        "elapsed_sec": round(time.time() - t0, 3),
+    }
+    for d in drop:
+        shutil.rmtree(d, ignore_errors=True)
+    atomic_write_json(mpath, manifest)
+    return manifest
+
+
 def merge_group(index_dir: str, group: list[int]) -> dict:
     """Merge the adjacent partitions in ``group`` into the first one's slot."""
     group = sorted(group)
@@ -108,127 +351,20 @@ def merge_group(index_dir: str, group: list[int]) -> dict:
         with open(os.path.join(pd, "manifest.json")) as f:
             manifests.append(json.load(f))
     new_base = min(m["base_doc_id"] for m in manifests)
-
-    docs_tables = [pq.read_table(os.path.join(pd, "docs.parquet")) for pd in pdirs]
-    new_docs = pa.concat_tables(docs_tables)
-    norms_np = new_docs["norm"].to_numpy()
-    field_norms_np = {
-        n[5:]: new_docs[n].to_numpy() for n in new_docs.schema.names if n.startswith("norm_")
-    }
-
     with_pos = all(os.path.exists(os.path.join(pd, "positions.bin")) for pd in pdirs)
-    rows = []  # (term, src_idx, term_row)
-    terms_tbls, blobs, pos_bins, offsets = [], [], [], []
-    for si, (pd, m) in enumerate(zip(pdirs, manifests)):
-        t = pq.read_table(os.path.join(pd, "terms.parquet"))
-        terms_tbls.append(t)
-        pb = os.path.join(pd, "postings.bin")
-        with open(pb, "rb") as f:
-            blobs.append(f.read())
-        if with_pos:
-            pbin = os.path.join(pd, "positions.bin")
-            pos_bins.append(
-                np.fromfile(pbin, dtype="<i4") if os.path.getsize(pbin) else np.empty(0, "<i4")
-            )
-        offsets.append(m["base_doc_id"] - new_base)
-        for ri, term in enumerate(t["term"].to_pylist()):
-            rows.append((term, si, ri))
-    rows.sort()
-
-    final_terms: list[str] = []
-    final_df: list[int] = []
-    final_ttf: list[int] = []
-    final_blobs: list[bytes] = []
-    pos_flat_out: list[np.ndarray] = []
-    i = 0
-    while i < len(rows):
-        j = i
-        term = rows[i][0]
-        while j < len(rows) and rows[j][0] == term:
-            j += 1
-        d_arr, t_arr, pf_arr = [], [], []
-        df = ttf = 0
-        for _, si, ri in rows[i:j]:  # sources in part order → doc order
-            tt = terms_tbls[si]
-            off, ln = int(tt["off"][ri].as_py()), int(tt["len"][ri].as_py())
-            d, tf = decode_postings(memoryview(blobs[si])[off : off + ln])
-            d_arr.append(d + offsets[si])
-            t_arr.append(tf)
-            df += int(tt["df"][ri].as_py())
-            ttf += int(tt["total_tf"][ri].as_py())
-            if with_pos:
-                po = int(tt["pos_off"][ri].as_py()) // 4
-                pn = int(tt["pos_len"][ri].as_py()) // 4
-                pf_arr.append(pos_bins[si][po : po + pn])
-        docs = np.concatenate(d_arr)
-        tfs = np.concatenate(t_arr)
-        final_terms.append(term)
-        final_df.append(df)
-        final_ttf.append(ttf)
-        fld = field_of_term(term)
-        nl = norms_np if fld is None else field_norms_np[fld]
-        final_blobs.append(encode_postings(docs, tfs, nl[docs]))
-        if with_pos:
-            pos_flat_out.append(np.concatenate(pf_arr) if pf_arr else np.empty(0, np.int32))
-        i = j
-
-    lens = np.array([len(b) for b in final_blobs], dtype=np.int64)
-    offs = np.zeros(len(lens), dtype=np.int64)
-    if len(lens):
-        np.cumsum(lens[:-1], out=offs[1:])
-    new_part = group[0]
-    pd0 = part_dir(index_dir, new_part)
-    # Crash safety: each file write below is individually atomic, but the SET
-    # of files is not — a crash mid-way would leave group[0]'s old manifest
-    # validating a mix of old/new files (e.g. old term offsets into new
-    # postings bytes). Invalidate the manifest FIRST so resume treats the
-    # partition as incomplete until the new manifest lands last.
-    mpath = manifest_path(index_dir, new_part)
-    if os.path.exists(mpath):
-        os.remove(mpath)
-    atomic_write_bytes(b"".join(final_blobs), os.path.join(pd0, "postings.bin"))
-    tcols = {
-        "term": pa.array(final_terms, pa.string()),
-        "df": pa.array(final_df, pa.int64()),
-        "total_tf": pa.array(final_ttf, pa.int64()),
-        "off": pa.array(offs),
-        "len": pa.array(lens),
-    }
-    if with_pos:
-        plens = np.array([len(a) * 4 for a in pos_flat_out], dtype=np.int64)
-        poffs = np.zeros(len(plens), dtype=np.int64)
-        if len(plens):
-            np.cumsum(plens[:-1], out=poffs[1:])
-        vals = (
-            np.concatenate(pos_flat_out).astype("<i4", copy=False)
-            if pos_flat_out
-            else np.empty(0, "<i4")
-        )
-        atomic_write_bytes(vals.tobytes(), os.path.join(pd0, "positions.bin"))
-        tcols["pos_off"] = pa.array(poffs)
-        tcols["pos_len"] = pa.array(plens)
-    atomic_write_table(pa.table(tcols), os.path.join(pd0, "terms.parquet"))
-    atomic_write_table(new_docs, os.path.join(pd0, "docs.parquet"))
-    bloom_bits = write_term_bloom(pd0, final_terms)
-    manifest = {
-        "format": FORMAT_VERSION,
-        "part": new_part,
-        "input_path": [m["input_path"] for m in manifests],
+    sources = [segment_source(pd, m["base_doc_id"] - new_base, with_pos)
+               for pd, m in zip(pdirs, manifests)]
+    lineage = {
+        "input_path": [p for m in manifests for p in m["input_path"]],
         "input_rows": sum(m["input_rows"] for m in manifests),
+        "input_bytes": sum(m.get("input_bytes", 0) for m in manifests),
+        "spec_fp": manifests[0].get("spec_fp"),
         "base_doc_id": new_base,
-        "n_docs": int(len(new_docs)),
-        "sum_dl": int(sum(m["sum_dl"] for m in manifests)),
-        "sum_dl_fields": {
-            f: sum(int((m.get("sum_dl_fields") or {}).get(f, 0)) for m in manifests)
-            for m0 in manifests[:1]
-            for f in (m0.get("sum_dl_fields") or {})
-        },
-        "n_terms": len(final_terms),
-        "bloom_bits": int(bloom_bits),
         "merged_from": group,
-        "postings_bytes": int(os.path.getsize(os.path.join(pd0, "postings.bin"))),
     }
-    atomic_write_json(manifest_path(index_dir, new_part), manifest)
+    manifest = write_segment(index_dir, group[0], sources,
+                             [os.path.join(pd, "docs.parquet") for pd in pdirs],
+                             with_pos, lineage)
     for p in group[1:]:
         shutil.rmtree(part_dir(index_dir, p), ignore_errors=True)
     return manifest

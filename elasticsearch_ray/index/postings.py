@@ -13,8 +13,13 @@ salted shuffle assembly — NOT Lucene's wire format):
 Every block is **self-contained** (no cross-block delta state), so posting
 chunks produced by different shuffle reducers for the same (partition, term)
 key — head-term salting splits a term by doc ranges — concatenate without
-re-encoding; a canonicalization pass at segment-merge time re-blocks them
-into full 128-doc blocks.
+re-encoding, and moving a whole blob to another doc range rewrites only the
+headers' first_doc/last_doc. The segment-merge kernel
+(``index.merge.write_segment``) passes a term with one chunk through as is
+and re-blocks a term with several chunks (from several run-file rows or
+several merged segments) into full 128-doc blocks with
+``reencode_canonical``, so segment bytes do not depend on how the postings
+were chunked.
 
 Term blob layout (little-endian):
     u32 n_blocks

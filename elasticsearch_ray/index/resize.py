@@ -87,13 +87,8 @@ def split_index(src_dir: str, dst_dir: str, target_shards: int,
             f"files, which does not divide evenly")
     if os.path.exists(dst_dir):
         raise ResizeError(f"resize target {dst_dir!r} already exists")
-    spec_kw = dict(meta["spec"])
-    spec_kw["files_per_partition"] = fpp // factor
-    for k, v in spec_kw.items():
-        if isinstance(v, list):
-            spec_kw[k] = tuple(v)
-    build_index(corpus_dir, dst_dir, IndexSpec(**spec_kw),
-                file_pattern=file_pattern)
+    spec = IndexSpec.from_dict({**meta["spec"], "files_per_partition": fpp // factor})
+    build_index(corpus_dir, dst_dir, spec, file_pattern=file_pattern)
     out = _meta(dst_dir)
     if len(out["parts"]) != target_shards:
         raise ResizeError(

@@ -99,9 +99,6 @@ class IndexSpec:
     # partition = this many contiguous input files (segment sizing; caps any
     # merge reducer's work and the per-partition memory footprint)
     files_per_partition: int = 8
-    # partitions whose run files exceed this switch to the bounded-memory
-    # streaming k-way merge (spill path)
-    merge_spill_bytes: int = 1 << 30
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -117,6 +114,9 @@ class IndexSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "IndexSpec":
         d = dict(d)
+        # retired knob: specs saved before the merge kernel bounded every
+        # merge by batch size still carry it
+        d.pop("merge_spill_bytes", None)
         d["escaped_tags"] = tuple(d.get("escaped_tags", ()))
         d["doc_columns"] = tuple(d.get("doc_columns", ("url", "warc_ts", "lang")))
         d["index_synonyms"] = tuple(d.get("index_synonyms", ()))

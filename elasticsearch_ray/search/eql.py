@@ -378,10 +378,11 @@ def eql_sequence_missing(ds, by, ts_col: str, stages: list,
     two surrounding positive stages of the same key.
 
     ``missing`` maps the gap index ``g`` (the missing stage sits between
-    positive stages ``g`` and ``g+1``) to its predicate. Only INTERIOR
-    missing stages are supported — the reference's leading/trailing
-    forms add a timeout clock with no bounding events (documented out
-    of scope).
+    positive stages ``g`` and ``g+1``, counted before any ``runs``
+    expansion, so it follows the last repeat of stage ``g``) to its
+    predicate. Only INTERIOR missing stages are supported — the
+    reference's leading/trailing forms add a timeout clock with no
+    bounding events (documented out of scope).
 
     Shape: positive matching is the existing distributed state machine;
     the negative check is a post-filter — missing-candidate events
@@ -398,6 +399,7 @@ def eql_sequence_missing(ds, by, ts_col: str, stages: list,
                 f"positive stages (0..{n - 2})")
     seq = eql_sequence(ds, by, ts_col, stages, maxspan=maxspan,
                        tiebreak=tiebreak, **kw)
+    runs = kw.get("runs")
     if seq.empty or not missing:
         return seq
     by_cols = [by] if isinstance(by, str) else list(by)
@@ -431,8 +433,11 @@ def eql_sequence_missing(ds, by, ts_col: str, stages: list,
                          neg[ts_col].to_numpy()):
             per_key.setdefault(t, []).append(ts)
         per_key = {t: np.sort(np.asarray(v)) for t, v in per_key.items()}
-        lo = seq[f"ts_{g}"].to_numpy()
-        hi = seq[f"ts_{g + 1}"].to_numpy()
+        # gap g sits after the LAST repeat of positive stage g: map it
+        # through the runs expansion to the sequence's ts columns
+        after = sum(runs[:g + 1]) if runs else g + 1
+        lo = seq[f"ts_{after - 1}"].to_numpy()
+        hi = seq[f"ts_{after}"].to_numpy()
         for i, t in enumerate(map(tuple, seq[by_cols]
                                   .itertuples(index=False, name=None))):
             arr = per_key.get(t)

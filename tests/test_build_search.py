@@ -357,24 +357,58 @@ def test_can_match_bloom_pruning(ray_session, tmp_path):
     assert both.num_rows == 100
 
 
-def test_streaming_merge_identical_output(built_index, ray_session, tmp_path_factory):
-    """merge_spill_bytes=0 forces the bounded-memory k-way merge; postings.bin
-    and terms.parquet must be BYTE-identical to the in-memory path, docs and
-    positions logically identical, and searches equal."""
+def _build_in_process(corpus, idx, spec, rows_per_run=40):
+    """The build's tokenize → sort → route → merge stages called in this
+    process rather than as Ray tasks, so a patched merge-kernel constant
+    reaches the merge. Routing small slices of the sorted chunk rows gives
+    each partition many run files."""
+    import pyarrow as pa
+
+    from elasticsearch_ray.index import build
+
+    shards = build.plan_partitions(corpus, "*.parquet", spec.files_per_partition)
+    sd = spec.to_dict()
+    tok = build.TokenizeShard(idx, sd, build.sketch_head_terms(shards, spec))
+    chunks = tok(pa.Table.from_pylist(shards)).sort_by(
+        [(c, "ascending") for c in ("part", "term", "salt", "first_doc")])
+    route = build.RouteChunks(idx, sd)
+    runs = pa.concat_tables([route(chunks.slice(i, rows_per_run))
+                             for i in range(0, len(chunks), rows_per_run)]).to_pylist()
+    items = []
+    for part in sorted({s["part"] for s in shards}):
+        items.append({"part": part,
+                      "run_paths": [r["run_path"] for r in runs if r["part"] == part],
+                      "shards": [s for s in shards if s["part"] == part]})
+    build.MergeParts(idx, sd)(pa.Table.from_pylist(items))
+
+
+def test_streaming_merge_identical_output(built_index, ray_session, tmp_path_factory,
+                                          monkeypatch):
+    """The merge kernel reads every run file MERGE_BATCH_ROWS rows at a time.
+    With 3-row batches, many run files, and salted head terms whose chunks
+    straddle batch boundaries inside one run, postings.bin, terms.parquet
+    and positions.bin must be BYTE-identical to the normal build, docs
+    identical, and searches equal."""
     import json
 
-    from elasticsearch_ray.index.build import build_index
+    from elasticsearch_ray.index import merge as merge_mod
     from elasticsearch_ray.search.engine import QueryEngine
 
     corpus, idx, meta = built_index
     idx2 = str(tmp_path_factory.mktemp("spill") / "index")
-    build_index(corpus, idx2,
-                IndexSpec(files_per_partition=1, merge_spill_bytes=0), concurrency=2)
+    monkeypatch.setattr(merge_mod, "MERGE_BATCH_ROWS", 3)
+    _build_in_process(corpus, idx2,
+                      IndexSpec(files_per_partition=1, salt_docs=16, head_df_ratio=0.01))
+    # same corpus and partitioning → the same global stats
+    shutil.copy(os.path.join(idx, "index_meta.json"), idx2)
+    multi = 0
     for p in range(meta["num_parts"]):
         pd_a = os.path.join(idx, "parts", f"part={p:05d}")
         pd_b = os.path.join(idx2, "parts", f"part={p:05d}")
         with open(os.path.join(pd_b, "manifest.json")) as f:
-            assert json.load(f)["streaming_merge"] is True
+            m = json.load(f)
+        assert m["runs_merged"] > 1, p
+        multi += m["multi_chunk_terms"]
         for fname in ("postings.bin", "terms.parquet", "positions.bin"):
             a = open(os.path.join(pd_a, fname), "rb").read()
             b = open(os.path.join(pd_b, fname), "rb").read()
@@ -383,9 +417,23 @@ def test_streaming_merge_identical_output(built_index, ray_session, tmp_path_fac
             ta = pq.read_table(os.path.join(pd_a, fname))
             tb = pq.read_table(os.path.join(pd_b, fname))
             assert ta.equals(tb), (p, fname)
+    assert multi > 0, "salting did not produce multi-chunk terms"
     e1 = QueryEngine(idx, dtype="float64")
     e2 = QueryEngine(idx2, dtype="float64")
     for q in (MatchQuery("spark join merge"), MatchPhraseQuery("batch batch")):
         a = e1.search(q, k=20, mode="exhaustive", fetch=("url",)).to_pylist()
         b = e2.search(q, k=20, mode="exhaustive", fetch=("url",)).to_pylist()
         assert [(r["url"], r["score"]) for r in a] == [(r["url"], r["score"]) for r in b]
+
+
+def test_retired_spec_key_loads_with_same_fingerprint():
+    """A spec saved before merge_spill_bytes was retired still loads (the
+    data-stream write path rebuilds from the saved spec), and retiring the
+    key changed no spec fingerprint, so no saved partition rebuilds."""
+    from elasticsearch_ray.index.build import spec_fingerprint
+
+    old = {**IndexSpec().to_dict(), "merge_spill_bytes": 1 << 30}
+    assert IndexSpec.from_dict(old) == IndexSpec()
+    assert spec_fingerprint(IndexSpec()) == "17d81233e21e6078"
+    assert spec_fingerprint(IndexSpec(store_positions=False,
+                                      files_per_partition=3)) == "6aa6e93f6854dda2"

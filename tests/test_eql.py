@@ -347,3 +347,25 @@ def test_eql_sequence_missing_events(ray_session):
             rd.from_pandas(df), "host", "t",
             [{"event_type": "open"}, {"event_type": "exec"}],
             missing={5: {"event_type": "deny"}})
+
+
+def test_eql_sequence_missing_gap_follows_runs(ray_session):
+    """With ``runs`` the gap after positive stage g lies between the LAST
+    repeat of stage g and stage g+1: ``[open] with runs=2 ![deny] [exec]``."""
+    import ray.data as rd
+
+    from elasticsearch_ray.search.eql import eql_sequence_missing
+
+    rows = [
+        # host a: deny between the second open and the exec -> filtered out
+        ("a", "open", 1), ("a", "open", 2), ("a", "deny", 3), ("a", "exec", 5),
+        # host b: deny between the two opens, outside the gap -> kept
+        ("b", "open", 1), ("b", "deny", 2), ("b", "open", 3), ("b", "exec", 5),
+    ]
+    df = pd.DataFrame(rows, columns=["host", "event_type", "t"])
+    df["event_id"] = np.arange(len(df))
+    out = eql_sequence_missing(
+        rd.from_pandas(df), "host", "t",
+        [{"event_type": "open"}, {"event_type": "exec"}],
+        missing={0: {"event_type": "deny"}}, runs=[2, 1])
+    assert sorted(out["host"]) == ["b"]

@@ -144,3 +144,110 @@ def test_snapshot_name_validation(tmp_path):
             snapshot_create("/nonexistent", str(tmp_path), bad)
         with _pt.raises(ValueError):
             snapshot_delete(str(tmp_path), bad)
+
+
+def test_merged_partition_fetches_source(two_indexes, ray_session, tmp_path):
+    """_source fetch and highlighting read a merged partition's input files
+    from its manifest lineage: after a 6→1 force_merge they must return what
+    the unmerged index returns for the same doc_ids."""
+    import json
+
+    from elasticsearch_ray.index.merge import force_merge
+    from elasticsearch_ray.search.engine import QueryEngine
+
+    idx_a, _ = two_indexes
+    idx_m = str(tmp_path / "merged")
+    shutil.copytree(idx_a, idx_m)
+    force_merge(idx_m, max_segments=1)
+    q = MatchQuery("spark join merge")
+    ea, em = QueryEngine(idx_a, dtype="float64"), QueryEngine(idx_m, dtype="float64")
+    ha = ea.search(q, k=20, mode="exhaustive", fetch=("doc_id",))
+    hm = em.search(q, k=20, mode="exhaustive", fetch=("doc_id",))
+    assert ha["doc_id"].to_pylist() == hm["doc_id"].to_pylist()
+    assert set(hm["part"].to_pylist()) == {0}
+    assert ea.highlight_hits(q, ha) == em.highlight_hits(q, hm)
+    for a, m in zip(ha.to_pylist(), hm.to_pylist()):
+        assert (ea.fetch_source(a["part"], [a["local"]]).to_pylist()
+                == em.fetch_source(m["part"], [m["local"]]).to_pylist())
+    # the merged manifest carries the build manifest's keys, input_path flat
+    with open(f"{idx_a}/parts/part=00000/manifest.json") as f:
+        built_keys = set(json.load(f))
+    with open(f"{idx_m}/parts/part=00000/manifest.json") as f:
+        merged = json.load(f)
+    assert set(merged) == built_keys | {"merged_from"}
+    assert all(isinstance(p, str) for p in merged["input_path"])
+
+
+def _assert_same_segment(idx_a, idx_b):
+    """Partition 0 of both indexes: segment files byte-identical, docs equal."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    da, db = (os.path.join(i, "parts", "part=00000") for i in (idx_a, idx_b))
+    for fname in ("postings.bin", "terms.parquet", "positions.bin"):
+        with open(os.path.join(da, fname), "rb") as a, open(os.path.join(db, fname), "rb") as b:
+            assert a.read() == b.read(), fname
+    assert pq.read_table(os.path.join(da, "docs.parquet")).equals(
+        pq.read_table(os.path.join(db, "docs.parquet")))
+
+
+@pytest.fixture(scope="module")
+def fresh_single_partition(ray_session, tmp_path_factory):
+    """The two_indexes corpus built straight into one partition."""
+    from elasticsearch_ray.index.build import build_index
+    from elasticsearch_ray.sources.webpages import corpus_for_sf
+
+    corpus = corpus_for_sf("/root/testdata/sf0.001", multiplier=1, num_files=6)
+    idx = str(tmp_path_factory.mktemp("fresh") / "index")
+    build_index(corpus, idx, IndexSpec(files_per_partition=6), concurrency=2)
+    return idx
+
+
+@pytest.mark.parametrize("batch_rows", [None, 3])
+def test_merge_output_equals_fresh_build(two_indexes, fresh_single_partition,
+                                         ray_session, tmp_path, monkeypatch, batch_rows):
+    """Merging six one-file partitions into one writes the same bytes as
+    building the six files into one partition. With ``batch_rows`` the
+    kernel reads 3 rows at a time; that run merges through shrink_index,
+    which calls the kernel in this process so the patched constant applies
+    (force_merge runs it in a Ray task)."""
+    from elasticsearch_ray.index import merge as merge_mod
+    from elasticsearch_ray.index.resize import shrink_index
+
+    idx_a, _ = two_indexes
+    out = str(tmp_path / "merged")
+    if batch_rows is None:
+        shutil.copytree(idx_a, out)
+        merge_mod.force_merge(out, max_segments=1)
+    else:
+        monkeypatch.setattr(merge_mod, "MERGE_BATCH_ROWS", batch_rows)
+        shrink_index(idx_a, out, 1)
+    _assert_same_segment(out, fresh_single_partition)
+
+
+def test_merge_batches_straddle_sources(ray_session, tmp_path, monkeypatch):
+    """Partitions with shifted vocabularies reach each term at different
+    batches of each source: with 3-row batches the kernel must still emit
+    every term once, exactly as a fresh one-partition build writes it."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from elasticsearch_ray.index import merge as merge_mod
+    from elasticsearch_ray.index.build import build_index
+    from elasticsearch_ray.index.resize import shrink_index
+
+    src = tmp_path / "src"
+    src.mkdir()
+    for f in range(3):
+        words = [f"w{i:02d}" for i in range(10 * f, 10 * f + 25)]
+        texts = [" ".join(words[j::4]) for j in range(4)] * 5
+        pq.write_table(pa.table({"url": [f"u{f}-{i}" for i in range(len(texts))],
+                                 "text": texts}), str(src / f"f{f}.parquet"))
+    spec = dict(use_html=False, text_column="text", doc_columns=("url",))
+    parts, fresh = str(tmp_path / "parts"), str(tmp_path / "fresh")
+    build_index(str(src), parts, IndexSpec(files_per_partition=1, **spec), concurrency=2)
+    build_index(str(src), fresh, IndexSpec(files_per_partition=3, **spec), concurrency=2)
+    monkeypatch.setattr(merge_mod, "MERGE_BATCH_ROWS", 3)
+    shrink_index(parts, str(tmp_path / "merged"), 1)
+    _assert_same_segment(str(tmp_path / "merged"), fresh)

@@ -48,3 +48,23 @@ def test_query_tracer_sees_every_phase(two_part_index):
     plain = QueryEngine(two_part_index).search(q).to_pylist()
     assert traced == plain
     assert len(plain) == 10  # k defaults to 10; 30 docs match
+
+
+def test_build_stage_stats_name_every_stage(ray_session, tmp_path):
+    """The traced build reads its stage times from the Ray Data operator
+    names in ``LAST_BUILD_STATS``; a renamed stage function would silently
+    drop its ``layer.build.*_s`` metric."""
+    from elasticsearch_ray.index import build
+
+    src = tmp_path / "src"
+    src.mkdir()
+    for f in range(2):
+        pq.write_table(pa.table({"url": [f"u{f}-{i}" for i in range(20)],
+                                 "text": ["alpha beta", "beta gamma"] * 10}),
+                       str(src / f"f{f}.parquet"))
+    build_index(str(src), str(tmp_path / "index"),
+                IndexSpec(use_html=False, text_column="text", doc_columns=("url",),
+                          files_per_partition=1), concurrency=2)
+    stages = layers.build_stages(build.LAST_BUILD_STATS)
+    for st in ("tokenize", "sort", "route", "merge_part"):
+        assert stages.get(f"{st}_s", 0.0) > 0, st
