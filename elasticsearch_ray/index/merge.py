@@ -9,9 +9,12 @@ postings.bin/positions.bin; a doc offset rewrites only the block headers'
 first/last doc, as payloads hold deltas). Sources are read
 ``MERGE_BATCH_ROWS`` rows at a time; a step emits only terms below the
 smallest last-buffered term of the sources still reading, since one term's
-chunks may straddle a batch. Per term: df/total_tf sum vectorized, a
-one-row group passes its blob through, a multi-row group re-encodes
-canonically, positions concatenate in (term, first_doc) = doc order. Build
+chunks may straddle a batch. Per step: df/total_tf sum vectorized per
+term, a one-row group passes its blob through, all multi-row groups
+re-encode canonically in one bulk ``postings.reencode_many`` call (split
+into kernel calls of at most ``postings.MAX_POSTINGS_PER_CALL`` postings),
+and positions concatenate in (term, first_doc) = doc order. The manifest
+records ``multi_chunk_terms`` and ``reencoded_postings``. Build
 (``MergeParts``), tiered/force merge (``merge_group``) and shrink all call
 it, so a segment's bytes do not depend on how it was produced.
 
@@ -39,7 +42,7 @@ import pyarrow.parquet as pq
 
 import ray
 
-from elasticsearch_ray.index.postings import reencode_canonical
+from elasticsearch_ray.index.postings import reencode_many
 from elasticsearch_ray.index.segments import (
     FORMAT_VERSION,
     atomic_write_json,
@@ -48,7 +51,7 @@ from elasticsearch_ray.index.segments import (
     part_dir,
     write_term_bloom,
 )
-from elasticsearch_ray.index.spec import field_of_term
+from elasticsearch_ray.index.spec import FIELD_SEP
 
 FLOOR_BYTES = 2 * 1024 * 1024  # MergePolicyConfig floor_segment
 MAX_MERGE_AT_ONCE = 10
@@ -236,25 +239,39 @@ def _merged_steps(sources):
 
 
 def _write_blobs(blob, starts, ends, terms, norms, out):
-    """Write one step's term blobs to ``out``: one-row groups pass through,
-    copied between multi-row groups in single slices; multi-row groups
-    re-encode canonically. Returns (bytes per term, multi-row group count)."""
+    """Write one step's term blobs to ``out`` in term order and return the
+    bytes per term. A one-row group passes its blob through; every
+    multi-row group of the step re-encodes canonically in one bulk call
+    (``postings.reencode_many``, itself split into bounded kernel calls),
+    and one Arrow take interleaves the two."""
     blob = blob.combine_chunks()
-    boff = np.frombuffer(blob.buffers()[1], np.int64)[blob.offset:blob.offset + len(blob) + 1]
-    data = memoryview(blob.buffers()[2])
-    lens = boff[ends] - boff[starts]
     multi = np.flatnonzero(ends - starts > 1)
-    at = int(boff[0])
-    for g, term in zip(multi, terms.take(pa.array(starts[multi])).to_pylist()):
-        s, e = int(starts[g]), int(ends[g])
-        out.write(data[at:int(boff[s])])
-        merged = reencode_canonical([data[int(boff[i]):int(boff[i + 1])] for i in range(s, e)],
-                                    norms[field_of_term(term)])
-        out.write(merged)
-        lens[g] = len(merged)
-        at = int(boff[e])
-    out.write(data[at:int(boff[-1])])
-    return lens, len(multi)
+    if len(multi):
+        nrows = ends[multi] - starts[multi]
+        first = np.cumsum(nrows) - nrows
+        rows = np.repeat(starts[multi] - first, nrows) + np.arange(int(nrows.sum()))
+        fields = list(norms)
+        lookup = np.zeros(len(multi), np.int64)
+        mterms = terms.take(pa.array(starts[multi]))
+        for i, f in enumerate(fields):
+            if f is not None:
+                lookup[pc.starts_with(mterms, f + FIELD_SEP).to_numpy(zero_copy_only=False)] = i
+        enc, eoff = reencode_many(np.frombuffer(blob.buffers()[2], np.uint8),
+                                  _offsets_of(blob)[rows], first,
+                                  [norms[f] for f in fields], lookup)
+        pick = starts.copy()
+        pick[multi] = len(blob) + np.arange(len(multi))
+        encoded = pa.LargeBinaryArray.from_buffers(
+            pa.large_binary(), len(multi), [None, pa.py_buffer(eoff), pa.py_buffer(enc)])
+        blob = pa.concat_arrays([blob, encoded]).take(pa.array(pick))
+    boff = _offsets_of(blob)
+    out.write(memoryview(blob.buffers()[2])[int(boff[0]):int(boff[-1])])
+    return np.diff(boff)
+
+
+def _offsets_of(arr) -> np.ndarray:
+    """The value offsets of a LargeBinaryArray, one per row plus the end."""
+    return np.frombuffer(arr.buffers()[1], np.int64)[arr.offset:arr.offset + len(arr) + 1]
 
 
 def write_segment(index_dir: str, part: int, sources: list, doc_paths: list[str],
@@ -279,7 +296,7 @@ def write_segment(index_dir: str, part: int, sources: list, doc_paths: list[str]
 
     terms_l = [pa.array([], pa.string())]
     df_l, ttf_l, len_l, plen_l = ([np.empty(0, np.int64)] for _ in range(4))
-    n_multi = 0
+    n_multi = n_reencoded = 0
     files = ["postings.bin"] + (["positions.bin"] if with_pos else [])
     with contextlib.ExitStack() as stack:
         outs = [stack.enter_context(open(os.path.join(pdir, f + ".tmp"), "wb"))
@@ -295,9 +312,10 @@ def write_segment(index_dir: str, part: int, sources: list, doc_paths: list[str]
             terms_l.append(terms.take(pa.array(starts)))
             df_l.append(np.add.reduceat(step["df"].to_numpy(), starts))
             ttf_l.append(np.add.reduceat(step["total_tf"].to_numpy(), starts))
-            lens, multi = _write_blobs(step["blob"], starts, ends, terms, norms, outs[0])
-            len_l.append(lens)
-            n_multi += multi
+            len_l.append(_write_blobs(step["blob"], starts, ends, terms, norms, outs[0]))
+            multi = ends - starts > 1
+            n_multi += int(multi.sum())
+            n_reencoded += int(df_l[-1][multi].sum())
             if with_pos:
                 # rows are in (term, first_doc) = doc order within a term, so
                 # the values in row order are each term's flat positions stream
@@ -331,7 +349,8 @@ def write_segment(index_dir: str, part: int, sources: list, doc_paths: list[str]
         "sum_dl_fields": sum_dl_fields,
         "n_terms": len(terms),
         "bloom_bits": int(bloom_bits),
-        "multi_chunk_terms": int(n_multi),
+        "multi_chunk_terms": n_multi,
+        "reencoded_postings": n_reencoded,
         "runs_merged": len(sources),
         "postings_bytes": int(os.path.getsize(os.path.join(pdir, "postings.bin"))),
         "elapsed_sec": round(time.time() - t0, 3),

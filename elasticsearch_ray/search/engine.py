@@ -1915,7 +1915,8 @@ class QueryEngine:
 
     def stats(self) -> pa.Table:
         """_stats/_segments analog: per-partition docs, terms, postings bytes,
-        sum_dl, merged-chunk counts — straight from the commit manifests."""
+        sum_dl, merged-chunk counts and postings re-encoded by the merge —
+        straight from the commit manifests."""
         rows = []
         for p in self.parts:
             m = self._searcher(p).r.manifest
@@ -1928,6 +1929,7 @@ class QueryEngine:
                     "sum_dl": m["sum_dl"],
                     "runs_merged": m.get("runs_merged", 0),
                     "multi_chunk_terms": m.get("multi_chunk_terms", 0),
+                    "reencoded_postings": m.get("reencoded_postings", 0),
                 }
             )
         return pa.Table.from_pylist(rows)

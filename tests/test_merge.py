@@ -251,3 +251,44 @@ def test_merge_batches_straddle_sources(ray_session, tmp_path, monkeypatch):
     monkeypatch.setattr(merge_mod, "MERGE_BATCH_ROWS", 3)
     shrink_index(parts, str(tmp_path / "merged"), 1)
     _assert_same_segment(str(tmp_path / "merged"), fresh)
+
+
+def test_merge_bulk_reencode_budget(two_indexes, fresh_single_partition, ray_session,
+                                    tmp_path, monkeypatch):
+    """A per-call posting budget of 5 splits every step's bulk re-encode into
+    many kernel calls (a term with more postings gets one alone); the merged
+    segment must still equal a fresh one-partition build byte for byte."""
+    from elasticsearch_ray.index import postings
+    from elasticsearch_ray.index.resize import shrink_index
+
+    idx_a, _ = two_indexes
+    monkeypatch.setattr(postings, "MAX_POSTINGS_PER_CALL", 5)
+    shrink_index(idx_a, str(tmp_path / "merged"), 1)
+    _assert_same_segment(str(tmp_path / "merged"), fresh_single_partition)
+
+
+def test_merge_records_reencoded_postings(two_indexes, ray_session, tmp_path):
+    """The manifest and the engine's segments view report how many postings
+    the merge re-encoded: the summed df of every term found in more than
+    one merged partition."""
+    from collections import Counter
+
+    import pyarrow.parquet as pq
+
+    from elasticsearch_ray.index.merge import force_merge
+    from elasticsearch_ray.search.engine import QueryEngine
+
+    idx_a, _ = two_indexes
+    parts, df = Counter(), Counter()
+    for p in range(6):
+        t = pq.read_table(f"{idx_a}/parts/part={p:05d}/terms.parquet", columns=["term", "df"])
+        for term, d in zip(t["term"].to_pylist(), t["df"].to_pylist()):
+            parts[term] += 1
+            df[term] += d
+    shared = [term for term, n in parts.items() if n > 1]
+    idx_m = str(tmp_path / "merged")
+    shutil.copytree(idx_a, idx_m)
+    force_merge(idx_m, max_segments=1)
+    row = QueryEngine(idx_m).stats().to_pylist()[0]
+    assert row["multi_chunk_terms"] == len(shared)
+    assert row["reencoded_postings"] == sum(df[term] for term in shared) > 0
