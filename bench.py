@@ -245,7 +245,7 @@ def run_serving() -> dict:
     # caches for every query (each coordinator addressed directly)
     for _name, _spec in QUERY_SET:
         eng.search(build_query(_spec), k=10)
-    ray.get([c.search.remote(build_query(_spec), 10, "bmw", None, None, None, None, None)
+    ray.get([c(build_query(_spec), 10, "bmw", None, None, None, None, None)
              for c in eng._coords for _name, _spec in QUERY_SET])
     total_q = 0.0
     for name, spec in QUERY_SET:

@@ -314,11 +314,16 @@ def flush(index_dir: str) -> dict:
 
 
 def refresh(engine) -> dict:
-    """``POST /<index>/_refresh`` analog: drop transient readers so the
-    next search reopens against current on-disk state."""
-    if hasattr(engine, "_release_transient"):
-        engine._release_transient()
-    return clear_cache(engine)
+    """``POST /<index>/_refresh`` analog — near-real-time refresh, which the
+    reference does by reopening readers inside live nodes
+    (``IndexSettings.java:252``). ``QueryEngine.reopen`` re-reads
+    ``index_meta.json`` and reopens only the partitions whose manifest
+    changed, on the engine's own readers and, for a ray-backed engine, in
+    its live pooled searcher actors (no process is started); removed
+    partitions are dropped. Then the query-side caches are cleared. Returns
+    the reopen's partition counts and the cleared cache entries."""
+    out = engine.reopen() if hasattr(engine, "reopen") else {}
+    return {**out, **clear_cache(engine)}
 
 
 def clear_cache(engine) -> dict:

@@ -11,8 +11,8 @@ first/last doc, as payloads hold deltas). Sources are read
 smallest last-buffered term of the sources still reading, since one term's
 chunks may straddle a batch. Per step: df/total_tf sum vectorized per
 term, a one-row group passes its blob through, all multi-row groups
-re-encode canonically in one bulk ``postings.reencode_many`` call (split
-into kernel calls of at most ``postings.MAX_POSTINGS_PER_CALL`` postings),
+re-encode canonically through ``postings.reencode_many`` in calls of at
+most ``postings.MAX_POSTINGS_PER_CALL`` postings (sized from the df column),
 and positions concatenate in (term, first_doc) = doc order. The manifest
 records ``multi_chunk_terms`` and ``reencoded_postings``. Build
 (``MergeParts``), tiered/force merge (``merge_group``) and shrink all call
@@ -42,7 +42,7 @@ import pyarrow.parquet as pq
 
 import ray
 
-from elasticsearch_ray.index.postings import reencode_many
+from elasticsearch_ray.index.postings import call_ranges, reencode_many
 from elasticsearch_ray.index.segments import (
     FORMAT_VERSION,
     atomic_write_json,
@@ -238,14 +238,28 @@ def _merged_steps(sources):
             return
 
 
-def _write_blobs(blob, starts, ends, terms, norms, out):
+def _write_blobs(blob, starts, ends, dfs, terms, norms, out):
     """Write one step's term blobs to ``out`` in term order and return the
-    bytes per term. A one-row group passes its blob through; every
-    multi-row group of the step re-encodes canonically in one bulk call
-    (``postings.reencode_many``, itself split into bounded kernel calls),
-    and one Arrow take interleaves the two."""
+    bytes per term. A one-row group passes its blob through; the multi-row
+    groups re-encode canonically (``postings.reencode_many``) in calls of at
+    most MAX_POSTINGS_PER_CALL postings, sized from their merged ``dfs``.
+    Each call covers a run of terms starting at its first multi-row group,
+    and builds its block table and its Arrow concat+take for that run only."""
     blob = blob.combine_chunks()
     multi = np.flatnonzero(ends - starts > 1)
+    ranges = call_ranges(dfs[multi]) or [(0, 0)]
+    cuts = [0] + [int(multi[g0]) for g0, _g1 in ranges[1:]] + [len(starts)]
+    return np.concatenate([
+        _write_run(blob, starts[a:b], ends[a:b], multi[g0:g1] - a, terms, norms, out)
+        for (g0, g1), a, b in zip(ranges, cuts, cuts[1:])])
+
+
+def _write_run(blob, starts, ends, multi, terms, norms, out):
+    """``_write_blobs`` for one run of terms (rows ``starts[0]:ends[-1]`` of
+    ``blob``) whose multi-row groups are ``multi``: one bulk re-encode, one
+    take interleaving it with the passed-through blobs, one write."""
+    r0 = int(starts[0])
+    run = blob.slice(r0, int(ends[-1]) - r0)
     if len(multi):
         nrows = ends[multi] - starts[multi]
         first = np.cumsum(nrows) - nrows
@@ -259,13 +273,13 @@ def _write_blobs(blob, starts, ends, terms, norms, out):
         enc, eoff = reencode_many(np.frombuffer(blob.buffers()[2], np.uint8),
                                   _offsets_of(blob)[rows], first,
                                   [norms[f] for f in fields], lookup)
-        pick = starts.copy()
-        pick[multi] = len(blob) + np.arange(len(multi))
+        pick = starts - r0
+        pick[multi] = len(run) + np.arange(len(multi))
         encoded = pa.LargeBinaryArray.from_buffers(
             pa.large_binary(), len(multi), [None, pa.py_buffer(eoff), pa.py_buffer(enc)])
-        blob = pa.concat_arrays([blob, encoded]).take(pa.array(pick))
-    boff = _offsets_of(blob)
-    out.write(memoryview(blob.buffers()[2])[int(boff[0]):int(boff[-1])])
+        run = pa.concat_arrays([run, encoded]).take(pa.array(pick))
+    boff = _offsets_of(run)
+    out.write(memoryview(run.buffers()[2])[int(boff[0]):int(boff[-1])])
     return np.diff(boff)
 
 
@@ -312,7 +326,8 @@ def write_segment(index_dir: str, part: int, sources: list, doc_paths: list[str]
             terms_l.append(terms.take(pa.array(starts)))
             df_l.append(np.add.reduceat(step["df"].to_numpy(), starts))
             ttf_l.append(np.add.reduceat(step["total_tf"].to_numpy(), starts))
-            len_l.append(_write_blobs(step["blob"], starts, ends, terms, norms, outs[0]))
+            len_l.append(_write_blobs(step["blob"], starts, ends, df_l[-1], terms, norms,
+                                       outs[0]))
             multi = ends - starts > 1
             n_multi += int(multi.sum())
             n_reencoded += int(df_l[-1][multi].sum())

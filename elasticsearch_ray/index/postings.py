@@ -104,7 +104,7 @@ def _scatter(raw: np.ndarray, at: np.ndarray, width: np.ndarray, vals: np.ndarra
                 vals[m].astype(f"<u{w}").view(np.uint8).reshape(-1, w))
 
 
-def _call_ranges(sizes: np.ndarray) -> list[tuple[int, int]]:
+def call_ranges(sizes: np.ndarray) -> list[tuple[int, int]]:
     """Split consecutive lists of ``sizes`` postings into [g0, g1) ranges of
     at most MAX_POSTINGS_PER_CALL postings (an oversized list alone)."""
     ends = np.cumsum(sizes)
@@ -180,7 +180,7 @@ def encode_many(docs, tfs, norms, starts) -> tuple[np.ndarray, np.ndarray]:
     starts = np.asarray(starts, dtype=np.int64)
     bounds = np.append(starts, len(docs))
     parts = []
-    for g0, g1 in _call_ranges(np.diff(bounds)):
+    for g0, g1 in call_ranges(np.diff(bounds)):
         lo, hi = bounds[g0], bounds[g1]
         parts.append(_encode(docs[lo:hi], tfs[lo:hi], norms[lo:hi], starts[g0:g1] - lo))
     return _joined(parts)
@@ -272,7 +272,7 @@ def reencode_many(raw, at, group_starts, norm_lookups: list, lookup_of_group=Non
     grp_rows = np.append(group_starts, len(t["nb"]))
     grp_blk = row_first[grp_rows]  # first block of each group (and the end)
     parts = []
-    for g0, g1 in _call_ranges(np.diff(ccs[grp_blk])):
+    for g0, g1 in call_ranges(np.diff(ccs[grp_blk])):
         b0, b1 = int(grp_blk[g0]), int(grp_blk[g1])
         docs, tfs = _decode(raw, t, b0, b1)
         sizes = np.diff(ccs[grp_blk[g0:g1 + 1]])

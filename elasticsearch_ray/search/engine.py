@@ -15,13 +15,23 @@ Phases, mirroring the reference coordinator:
 Execution backends:
   - parallel="local": sequential driver loop with cached SegmentReaders —
     right for few/small partitions and for oracle-compared queries.
-  - parallel="ray": a pool of SearcherActor actors, each owning a stable
-    subset of partitions with warm readers (mmapped postings, cached term
-    dicts) — the 'long-lived warm scorer' design from SURVEY §3.2; used by
-    bench for QPS. The driver runs the DFS on its own readers and ships
-    scorers inline, so a query is one searcher round trip; with
-    num_coordinators, only searches that overlap another in-flight search
-    go through a CoordinatorActor.
+  - parallel="ray": SearcherActor actors holding warm readers (mmapped
+    postings, cached term dicts) for the engine's partitions, each actor a
+    stable partition group — the 'long-lived warm scorer' design from
+    SURVEY §3.2; used by bench for QPS. The driver runs the DFS on its own
+    readers and ships scorers inline, so a query is one searcher round
+    trip; with num_coordinators, only searches that overlap another
+    in-flight search go through a CoordinatorActor.
+    The actors belong to one process-level pool (``_POOL``) shared by every
+    ray-backed engine, whatever its index directory, and outliving any one
+    engine: opening an engine leases actors and opens a VIEW on them (one
+    blocking ``reopen`` per actor, tagged with a per-engine view key; a
+    reader whose index dir and manifest stamp match is reused), and
+    ``reopen()`` (``admin.refresh``) opens a new view in the same live
+    processes, reopening only changed partitions. Every actor call carries
+    its view key, so a search in flight during a reopen scores on its view.
+    ``close()`` (or garbage collection) releases the engine's views; the
+    last lease kills the actors.
 Every read API reaches the partitions through ``QueryEngine._fanout``
 (one PartitionSearcher method per partition → ``[(part, result)]``) and
 ranks through ``_merge_topk``, so it is written once for both backends.
@@ -29,16 +39,20 @@ ranks through ``_merge_topk``, so it is written once for both backends.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import os
+import weakref
 
 import numpy as np
 import pyarrow as pa
 
 from elasticsearch_ray.analysis.analyzers import get_analyzer
-from elasticsearch_ray.index.segments import (SegmentReader, bloom_might_contain, part_dir,
-                                              read_manifest, read_term_bloom)
+from elasticsearch_ray.index.segments import (SegmentReader, bloom_might_contain,
+                                              manifest_path, part_dir, read_manifest,
+                                              read_term_bloom)
 from elasticsearch_ray.index.spec import FIELD_SEP, field_of_term, fkey
 from elasticsearch_ray.search.bm25 import (
     BM25Params,
@@ -1776,22 +1790,14 @@ class QueryEngine:
                     compile_expression(_src)
         self.runtime_fields = dict(runtime_fields or {})
         self.index_dir = index_dir
-        with open(os.path.join(index_dir, "index_meta.json")) as f:
-            self.meta = json.load(f)
-        self.spec = self.meta["spec"]
-        self.params = BM25Params(k1=self.spec["k1"], b=self.spec["b"])
-        self.similarity = self.spec.get("similarity", "BM25")
+        self.__dict__.update(self._commit_state())
         self.dtype = dtype
-        self.analyzer_name = self.spec["analyzer"]
-        self.parts = [p["part"] for p in self.meta["parts"]]
-        self.n_docs = self.meta["n_docs"]
-        self.avgdl = self.meta["sum_dl"] / max(self.n_docs, 1)
-        self.sum_dl_fields = self.meta.get("sum_dl_fields") or {}
         self.parallel = parallel
         self._searchers: dict[int, PartitionSearcher] = {}
         self._df_cache: dict[str, int] = {}
         self._ttf_cache: dict[str, int] = {}
         self._blooms: dict[int, tuple] = {}
+        self._lease = None
         self._actors = None
         self._actor_pools = None
         self._num_actors = num_actors
@@ -1818,9 +1824,29 @@ class QueryEngine:
         # stored_fields for fetch columns, doc_values for sort/collapse
         self.field_usage: dict[str, dict[str, int]] = {}
         if parallel == "ray":
-            self._init_actors()
-            if num_coordinators:
-                self._init_coordinators(num_coordinators)
+            self._init_actors(num_coordinators)
+
+    def _commit_state(self) -> dict:
+        """The engine attributes that follow the index's current commit:
+        ``index_meta.json`` and what derives from it, plus each partition's
+        manifest stamp (``reopen`` compares stamps to find changed
+        partitions)."""
+        with open(os.path.join(self.index_dir, "index_meta.json")) as f:
+            meta = json.load(f)
+        spec = meta["spec"]
+        parts = [p["part"] for p in meta["parts"]]
+        return {
+            "meta": meta,
+            "spec": spec,
+            "params": BM25Params(k1=spec["k1"], b=spec["b"]),
+            "similarity": spec.get("similarity", "BM25"),
+            "analyzer_name": spec["analyzer"],
+            "parts": parts,
+            "n_docs": meta["n_docs"],
+            "avgdl": meta["sum_dl"] / max(meta["n_docs"], 1),
+            "sum_dl_fields": meta.get("sum_dl_fields") or {},
+            "_stamps": {p: _manifest_stamp(self.index_dir, p) for p in parts},
+        }
 
     # -- local backend --
     def _searcher(self, part: int) -> PartitionSearcher:
@@ -1838,40 +1864,101 @@ class QueryEngine:
         return s
 
     # -- ray actor backend --
-    def _init_actors(self):
+    def _init_actors(self, num_coordinators: int = 0):
+        """Lease warm searcher (and coordinator) actors from the process-level
+        ``_POOL`` and open this engine's view on them. The lease ends at
+        ``close()``, or when the engine is garbage-collected; the pool's
+        last lease kills its actors."""
+        self._num_coordinators = num_coordinators
+        if num_coordinators:
+            import threading
+
+            self._inflight = 0
+            self._inflight_lock = threading.Lock()
+        self._lease = _POOL.lease()
+        self._finalizer = weakref.finalize(self, _POOL.release, self._lease)
+        self._finalizer.atexit = False  # process exit ends the actors anyway
+        self.__dict__.update(self._open_view(vars(self)))
+
+    def _open_view(self, state: dict) -> dict:
+        """Open a new view of commit ``state`` (``_commit_state``) on the
+        leased actors; returns the engine attributes that address it. Each
+        searcher actor gets one blocking ``reopen`` for its partition group,
+        so no call under the new view key can overtake it on the threaded
+        actor.
+
+        num_replicas > 1 = the reference's replica-shard model: R actor sets,
+        each covering EVERY partition, with queries round-robined across
+        them (_qpool). Each query then fans out to one set's (narrower)
+        actors, so concurrent queries neither contend on actors nor
+        multiply per-query RPC width. The sets are disjoint slices of the
+        pool. Memory cost is bounded: postings are memmapped (page cache
+        shared across replicas); only term-dict / doc-column arrays
+        duplicate. Pool 0 serves the stats / suggest / vocab gathers, which
+        SUM over partitions and must see every partition exactly once."""
         import ray
 
-        # num_replicas > 1 = the reference's replica-shard model: R pools,
-        # each covering EVERY partition, with queries round-robined across
-        # pools (_qpool). Each query then fans out to one pool's (narrower)
-        # actor set, so concurrent queries neither contend on actors nor
-        # multiply per-query RPC width. Memory cost is bounded: postings are
-        # memmapped (page cache shared across replicas); only term-dict /
-        # doc-column arrays duplicate.
+        parts, stamps = state["parts"], state["_stamps"]
         R = self._num_replicas
         n_total = self._num_actors or max(
-            1, min(len(self.parts) * R, int(ray.cluster_resources().get("CPU", 4)))
+            1, min(len(parts) * R, int(ray.cluster_resources().get("CPU", 4)))
         )
-        per_pool = max(1, min(n_total // R, len(self.parts)))
-        # max_concurrency: concurrent queries share each warm actor via
-        # threads (numpy kernels release the GIL), so driver-side concurrent
-        # search does not serialize behind one in-flight task per actor
-        actor_cls = ray.remote(max_concurrency=8)(SearcherActor)
-        self._actor_pools = []
-        for _r in range(R):
-            groups: list[list[int]] = [[] for _ in range(per_pool)]
-            for i, p in enumerate(self.parts):
-                groups[i % per_pool].append(p)
-            self._actor_pools.append([
-                actor_cls.remote(self.index_dir, g, self.analyzer_name,
-                                 (self.params.k1, self.params.b), self.dtype,
+        per_pool = max(1, min(n_total // R, len(parts)))
+        groups: list[list[int]] = [[] for _ in range(per_pool)]
+        for i, p in enumerate(parts):
+            groups[i % per_pool].append(p)
+        groups = [g for g in groups if g]
+        searchers, coords = _POOL.actors(R * len(groups), self._num_coordinators)
+        pools = [searchers[r * len(groups):(r + 1) * len(groups)] for r in range(R)]
+        key = self._lease.new_key()
+        params_kb = (state["params"].k1, state["params"].b)
+        ray.get([a.reopen.remote(key, self.index_dir, {p: stamps[p] for p in g},
+                                 state["analyzer_name"], params_kb, self.dtype,
                                  self.runtime_fields)
-                for g in groups if g
-            ])
-        # stats / suggest / vocab gathers SUM over partitions — they must
-        # see every partition exactly ONCE, so they are pinned to pool 0
-        # regardless of replica count
-        self._actors = self._actor_pools[0]
+                 for pool in pools for a, g in zip(pool, groups)])
+        if coords:
+            ray.get([c.reopen.remote(key, self.index_dir, self.dtype, pools[i % R],
+                                     self.runtime_fields)
+                     for i, c in enumerate(coords)])
+        # a pool is (view key, its actors' ``call``): a search that picked
+        # a pool fans out to the readers of that view even if the engine
+        # reopens meanwhile
+        actor_pools = [(key, [a.call.remote for a in pool])
+                       for pool in pools] if groups else None
+        return {
+            "_view": key,
+            "_actor_pools": actor_pools,
+            "_actors": actor_pools[0] if actor_pools else None,
+            "_coords": [functools.partial(c.search.remote, key) for c in coords] or None,
+        }
+
+    def reopen(self) -> dict:
+        """Near-real-time refresh (the reference reopens its readers in place,
+        ``IndexSettings.java:252``): re-read ``index_meta.json``, reopen only
+        the partitions whose manifest stamp changed, drop removed ones and
+        keep the readers of the rest, on the driver and on the leased
+        actors (one blocking ``reopen`` per actor, under a new view key).
+        Then swap the engine's commit state, view key and actor pools in
+        one step. The previous view stays open on the actors until the next
+        reopen or close, so a search that already picked its pool takes its
+        top-k from the readers it started with (its fetch reads the current
+        ones). Returns the partition counts."""
+        state = self._commit_state()
+        old, new = self._stamps, state["_stamps"]
+        keep = {p for p in state["parts"] if old.get(p) == new[p]}
+        state.update(
+            _searchers={p: s for p, s in self._searchers.items() if p in keep},
+            _blooms={p: b for p, b in self._blooms.items() if p in keep},
+            _df_cache={}, _ttf_cache={}, _scorer_cache={})
+        lease = self._lease
+        pooled = lease is not None and not lease.released
+        if pooled:
+            state.update(self._open_view(state))
+        self.__dict__.update(state)
+        if pooled:
+            _POOL.forget(lease.retire(), wait=True)
+        return {"parts": len(new), "reopened": len(new) - len(keep),
+                "removed": len(set(old) - set(new))}
 
     def _qpool(self):
         """Searcher pool for one query: round-robin over replica pools
@@ -1881,37 +1968,6 @@ class QueryEngine:
             return self._actors
         self._pool_rr = (self._pool_rr + 1) % len(pools)
         return pools[self._pool_rr]
-
-    def _init_coordinators(self, n: int):
-        """ES-style coordinating nodes for OVERLAPPING searches: a search
-        that starts while another is in flight on this engine hands its
-        whole query phase (DFS stats, scorers, fan-out to the SHARED
-        searcher actors, k·P merge) to a coordinator, so concurrent driver
-        threads scale across coordinators instead of serializing on
-        driver-side work. A search with nothing else in flight runs that
-        phase on the driver: one searcher round trip instead of two.
-        Measured on one pinned CPU, 4-partition Zipf index: sequential
-        distinct queries p50 11.8 → 7.4 ms run direct; 8 client threads
-        with 4 coordinators × 4 replica pools, this rule vs running every
-        search direct: 297 vs 239 QPS (p50 25 vs 32 ms) on distinct
-        queries, 297 vs 251 QPS on repeated ones (1 coordinator: 211 vs
-        189 and 222 vs 197)."""
-        import threading
-
-        import ray
-
-        self._inflight = 0
-        self._inflight_lock = threading.Lock()
-        coord_cls = ray.remote(max_concurrency=4)(CoordinatorActor)
-        # with replica pools, each coordinator owns one replica (i % R) —
-        # its whole query phase (stats, scorers, fan-out, merge) runs
-        # against that replica's actors only
-        self._coords = [
-            coord_cls.remote(self.index_dir, self.dtype,
-                             self._actor_pools[i % len(self._actor_pools)],
-                             self.runtime_fields)
-            for i in range(n)
-        ]
 
     def stats(self) -> pa.Table:
         """_stats/_segments analog: per-partition docs, terms, postings bytes,
@@ -1935,18 +1991,12 @@ class QueryEngine:
         return pa.Table.from_pylist(rows)
 
     def close(self):
-        import ray
-
-        if self._coords:
-            for c in self._coords:
-                ray.kill(c)
-            self._coords = None
-        if self._actor_pools:
-            for pool in self._actor_pools:
-                for a in pool:
-                    ray.kill(a)
-            self._actor_pools = None
-            self._actors = None
+        """Release this engine's views and its lease on the actor pool (the
+        pool's last lease kills the actors); later searches run on the
+        driver's own readers."""
+        if self._lease is not None and self._finalizer.detach():
+            _POOL.release(self._lease, wait=True)
+        self._actor_pools = self._actors = self._coords = None
 
     def _apply_field_analyzers(self, q: Query) -> Query:
         """Fill q.analyzer on fielded match/phrase queries from the spec's
@@ -2227,16 +2277,22 @@ class QueryEngine:
     def _fanout(self, method: str, *args, parts=None, pool=None) -> list:
         """``PartitionSearcher.<method>(*args)`` on each of ``parts``
         (default: all) → ``[(part, result), ...]``: a driver loop over the
-        cached local searchers, or ONE ray.get over an actor pool. ``pool``
-        defaults to pool 0 (every partition exactly once); per-query calls
-        pass ``self._qpool()`` to spread load over replica pools."""
+        cached local searchers, or ONE ray.get over an actor pool (view
+        key, actor calls). Each call ships one request tuple: Ray serializes
+        every positional argument on its own, measured at ≈50 µs per
+        argument of a searcher call on one pinned CPU (raw, host factor
+        ≈2). ``pool`` defaults to pool 0 (every partition
+        exactly once); per-query calls pass ``self._qpool()`` to spread load
+        over replica pools."""
         parts = self.parts if parts is None else parts
         pool = pool or self._actors
         if not pool:
             return [(p, getattr(self._searcher(p), method)(*args)) for p in parts]
         import ray
 
-        groups = ray.get([a.call.remote(method, parts, *args) for a in pool])
+        key, calls = pool
+        req = (key, method, parts, args)
+        groups = ray.get([call(req) for call in calls])
         return [r for g in groups for r in g]
 
     def raw_stats(self, terms: list[str]) -> dict[str, tuple[int, int]]:
@@ -2440,8 +2496,9 @@ class QueryEngine:
 
         if self.parallel == "ray":
             raise ValueError(
-                "freeze() applies to the task/local backend; pinned actor "
-                "pools ARE warm state — drop the actors instead")
+                "freeze() applies to the task/local backend; pooled searcher "
+                "views ARE warm state — close() the engine to release them "
+                "instead")
         from elasticsearch_ray.index.segments import atomic_write_json
 
         atomic_write_json(os.path.join(self.index_dir, "frozen.json"),
@@ -2543,7 +2600,7 @@ class QueryEngine:
             return self._query_phase(q, k, mode, fetch, sort, search_after,
                                      collapse, rescore, min_score)
         # a coordinator only pays when another search is in flight (see
-        # _init_coordinators for the measurements behind this switch)
+        # CoordinatorActor for the measurements behind this switch)
         with self._inflight_lock:
             overlap = self._inflight > 0
             self._inflight += 1
@@ -2555,7 +2612,7 @@ class QueryEngine:
 
             i = self._coord_rr
             self._coord_rr = (i + 1) % len(self._coords)
-            tbl = ray.get(self._coords[i].search.remote(
+            tbl = ray.get(self._coords[i](
                 q, k, mode, sort, search_after, collapse, rescore, min_score))
             return self._attach_fetch(tbl, fetch)
         finally:
@@ -3915,26 +3972,73 @@ def _scan_part_fn(batch: pa.Table, cfg: dict) -> pa.Table:
     return pa.concat_tables(out_tables)
 
 
+def _manifest_stamp(index_dir: str, part: int):
+    """Identity of a partition's current commit: (inode, mtime_ns, size) of
+    its manifest.json, which every segment write replaces last (None while
+    the partition is being rewritten)."""
+    try:
+        st = os.stat(manifest_path(index_dir, part))
+    except FileNotFoundError:
+        return None
+    return st.st_ino, st.st_mtime_ns, st.st_size
+
+
 class SearcherActor:
-    """Warm per-partition-group searcher (ray actor)."""
+    """Warm searcher process of the actor pool, shared by every ray-backed
+    engine of the driver. Holds one view per (engine, reopen): view key →
+    {part: PartitionSearcher}. Views share readers: a partition is opened
+    once per (index dir, manifest stamp, analyzer, params, dtype, runtime
+    fields) and freed when the last view holding it is released."""
 
-    def __init__(self, index_dir, parts, analyzer_name, params_kb, dtype,
-                 runtime_fields=None):
+    def __init__(self):
+        import threading
+
+        self.views: dict = {}
+        self.readers: dict = {}
+        self._lock = threading.Lock()  # reopen/release only, never call
+
+    def reopen(self, key, index_dir, stamps, analyzer_name, params_kb, dtype,
+               runtime_fields=None):
+        """Open view ``key`` over the partitions of ``stamps`` ({part:
+        manifest stamp}), reusing every open reader whose stamp matches."""
         params = BM25Params(*params_kb)
-        self.searchers = {
-            p: PartitionSearcher(
-                SegmentReader(part_dir(index_dir, p)), p, analyzer_name, params, dtype,
-                runtime_fields=runtime_fields,
-            )
-            for p in parts
-        }
+        cfg = (index_dir, analyzer_name, tuple(params_kb), dtype,
+               json.dumps(runtime_fields or {}, sort_keys=True))
+        with self._lock:
+            view = {}
+            for p, stamp in stamps.items():
+                s = self.readers.get((cfg, p, stamp))
+                if s is None:
+                    s = self.readers[(cfg, p, stamp)] = PartitionSearcher(
+                        SegmentReader(part_dir(index_dir, p)), p, analyzer_name, params,
+                        dtype, runtime_fields=runtime_fields)
+                view[p] = s
+            self.views[key] = view
 
-    def call(self, method, parts, *args):
+    def release(self, keys):
+        """Drop views ``keys`` and every reader no remaining view holds."""
+        with self._lock:
+            for k in keys:
+                self.views.pop(k, None)
+            live = {id(s) for v in self.views.values() for s in v.values()}
+            self.readers = {rk: s for rk, s in self.readers.items() if id(s) in live}
+
+    def held(self) -> dict:
+        """{view key: [(index_dir, part), ...]} of the open views."""
+        with self._lock:
+            return {k: [(s.r.dir, p) for p, s in v.items()] for k, v in self.views.items()}
+
+    def call(self, req):
         """``[(part, PartitionSearcher.<method>(*args)), ...]`` over the
-        requested partitions this actor owns (QueryEngine._fanout reduces)."""
+        requested partitions of the view, for ``req`` = (view key, method,
+        parts, args) (QueryEngine._fanout reduces)."""
+        key, method, parts, args = req
+        view = self.views.get(key)
+        if view is None:
+            raise LookupError(f"searcher view {key} was released: its engine closed, "
+                              "or reopened twice while this call was in flight")
         wanted = set(parts)
-        return [(p, getattr(s, method)(*args))
-                for p, s in self.searchers.items() if p in wanted]
+        return [(p, getattr(s, method)(*args)) for p, s in view.items() if p in wanted]
 
 
 class _CombinedScorer:
@@ -3954,22 +4058,164 @@ class _CombinedScorer:
 
 class CoordinatorActor:
     """Coordinating-node analog (the reference's any-node-coordinates model)
-    for overlapping searches: owns DFS stats (on its own readers), scorer
-    construction/caching, can_match pruning and the k·P merge for its
-    queries, with one fan-out to the SHARED searcher actor pool — two hops
-    per query. The driver uses one only while another search is in flight
-    (a sequential query is faster run on the driver: one hop); fetch stays
-    on the driver."""
+    for OVERLAPPING searches: a search that starts while another is in
+    flight on its engine hands its whole query phase (DFS stats on the
+    coordinator's own readers, scorer construction/caching, can_match
+    pruning, one fan-out to the SHARED searcher actors, the k·P merge) to a
+    coordinator, so concurrent driver threads scale across coordinators
+    instead of serializing on driver-side work; fetch stays on the driver.
+    A search with nothing else in flight runs that phase on the driver: one
+    searcher round trip instead of two. Measured on one pinned CPU,
+    4-partition Zipf index: sequential distinct queries p50 11.8 → 7.4 ms
+    run direct; 8 client threads with 4 coordinators × 4 replica pools,
+    this rule vs running every search direct: 297 vs 239 QPS (p50 25 vs
+    32 ms) on distinct queries, 297 vs 251 QPS on repeated ones
+    (1 coordinator: 211 vs 189 and 222 vs 197).
 
-    def __init__(self, index_dir, dtype, searcher_actors, runtime_fields=None):
-        self.eng = QueryEngine(index_dir, dtype=dtype, parallel="local",
-                               runtime_fields=runtime_fields)
-        self.eng._actors = searcher_actors
+    Pooled like the searchers: one inner local engine per engine view,
+    fanning out to that view on the searchers of one replica set
+    (coordinator i serves set i % R)."""
 
-    def search(self, q, k, mode, sort, search_after, collapse, rescore, min_score):
-        return self.eng.search(q, k=k, mode=mode, fetch=(), sort=sort,
-                               search_after=search_after, collapse=collapse,
-                               rescore=rescore, min_score=min_score)
+    def __init__(self):
+        import threading
+
+        self.engines: dict = {}
+        self._lock = threading.Lock()  # reopen/release only, never search
+
+    def reopen(self, key, index_dir, dtype, searcher_actors, runtime_fields=None):
+        """Open view ``key``: an inner engine on the index's current commit
+        that keeps the open readers of any same-configured view whose
+        manifest stamp still matches."""
+        eng = QueryEngine(index_dir, dtype=dtype, parallel="local",
+                          runtime_fields=runtime_fields)
+        eng._actors = (key, [a.call.remote for a in searcher_actors])
+        cfg = (index_dir, dtype, eng.runtime_fields, eng.analyzer_name, eng.params)
+        with self._lock:
+            for other in self.engines.values():
+                if (other.index_dir, other.dtype, other.runtime_fields,
+                        other.analyzer_name, other.params) == cfg:
+                    eng._searchers.update({p: s for p, s in list(other._searchers.items())
+                                           if p in eng._stamps
+                                           and other._stamps.get(p) == eng._stamps[p]})
+            self.engines[key] = eng
+
+    def release(self, keys):
+        with self._lock:
+            for k in keys:
+                self.engines.pop(k, None)
+
+    def held(self) -> dict:
+        with self._lock:
+            return {k: [(e.index_dir, p) for p in list(e._searchers)]
+                    for k, e in self.engines.items()}
+
+    def search(self, key, q, k, mode, sort, search_after, collapse, rescore, min_score):
+        return self.engines[key].search(q, k=k, mode=mode, fetch=(), sort=sort,
+                                        search_after=search_after, collapse=collapse,
+                                        rescore=rescore, min_score=min_score)
+
+
+class _Lease:
+    """One engine's hold on ``_POOL``: the pool session it was taken in and
+    the view keys it has opened (newest last)."""
+
+    def __init__(self, session):
+        self.session = session
+        self.keys: list[int] = []
+        self.released = False
+
+    def new_key(self) -> int:
+        self.keys.append(next(_VIEW_KEYS))
+        return self.keys[-1]
+
+    def retire(self) -> list[int]:
+        """The keys older than the previous view, which leave the lease."""
+        old, self.keys = self.keys[:-2], self.keys[-2:]
+        return old
+
+
+_VIEW_KEYS = itertools.count(1)
+
+
+class _ActorPool:
+    """The driver's warm searcher and coordinator actors, shared by every
+    ray-backed QueryEngine whatever its index directory, so opening or
+    reopening an engine sends ``reopen`` calls to live processes instead of
+    spawning new ones. Each engine sizes its own actor sets (num_actors /
+    the CPU rule) and takes the first ones of the pool, which grows as
+    needed. The last released lease kills the actors; a new Ray session
+    starts an empty pool (``ray.shutdown`` ended the old actors)."""
+
+    def __init__(self):
+        import threading
+
+        self._lock = threading.Lock()
+        self._session = None
+        self._searchers: list = []
+        self._coords: list = []
+        self._leases = 0
+
+    def lease(self) -> _Lease:
+        import ray
+
+        with self._lock:
+            session = ray.get_runtime_context().get_node_id()
+            if session != self._session:
+                self._session, self._searchers, self._coords, self._leases = (
+                    session, [], [], 0)
+            self._leases += 1
+            return _Lease(session)
+
+    def actors(self, n_searchers: int, n_coords: int) -> tuple[list, list]:
+        """The first ``n_searchers`` searcher and ``n_coords`` coordinator
+        actors, spawning the missing ones."""
+        import ray
+
+        with self._lock:
+            if len(self._searchers) < n_searchers:
+                # max_concurrency: concurrent queries share each warm actor
+                # via threads (numpy kernels release the GIL), so driver-side
+                # concurrent search does not serialize behind one task
+                cls = ray.remote(max_concurrency=8)(SearcherActor)
+                self._searchers += [cls.remote()
+                                    for _ in range(n_searchers - len(self._searchers))]
+            if len(self._coords) < n_coords:
+                cls = ray.remote(max_concurrency=4)(CoordinatorActor)
+                self._coords += [cls.remote() for _ in range(n_coords - len(self._coords))]
+            return self._searchers[:n_searchers], self._coords[:n_coords]
+
+    def forget(self, keys: list[int], wait: bool = False) -> None:
+        """Release views ``keys`` on every actor of the pool."""
+        if not keys:
+            return
+        import ray
+
+        with self._lock:
+            refs = [a.release.remote(keys) for a in self._searchers + self._coords]
+        if wait:
+            ray.get(refs)
+
+    def release(self, lease: _Lease, wait: bool = False) -> None:
+        """End ``lease``: free its views, or kill the actors if it was the
+        last lease. ``wait`` blocks until the views are freed."""
+        import ray
+
+        with self._lock:
+            if lease.released or lease.session != self._session or not ray.is_initialized():
+                return
+            lease.released = True
+            self._leases -= 1
+            last = self._leases == 0
+            if last:
+                doomed, self._searchers, self._coords = self._searchers + self._coords, [], []
+        if last:
+            for a in doomed:
+                ray.kill(a)
+        else:
+            self.forget(lease.keys, wait)
+
+
+_POOL = _ActorPool()
 
 
 def filter_source_columns(table, includes=(), excludes=()):

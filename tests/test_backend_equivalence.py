@@ -144,7 +144,7 @@ def test_backends_agree_on_every_read_api(zipf, backends):
     # a sequential search no longer reaches a coordinator: drive one directly
     coord = backends["coordinator"]
     for name, kw in searches.items():
-        tbl = ray.get(coord._coords[0].search.remote(
+        tbl = ray.get(coord._coords[0](
             kw["q"], kw["k"], kw.get("mode", "bmw"), kw.get("sort"),
             kw.get("search_after"), None, None, None))
         assert coord._attach_fetch(tbl, kw["fetch"]).to_pylist() == calls[name](local), name

@@ -2,6 +2,7 @@
 
 import shutil
 
+import numpy as np
 import pytest
 
 from elasticsearch_ray.index.spec import IndexSpec
@@ -292,3 +293,33 @@ def test_merge_records_reencoded_postings(two_indexes, ray_session, tmp_path):
     row = QueryEngine(idx_m).stats().to_pylist()[0]
     assert row["multi_chunk_terms"] == len(shared)
     assert row["reencoded_postings"] == sum(df[term] for term in shared) > 0
+
+
+def test_merge_reencode_calls_are_bounded(two_indexes, fresh_single_partition, ray_session,
+                                          tmp_path, monkeypatch):
+    """Every ``reencode_many`` call of a merge step gets at most
+    MAX_POSTINGS_PER_CALL postings (a longer list alone), so its block table
+    is bounded per call, and the merged segment still equals a fresh
+    one-partition build byte for byte."""
+    from elasticsearch_ray.index import merge, postings
+    from elasticsearch_ray.index.merge import merge_group
+
+    idx_a, _ = two_indexes
+    budget = 40
+    monkeypatch.setattr(postings, "MAX_POSTINGS_PER_CALL", budget)
+    sizes = []
+    orig = merge.reencode_many
+
+    def counted(raw, at, group_starts, *a, **kw):
+        enc, eoff = orig(raw, at, group_starts, *a, **kw)
+        per_group = np.diff(np.append(np.asarray(group_starts), len(at)))
+        sizes.append((len(per_group), int(postings.decode_many(raw, at)[2].sum())))
+        return enc, eoff
+
+    monkeypatch.setattr(merge, "reencode_many", counted)
+    idx_m = str(tmp_path / "merged")
+    shutil.copytree(idx_a, idx_m)
+    merge_group(idx_m, list(range(6)))
+    assert len(sizes) > 1
+    assert all(n <= budget or groups == 1 for groups, n in sizes), sizes
+    _assert_same_segment(idx_m, fresh_single_partition)

@@ -225,3 +225,42 @@ def test_format_v5_golden(ray_session, tmp_path):
     build_index(corpus, idx, IndexSpec(files_per_partition=6), concurrency=2)
     got.update(_segment_digests(idx))
     assert got == GOLDEN_V5
+
+
+def _per_term_bloom(terms, bits_per_term: int = 10) -> tuple[bytes, int]:
+    """The per-term reference: two ``_bloom_hashes`` bits set per term."""
+    from elasticsearch_ray.index.segments import _bloom_hashes
+
+    m_bits = max(64, bits_per_term * max(len(terms), 1))
+    m_bits = (m_bits + 7) // 8 * 8
+    arr = np.zeros(m_bits // 8, dtype=np.uint8)
+    for t in terms:
+        for h in _bloom_hashes(t, m_bits):
+            arr[h >> 3] |= 1 << (h & 7)
+    return arr.tobytes(), m_bits
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.text(min_size=1, max_size=12), max_size=300),
+       st.sampled_from([1, 3, 7, 10]))
+def test_bulk_bloom_matches_per_term(terms, bits_per_term):
+    """The bulk bloom builder sets exactly the per-term reference's bits, on
+    random Unicode terms, the empty list, and sizes where m_bits rounds up
+    to a whole byte (bits_per_term 1/3/7) or hits the 64-bit floor."""
+    from elasticsearch_ray.index.segments import bloom_might_contain, build_term_bloom
+
+    terms = [t.encode("utf-8", "surrogatepass").decode("utf-8", "replace") for t in terms]
+    got = build_term_bloom(terms, bits_per_term)
+    assert got == _per_term_bloom(terms, bits_per_term)
+    data, m_bits = got
+    assert all(bloom_might_contain(data, m_bits, t) for t in terms)
+
+
+def test_bulk_bloom_edge_sizes():
+    from elasticsearch_ray.index.segments import build_term_bloom
+
+    assert build_term_bloom([]) == _per_term_bloom([]) == (bytes(8), 64)
+    for n in (1, 6, 7, 9, 65, 1001):
+        terms = [f"t{i}é中" for i in range(n)]
+        for bpt in (1, 3, 10):
+            assert build_term_bloom(terms, bpt) == _per_term_bloom(terms, bpt), (n, bpt)
