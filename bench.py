@@ -230,7 +230,9 @@ def run_serving() -> dict:
     dim = int(os.environ.get("BENCH_VEC_DIM", "64"))
 
     # query QPS on warm actors: a sequential query fans out from the driver
-    # (one searcher round trip); overlapping ones go through coordinator
+    # (one searcher round trip) when actors on more than one CPU hold its
+    # candidate partitions, else it scores on the driver's own readers;
+    # overlapping ones go through coordinator
     # actors (the reference's any-node-coordinates model)
     num_coords = 4
     # num_replicas: replica-shard pools (one per coordinator) — measured 3x
@@ -245,7 +247,7 @@ def run_serving() -> dict:
     # caches for every query (each coordinator addressed directly)
     for _name, _spec in QUERY_SET:
         eng.search(build_query(_spec), k=10)
-    ray.get([c(build_query(_spec), 10, "bmw", None, None, None, None, None)
+    ray.get([c((eng._view, build_query(_spec), 10, "bmw", None, None, None, None, None))
              for c in eng._coords for _name, _spec in QUERY_SET])
     total_q = 0.0
     for name, spec in QUERY_SET:

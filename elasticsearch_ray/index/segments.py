@@ -160,7 +160,11 @@ class SegmentReader:
                 if os.path.getsize(pos_bin)
                 else np.empty(0, np.int32)
             )
-        d = pq.read_table(os.path.join(pdir, "docs.parquet"), columns=["norm", "doclen"])
+        # docs.parquet stays mapped for the reader's life: its lazy column
+        # reads (fetch, per-field norms, stored columns) keep working for a
+        # search pinned to this reader after a merge removed the partition
+        self._docs = pa.memory_map(os.path.join(pdir, "docs.parquet")).read_buffer()
+        d = self.read_docs(["norm", "doclen"])
         self.norms = d["norm"].to_numpy()
         self.n_docs = len(self.norms)
         self.sum_dl = int(self.manifest["sum_dl"])
@@ -171,6 +175,10 @@ class SegmentReader:
         self._lk: dict[str, int] = {}  # term→row memo (vocab is immutable)
         self._terms_np_cache: np.ndarray | None = None
 
+    def read_docs(self, columns) -> pa.Table:
+        """``columns`` of this segment's docs.parquet."""
+        return pq.read_table(pa.BufferReader(self._docs), columns=columns)
+
     def norms_for(self, field: str | None) -> np.ndarray:
         """Per-field norm bytes (default field when None) — extra fields'
         norm_<field> columns load lazily from docs.parquet, cached."""
@@ -178,9 +186,7 @@ class SegmentReader:
             return self.norms
         a = self._field_norms.get(field)
         if a is None:
-            d = pq.read_table(os.path.join(self.dir, "docs.parquet"),
-                              columns=[f"norm_{field}"])
-            a = d[f"norm_{field}"].to_numpy()
+            a = self.read_docs([f"norm_{field}"])[f"norm_{field}"].to_numpy()
             self._field_norms[field] = a
         return a
 
@@ -231,8 +237,8 @@ class SegmentReader:
         key = tuple(columns)
         t = self._docs_cols.get(key)
         if t is None:
-            avail = set(pq.read_schema(os.path.join(self.dir, "docs.parquet")).names)
+            avail = set(pq.read_schema(pa.BufferReader(self._docs)).names)
             cols = [c for c in columns if c in avail] or ["doc_id"]
-            t = pq.read_table(os.path.join(self.dir, "docs.parquet"), columns=cols)
+            t = self.read_docs(cols)
             self._docs_cols[key] = t
         return t.take(pa.array(locals_))

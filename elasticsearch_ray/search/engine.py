@@ -18,10 +18,15 @@ Execution backends:
   - parallel="ray": SearcherActor actors holding warm readers (mmapped
     postings, cached term dicts) for the engine's partitions, each actor a
     stable partition group — the 'long-lived warm scorer' design from
-    SURVEY §3.2; used by bench for QPS. The driver runs the DFS on its own
-    readers and ships scorers inline, so a query is one searcher round
-    trip; with num_coordinators, only searches that overlap another
-    in-flight search go through a CoordinatorActor.
+    SURVEY §3.2; used by bench for QPS. The driver runs can_match and the
+    DFS on its own readers, then PLACES the top-k per query (``_place``):
+    it scores on those same readers when at most one CPU's worth of actors
+    holds candidate partitions (fanning out would buy no parallelism, only
+    the actor round trip), and otherwise fans out, shipping scorers inline,
+    one round trip; a search that overlaps another in flight on the engine
+    always fans out. With num_coordinators, an overlapping search goes to a
+    CoordinatorActor instead, whose inner engine places the top-k by the
+    same rule (one hop in all when it scores on its own readers).
     The actors belong to one process-level pool (``_POOL``) shared by every
     ray-backed engine, whatever its index directory, and outliving any one
     engine: opening an engine leases actors and opens a VIEW on them (one
@@ -29,9 +34,12 @@ Execution backends:
     reader whose index dir and manifest stamp match is reused), and
     ``reopen()`` (``admin.refresh``) opens a new view in the same live
     processes, reopening only changed partitions. Every actor call carries
-    its view key, so a search in flight during a reopen scores on its view.
-    ``close()`` (or garbage collection) releases the engine's views; the
-    last lease kills the actors.
+    its view key, and a search runs on a snapshot of the engine taken at its
+    start (``_pinned``), so a search in flight during a reopen scores and
+    fetches on the commit and the open readers it started with (a reader
+    it must still open reads the partition directory, which a merge that
+    lands meanwhile may have removed). ``close()`` (or garbage collection) releases the
+    engine's views; the last lease kills the actors.
 Every read API reaches the partitions through ``QueryEngine._fanout``
 (one PartitionSearcher method per partition → ``[(part, result)]``) and
 ranks through ``_merge_topk``, so it is written once for both backends.
@@ -39,7 +47,6 @@ ranks through ``_merge_topk``, so it is written once for both backends.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -172,11 +179,7 @@ class PartitionSearcher:
         return TermCursor(self.r.blob(int(i)), scorers[term], norms)
 
     def _stored_col(self, name: str) -> np.ndarray:
-        import pyarrow.parquet as pq
-
-        t = pq.read_table(os.path.join(self.r.dir, "docs.parquet"),
-                          columns=[name])
-        return t[name].to_numpy(zero_copy_only=False)
+        return self.r.read_docs([name])[name].to_numpy(zero_copy_only=False)
 
     def _rank_sidecar(self, field: str):
         """Lazy per-field rank_features sidecar (RankFeaturesFieldMapper /
@@ -1802,10 +1805,23 @@ class QueryEngine:
         self._actor_pools = None
         self._num_actors = num_actors
         self._num_replicas = max(1, int(num_replicas))
-        self._pool_rr = 0
+        self._pool_rr = itertools.count()
         self._coords = None
-        self._coord_rr = 0
+        self._coord_rr = itertools.count()
+        self._cpus = 1
         self._scorer_cache: dict = {}
+        # where searches ran: "driver" (this process's readers), "fanout"
+        # (the searcher actors) — one per _place decision — and
+        # "coordinator" (handed off whole); bumped without a lock, so
+        # concurrent searches may drop a count
+        self.placements = {"driver": 0, "fanout": 0, "coordinator": 0}
+        # searches in flight on this engine; a search's pinned copy records
+        # whether it overlapped another (_search_unfrozen, _place)
+        import threading
+
+        self._inflight = 0
+        self._inflight_lock = threading.Lock()
+        self._overlap = False
         # x-pack frozen-indices: persisted flag → transient readers +
         # single-at-a-time searches (engine.freeze/unfreeze)
         self.frozen = False
@@ -1870,11 +1886,6 @@ class QueryEngine:
         ``close()``, or when the engine is garbage-collected; the pool's
         last lease kills its actors."""
         self._num_coordinators = num_coordinators
-        if num_coordinators:
-            import threading
-
-            self._inflight = 0
-            self._inflight_lock = threading.Lock()
         self._lease = _POOL.lease()
         self._finalizer = weakref.finalize(self, _POOL.release, self._lease)
         self._finalizer.atexit = False  # process exit ends the actors anyway
@@ -1900,9 +1911,8 @@ class QueryEngine:
 
         parts, stamps = state["parts"], state["_stamps"]
         R = self._num_replicas
-        n_total = self._num_actors or max(
-            1, min(len(parts) * R, int(ray.cluster_resources().get("CPU", 4)))
-        )
+        cpus = int(ray.cluster_resources().get("CPU", 4))
+        n_total = self._num_actors or max(1, min(len(parts) * R, cpus))
         per_pool = max(1, min(n_total // R, len(parts)))
         groups: list[list[int]] = [[] for _ in range(per_pool)]
         for i, p in enumerate(parts):
@@ -1918,7 +1928,7 @@ class QueryEngine:
                  for pool in pools for a, g in zip(pool, groups)])
         if coords:
             ray.get([c.reopen.remote(key, self.index_dir, self.dtype, pools[i % R],
-                                     self.runtime_fields)
+                                     cpus, self.runtime_fields)
                      for i, c in enumerate(coords)])
         # a pool is (view key, its actors' ``call``): a search that picked
         # a pool fans out to the readers of that view even if the engine
@@ -1929,7 +1939,8 @@ class QueryEngine:
             "_view": key,
             "_actor_pools": actor_pools,
             "_actors": actor_pools[0] if actor_pools else None,
-            "_coords": [functools.partial(c.search.remote, key) for c in coords] or None,
+            "_coords": [c.search.remote for c in coords] or None,
+            "_cpus": cpus,
         }
 
     def reopen(self) -> dict:
@@ -1939,17 +1950,18 @@ class QueryEngine:
         keep the readers of the rest, on the driver and on the leased
         actors (one blocking ``reopen`` per actor, under a new view key).
         Then swap the engine's commit state, view key and actor pools in
-        one step. The previous view stays open on the actors until the next
-        reopen or close, so a search that already picked its pool takes its
-        top-k from the readers it started with (its fetch reads the current
-        ones). Returns the partition counts."""
+        one step; the swap puts in new dicts and never mutates the old
+        ones, which searches in flight still read (``_pinned``). The
+        previous view stays open on the actors until the next reopen or
+        close, so such a search also takes its top-k from the actor readers
+        it started with. Returns the partition counts."""
         state = self._commit_state()
         old, new = self._stamps, state["_stamps"]
         keep = {p for p in state["parts"] if old.get(p) == new[p]}
         state.update(
             _searchers={p: s for p, s in self._searchers.items() if p in keep},
             _blooms={p: b for p, b in self._blooms.items() if p in keep},
-            _df_cache={}, _ttf_cache={}, _scorer_cache={})
+            _df_cache={}, _ttf_cache={}, _scorer_cache={}, _vocab_total=None)
         lease = self._lease
         pooled = lease is not None and not lease.released
         if pooled:
@@ -1966,8 +1978,21 @@ class QueryEngine:
         pools = self._actor_pools
         if not pools or len(pools) == 1:
             return self._actors
-        self._pool_rr = (self._pool_rr + 1) % len(pools)
-        return pools[self._pool_rr]
+        return pools[next(self._pool_rr) % len(pools)]
+
+    def _pinned(self) -> "QueryEngine":
+        """This engine as of now, for one search: a shallow copy of its
+        attributes. ``reopen`` swaps in new commit state (parts, readers,
+        blooms, DFS caches, actor view) and never mutates the old dicts, so
+        the copy's can_match, DFS, top-k and fetch all read one commit
+        however long the search takes. A reader it opens lazily goes to that
+        commit's dict but reads the partition directory, which a merge that
+        lands meanwhile may have removed; readers, Bloom filters and rank
+        sidecars already open are safe. Counters and caches shared by reference (placements,
+        round-robin counters, field usage) keep counting for the engine."""
+        snap = object.__new__(type(self))
+        snap.__dict__.update(self.__dict__)
+        return snap
 
     def stats(self) -> pa.Table:
         """_stats/_segments analog: per-partition docs, terms, postings bytes,
@@ -2282,10 +2307,11 @@ class QueryEngine:
         every positional argument on its own, measured at ≈50 µs per
         argument of a searcher call on one pinned CPU (raw, host factor
         ≈2). ``pool`` defaults to pool 0 (every partition
-        exactly once); per-query calls pass ``self._qpool()`` to spread load
-        over replica pools."""
+        exactly once); a search passes the pool ``_place`` picked, which
+        spreads load over replica pools, or the empty pool ``()`` to score
+        on this engine's own readers."""
         parts = self.parts if parts is None else parts
-        pool = pool or self._actors
+        pool = self._actors if pool is None else pool
         if not pool:
             return [(p, getattr(self._searcher(p), method)(*args)) for p in parts]
         import ray
@@ -2583,54 +2609,85 @@ class QueryEngine:
                 doc order (QueryPhase terminate_after; counts become lower
                 bounds, like the reference's terminated_early response).
 
-        post_filter/terminate_after evaluate on the local backend (cached
-        readers); every other path fans out to the warm actors when enabled.
+        post_filter/terminate_after evaluate on the engine's own readers;
+        every other path places its top-k by ``_place``. The whole search
+        reads one commit (``_pinned``), also across a concurrent reopen.
         """
+        eng = self._pinned()
         if isinstance(q, str):
             q = MatchQuery(q)
-        q = self._apply_field_analyzers(self._rewrite(q))
-        self._track_field_usage(q, fetch, sort, collapse)
+        q = eng._apply_field_analyzers(eng._rewrite(q))
+        eng._track_field_usage(q, fetch, sort, collapse)
         if post_filter is not None or terminate_after is not None:
             if sort or collapse or rescore or search_after:
                 raise ValueError("post_filter/terminate_after cannot be combined "
                                  "with sort/collapse/rescore/search_after")
-            return self._search_post(q, k, fetch, post_filter, terminate_after,
-                                     min_score)
-        if not self._coords:
-            return self._query_phase(q, k, mode, fetch, sort, search_after,
-                                     collapse, rescore, min_score)
-        # a coordinator only pays when another search is in flight (see
-        # CoordinatorActor for the measurements behind this switch)
+            return eng._search_post(q, k, fetch, post_filter, terminate_after,
+                                    min_score)
+        if not eng._actors:
+            return eng._query_phase(q, k, mode, fetch, sort, search_after,
+                                    collapse, rescore, min_score)
+        # a search that overlaps another in flight on this engine goes to a
+        # coordinator if there is one, else its top-k fans out (_place); see
+        # CoordinatorActor for the measurements behind both switches
         with self._inflight_lock:
-            overlap = self._inflight > 0
+            eng._overlap = self._inflight > 0
             self._inflight += 1
         try:
-            if not overlap:
-                return self._query_phase(q, k, mode, fetch, sort, search_after,
-                                         collapse, rescore, min_score)
+            if not (eng._overlap and eng._coords):
+                return eng._query_phase(q, k, mode, fetch, sort, search_after,
+                                        collapse, rescore, min_score)
             import ray
 
-            i = self._coord_rr
-            self._coord_rr = (i + 1) % len(self._coords)
-            tbl = ray.get(self._coords[i](
-                q, k, mode, sort, search_after, collapse, rescore, min_score))
-            return self._attach_fetch(tbl, fetch)
+            self.placements["coordinator"] += 1
+            coord = eng._coords[next(self._coord_rr) % len(eng._coords)]
+            tbl = ray.get(coord((eng._view, q, k, mode, sort, search_after, collapse,
+                                 rescore, min_score)))
+            return eng._attach_fetch(tbl, fetch)
         finally:
             with self._inflight_lock:
                 self._inflight -= 1
 
     def _query_phase(self, q: Query, k: int, mode: str, fetch: tuple, sort,
                      search_after, collapse, rescore, min_score) -> pa.Table:
-        """can_match → DFS → one searcher fan-out → merge → fetch, run by
-        this engine (the driver, or a coordinator's inner engine)."""
+        """can_match → DFS → top-k, placed by ``_place`` (this engine's own
+        readers, or one fan-out to the searcher actors) → merge → fetch, run
+        by this engine (the driver, or a coordinator's inner engine)."""
         if sort or collapse or rescore:
             return self._search_extended(q, k, mode, fetch, sort, search_after, collapse,
                                          rescore, min_score)
-        results = self._fanout("topk", q, self._scorers_cached(q), k, mode, search_after,
-                               parts=self._candidate_parts(q), pool=self._qpool())
+        scorers = self._scorers_cached(q)
+        parts = self._candidate_parts(q)
+        results = self._fanout("topk", q, scorers, k, mode, search_after, parts=parts,
+                               pool=self._place(parts))
         if min_score is not None:
             results = [(p, (d[s >= min_score], s[s >= min_score])) for p, (d, s) in results]
         return self._attach_fetch(_merge_topk(results, k), fetch)
+
+    def _place(self, parts):
+        """Where one query's top-k over candidate ``parts`` runs: the actor
+        pool to fan out to, or the empty pool ``()`` for this engine's own
+        readers (which the DFS just opened). P is the number of actors that
+        hold candidate partitions, capped by the cluster's CPUs. At P ≤ 1 a
+        fan-out buys no parallelism, only the actor round trip: on one
+        pinned CPU (4 partitions of perfbench's Zipf pages, 1200 distinct
+        stream queries, raw) the top-k's p50 was 2.7 ms in-process against
+        5.2 ms through the actors. At P > 1 it fans out, as every search
+        did before; where staying in-process would still win there has not
+        been measured on a multi-CPU host. A search that overlaps another
+        on this engine always fans out: in-process, it would share this
+        process's GIL with the first. Counted in ``placements``."""
+        pool = self._qpool()
+        if pool is not None:
+            n, cand = len(pool[1]), set(parts)
+            # _open_view deals parts round-robin over a pool's actors
+            width = min(len({i % n for i, p in enumerate(self.parts) if p in cand}),
+                        self._cpus)
+            if self._overlap or width > 1:
+                self.placements["fanout"] += 1
+                return pool
+        self.placements["driver"] += 1
+        return ()
 
     def _search_post(self, q: Query, k: int, fetch: tuple,
                      post_filter: Query | None, terminate_after: int | None,
@@ -3220,8 +3277,8 @@ class QueryEngine:
         """Field-sort / collapse / rescore path — DISTRIBUTED: each partition
         returns its top-k (top max(k, rescore window)) candidates by the
         FINAL sort order (cursor + collapse applied inside the partition);
-        the driver merges ≤ k·P rows. Runs on the warm-actor backend when
-        enabled, sequential cached readers otherwise."""
+        the driver merges ≤ k·P rows. One ``_place`` decision places both
+        the candidate pass and the rescore pass."""
         scorers = self._scorers_cached(q)
         if rescore is not None and sort and list(sort) != [("_score", "desc")]:
             # QueryRescorer rejects explicit sort + rescore (the rescorer
@@ -3239,9 +3296,10 @@ class QueryEngine:
             and sort[0] == (self.spec["sort_field"], self.spec.get("sort_order", "asc"))
             and rescore is None and collapse is None and min_score is None
         )
+        pool = self._place(self.parts)
         per_part = [(p, *r) for p, r in self._fanout(
             "extended_candidates", q, scorers, sort, fetch_k, search_after, collapse,
-            min_score, index_sorted, pool=self._qpool()) if len(r[0])]
+            min_score, index_sorted, pool=pool) if len(r[0])]
         if not per_part:
             return _merge_topk([], k)
         parts_a = np.concatenate([np.full(len(d), p, np.int64) for p, d, *_ in per_part])
@@ -3265,7 +3323,7 @@ class QueryEngine:
             need_parts = np.unique(parts_a[window_idx]).tolist()
             rmap: dict[tuple, float] = {}
             for p, (rd_, rs) in self._fanout("_eval_scoring", rq, rscorers, None, "exhaustive",
-                                             parts=need_parts, pool=self._qpool()):
+                                             parts=need_parts, pool=pool):
                 for d, sc in zip(rd_.tolist(), np.asarray(rs, np.float64).tolist()):
                     rmap[(int(p), d)] = sc
             new_scores = scores_a.copy()
@@ -4061,12 +4119,21 @@ class CoordinatorActor:
     for OVERLAPPING searches: a search that starts while another is in
     flight on its engine hands its whole query phase (DFS stats on the
     coordinator's own readers, scorer construction/caching, can_match
-    pruning, one fan-out to the SHARED searcher actors, the k·P merge) to a
-    coordinator, so concurrent driver threads scale across coordinators
-    instead of serializing on driver-side work; fetch stays on the driver.
-    A search with nothing else in flight runs that phase on the driver: one
-    searcher round trip instead of two. Measured on one pinned CPU,
-    4-partition Zipf index: sequential distinct queries p50 11.8 → 7.4 ms
+    pruning, the top-k, the k·P merge) to a coordinator, so concurrent
+    driver threads scale across coordinators instead of serializing on
+    driver-side work; fetch stays on the driver. The inner engine places
+    the top-k like the driver does (``QueryEngine._place``): a search that
+    has the coordinator to itself, and whose candidate partitions sit on at
+    most one CPU's worth of actors, scores on the coordinator's own readers,
+    one hop in all; any other fans out to the SHARED searcher actors.
+    With 8 client threads on one pinned CPU (query_zipf shape, distinct
+    queries), scoring every coordinator search in-process cost a single
+    coordinator 30% of its QPS (≈135 vs ≈200) while 4 coordinators gained;
+    the overlap switch keeps both at or above fanning out every time. The
+    handoff ships one request tuple (see ``search``). A search with nothing
+    else in flight runs the query phase on the driver. Measured on one
+    pinned CPU before in-process placement, 4-partition Zipf index:
+    sequential distinct queries p50 11.8 → 7.4 ms
     run direct; 8 client threads with 4 coordinators × 4 replica pools,
     this rule vs running every search direct: 297 vs 239 QPS (p50 25 vs
     32 ms) on distinct queries, 297 vs 251 QPS on repeated ones
@@ -4082,13 +4149,15 @@ class CoordinatorActor:
         self.engines: dict = {}
         self._lock = threading.Lock()  # reopen/release only, never search
 
-    def reopen(self, key, index_dir, dtype, searcher_actors, runtime_fields=None):
+    def reopen(self, key, index_dir, dtype, searcher_actors, cpus, runtime_fields=None):
         """Open view ``key``: an inner engine on the index's current commit
         that keeps the open readers of any same-configured view whose
-        manifest stamp still matches."""
+        manifest stamp still matches, and places top-k's over
+        ``searcher_actors`` on a cluster of ``cpus`` CPUs."""
         eng = QueryEngine(index_dir, dtype=dtype, parallel="local",
                           runtime_fields=runtime_fields)
         eng._actors = (key, [a.call.remote for a in searcher_actors])
+        eng._cpus = cpus
         cfg = (index_dir, dtype, eng.runtime_fields, eng.analyzer_name, eng.params)
         with self._lock:
             for other in self.engines.values():
@@ -4109,7 +4178,11 @@ class CoordinatorActor:
             return {k: [(e.index_dir, p) for p in list(e._searchers)]
                     for k, e in self.engines.items()}
 
-    def search(self, key, q, k, mode, sort, search_after, collapse, rescore, min_score):
+    def search(self, req):
+        """Hits without fetch for ``req`` = (view key, q, k, mode, sort,
+        search_after, collapse, rescore, min_score): one argument, because
+        Ray serializes each positional argument on its own (≈50 µs each)."""
+        key, q, k, mode, sort, search_after, collapse, rescore, min_score = req
         return self.engines[key].search(q, k=k, mode=mode, fetch=(), sort=sort,
                                         search_after=search_after, collapse=collapse,
                                         rescore=rescore, min_score=min_score)

@@ -16,8 +16,9 @@ import ray
 
 from elasticsearch_ray.index.build import build_index
 from elasticsearch_ray.index.spec import IndexSpec
+from elasticsearch_ray.search import engine as engine_mod
 from elasticsearch_ray.search.async_search import AsyncSearchService
-from elasticsearch_ray.search.engine import PartitionSearcher, QueryEngine
+from elasticsearch_ray.search.engine import CoordinatorActor, PartitionSearcher, QueryEngine
 from elasticsearch_ray.search.profile import profile_search
 from elasticsearch_ray.search.query import IntervalsQuery, MatchQuery, TermQuery
 
@@ -95,8 +96,22 @@ def _typo(word: str) -> str:
     return word[:-1] + "q"  # 'q' is in no vocabulary word
 
 
-def test_backends_agree_on_every_read_api(zipf, backends):
-    _idx, v = zipf
+def _set_cpus(monkeypatch, cpus: int, *engines) -> None:
+    """Place the engines' top-k's as on a cluster of ``cpus`` CPUs: 1 keeps
+    every top-k on the engine's own readers, 4 (more than the test's
+    searcher actors) fans out every one that spans two actors."""
+    for e in engines:
+        monkeypatch.setattr(e, "_cpus", cpus)
+
+
+def _request(view, kw) -> tuple:
+    """The coordinator request tuple for one case's search keywords."""
+    return (view, kw["q"], kw["k"], kw.get("mode", "bmw"), kw.get("sort"),
+            kw.get("search_after"), None, None, None)
+
+
+def test_backends_agree_on_every_read_api(zipf, backends, monkeypatch):
+    idx, v = zipf
     local = backends["local"]
     assert len(local.parts) >= N_PARTS
     q = MatchQuery(f"{v[5]} {v[30]} {v[200]}")
@@ -144,39 +159,97 @@ def test_backends_agree_on_every_read_api(zipf, backends):
     # a sequential search no longer reaches a coordinator: drive one directly
     coord = backends["coordinator"]
     for name, kw in searches.items():
-        tbl = ray.get(coord._coords[0](
-            kw["q"], kw["k"], kw.get("mode", "bmw"), kw.get("sort"),
-            kw.get("search_after"), None, None, None))
+        tbl = ray.get(coord._coords[0](_request(coord._view, kw)))
         assert coord._attach_fetch(tbl, kw["fetch"]).to_pylist() == calls[name](local), name
+
+    # the same searches under both placements: from the driver, and from a
+    # coordinator's inner engine (run in this process, so the patched CPU
+    # count reaches it; it fans out to the coordinator backend's searcher
+    # actors under that engine's view key)
+    inner = CoordinatorActor()
+    inner.reopen(coord._view, idx, coord.dtype,
+                 engine_mod._POOL._searchers[:len(coord._actors[1])], 4)
+    engines = (backends["actors"], coord, inner.engines[coord._view])
+    for cpus in (4, 1):
+        _set_cpus(monkeypatch, cpus, *engines)
+        before = [dict(e.placements) for e in engines]
+        for name, kw in searches.items():
+            want = calls[name](local)
+            for backend in ("actors", "coordinator"):
+                assert calls[name](backends[backend]) == want, (name, backend, cpus)
+            tbl = inner.search(_request(coord._view, kw))
+            assert coord._attach_fetch(tbl, kw["fetch"]).to_pylist() == want, (name, cpus)
+        # on 4 CPUs only the needle's top-k stays put: it sits in one
+        # partition, so on one actor
+        fanouts = len(searches) - 1 if cpus > 1 else 0
+        for e, b in zip(engines, before):
+            assert e.placements["fanout"] - b["fanout"] == fanouts, cpus
+            assert e.placements["driver"] - b["driver"] == len(searches) - fanouts, cpus
 
 
 @pytest.mark.parametrize("backend,first", [("actors", 500), ("coordinator", 520)])
 def test_sequential_search_is_one_round_trip(zipf, backends, monkeypatch, backend, first):
-    """A search with fresh terms makes ONE searcher fan-out (topk) from the
-    driver: the DFS runs on the engine's own readers, scorers ship inline
-    (no object-store put), and no coordinator hop is taken."""
+    """On one CPU, a sequential search scores on the driver's own readers
+    with no Ray call at all; when its candidate partitions span actors on
+    more than one CPU it makes ONE searcher fan-out (topk): the DFS runs on
+    the engine's own readers, scorers ship inline (no object-store put), and
+    no coordinator hop is taken."""
     _idx, v = zipf
     eng = backends[backend]
-    terms = [v[first], v[first + 7], v[first + 300]]
-    assert not set(terms) & set(eng._df_cache)  # fresh: the DFS must run
-    q = MatchQuery(" ".join(terms))
-    want = backends["local"].search(q, k=10, fetch=("url",)).to_pylist()
-    fanouts, puts = [], []
-    orig_fanout, orig_put = QueryEngine._fanout, ray.put
+    local = backends["local"]
+    gets, puts, fanouts = [], [], []
+    orig_get, orig_put, orig_fanout = ray.get, ray.put, QueryEngine._fanout
 
-    def fanout(self, method, *a, **kw):
-        fanouts.append(method)
-        return orig_fanout(self, method, *a, **kw)
+    def get(*a, **kw):
+        gets.append(1)
+        return orig_get(*a, **kw)
 
     def put(*a, **kw):
         puts.append(1)
         return orig_put(*a, **kw)
 
-    monkeypatch.setattr(QueryEngine, "_fanout", fanout)
+    def fanout(self, method, *a, **kw):
+        fanouts.append((method, bool(kw.get("pool"))))
+        return orig_fanout(self, method, *a, **kw)
+
+    monkeypatch.setattr(ray, "get", get)
     monkeypatch.setattr(ray, "put", put)
-    assert eng.search(q, k=10, fetch=("url",)).to_pylist() == want
-    assert fanouts == ["topk"]
-    assert puts == []
+    monkeypatch.setattr(QueryEngine, "_fanout", fanout)
+    for cpus, terms in ((1, [v[first], v[first + 7], v[first + 300]]),
+                        (4, [v[first + 1], v[first + 8], v[first + 301]])):
+        assert not set(terms) & set(eng._df_cache)  # fresh: the DFS must run
+        q = MatchQuery(" ".join(terms))
+        want = local.search(q, k=10, fetch=("url",)).to_pylist()
+        _set_cpus(monkeypatch, cpus, eng)
+        before = dict(eng.placements)
+        gets.clear(), puts.clear(), fanouts.clear()
+        assert eng.search(q, k=10, fetch=("url",)).to_pylist() == want
+        fanned = cpus > 1
+        placed = "fanout" if fanned else "driver"
+        assert eng.placements == {**before, placed: before[placed] + 1}
+        assert fanouts == [("topk", fanned)]
+        assert puts == []
+        assert len(gets) == (1 if fanned else 0)
+
+
+def test_place_counts_actors_holding_candidates(zipf):
+    """The placement rule: ``_place`` fans out exactly when more than one
+    actor holds candidate partitions (dealt round-robin), counted up to the
+    cluster's CPUs, or when the search overlaps another on the engine."""
+    idx, _vocab = zipf
+    eng = QueryEngine(idx)
+    assert eng._place(eng.parts) == ()  # no actors
+    pool = ("view", [None, None])
+    eng._actors, eng._cpus = pool, 4
+    assert eng._place(eng.parts) is pool
+    assert eng._place(eng.parts[0::2]) == ()  # all on actor 0
+    assert eng._place(eng.parts[1:2]) == ()
+    assert eng._place([]) == ()
+    eng._cpus = 1
+    assert eng._place(eng.parts) == ()
+    eng._overlap = True
+    assert eng._place(eng.parts[:1]) is pool
+    assert eng.placements == {"driver": 5, "fanout": 2, "coordinator": 0}
 
 
 def test_overlapping_searches_use_coordinators(zipf, backends, monkeypatch):
@@ -221,6 +294,39 @@ def test_overlapping_searches_use_coordinators(zipf, backends, monkeypatch):
         assert first.result().to_pylist() == want[0]
     assert second == want[1]
     assert driver_fanouts == ["topk"]  # the overlapping search went to a coordinator
+
+
+def test_overlapping_search_without_coordinators_fans_out(zipf, backends, monkeypatch):
+    """On an engine without coordinators, a search issued while another is
+    in flight fans its top-k out to the actors instead of scoring it on
+    the driver's readers beside the first one, even on one CPU."""
+    _idx, v = zipf
+    local, eng = backends["local"], backends["actors"]
+    queries = [MatchQuery(f"{v[i]} {v[i + 1]}") for i in (80, 82)]
+    want = [local.search(q, k=10, fetch=("url",)).to_pylist() for q in queries]
+    entered, release = threading.Event(), threading.Event()
+    orig_fanout = QueryEngine._fanout
+
+    def held(self, method, *a, **kw):
+        if not entered.is_set():
+            entered.set()
+            release.wait(60)
+        return orig_fanout(self, method, *a, **kw)
+
+    monkeypatch.setattr(QueryEngine, "_fanout", held)
+    _set_cpus(monkeypatch, 1, eng)
+    before = dict(eng.placements)
+    with ThreadPoolExecutor(1) as ex:
+        first = ex.submit(eng.search, queries[0], k=10, fetch=("url",))
+        assert entered.wait(60)
+        try:
+            second = eng.search(queries[1], k=10, fetch=("url",)).to_pylist()
+        finally:
+            release.set()
+        assert first.result().to_pylist() == want[0]
+    assert second == want[1]
+    assert eng.placements == {**before, "driver": before["driver"] + 1,
+                              "fanout": before["fanout"] + 1}
 
 
 def test_profile_prunes_like_search(zipf):

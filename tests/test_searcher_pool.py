@@ -103,6 +103,7 @@ def test_refresh_reopens_changed_partitions_only(ray_session, tmp_path):
     eng = QueryEngine(idx, parallel="ray", num_actors=2, num_coordinators=1)
     try:
         assert _needle_hits(eng) == 12
+        vocab = eng._vocab_size()
         kept = {p: eng._searcher(p) for p in eng.parts}
         _write_file(src, 4, np.random.default_rng(9))
         build_index(src, idx, _spec(), concurrency=2)
@@ -110,6 +111,7 @@ def test_refresh_reopens_changed_partitions_only(ray_session, tmp_path):
         assert out["parts"] == 5 and out["reopened"] == 1 and out["removed"] == 0
         assert all(eng._searcher(p) is s for p, s in kept.items())
         assert _needle_hits(eng) == 15
+        assert eng._vocab_size() == QueryEngine(idx)._vocab_size() > vocab
 
         tiered_merge(idx)
         out = admin.refresh(eng)
@@ -129,40 +131,51 @@ def test_refresh_reopens_changed_partitions_only(ray_session, tmp_path):
         eng.close()
 
 
+def _fetched(tbl) -> list:
+    return [(r["part"], r["local"], r["score"], r["url"], r["doc_id"])
+            for r in tbl.to_pylist()]
+
+
 def test_search_in_flight_during_reopen_sees_one_view(ray_session, tmp_path):
     """A search held inside _fanout while the index is merged and the engine
-    reopened returns exactly the old exhaustive top-k; the next search
-    returns exactly the new one."""
-    _, idx = _index(tmp_path, "f")
-    eng = QueryEngine(idx, parallel="ray", num_actors=2)
+    reopened returns exactly the old exhaustive top-k with the old urls and
+    doc ids, whether its top-k runs on the driver's readers or on the
+    actors; the next search returns exactly the new one."""
     q = MatchQuery("w1 w3 w8 zzneedle")
-    try:
-        old = _rows(QueryEngine(idx).search(q, k=20, mode="exhaustive", fetch=()))
-        entered, release = threading.Event(), threading.Event()
-        orig = eng._fanout
+    fetch = ("url", "doc_id")
+    orig = QueryEngine._fanout
+    for placement in ("driver", "fanout"):
+        _, idx = _index(tmp_path, f"f_{placement}")
+        eng = QueryEngine(idx, parallel="ray", num_actors=2)
+        try:
+            old = _fetched(QueryEngine(idx).search(q, k=20, mode="exhaustive", fetch=fetch))
+            entered, release = threading.Event(), threading.Event()
 
-        def held(method, *a, **kw):
-            entered.set()
-            release.wait(60)
-            return orig(method, *a, **kw)
+            def held(self, method, *a, **kw):
+                entered.set()
+                release.wait(60)
+                return orig(self, method, *a, **kw)
 
-        eng._fanout = held
-        with ThreadPoolExecutor(1) as ex:
-            fut = ex.submit(eng.search, q, k=20, fetch=())
-            assert entered.wait(60)
-            try:
-                tiered_merge(idx)
-                admin.refresh(eng)
-            finally:
-                release.set()
-            got = _rows(fut.result())
-        del eng._fanout
-        new = _rows(QueryEngine(idx).search(q, k=20, mode="exhaustive", fetch=()))
-        assert old != new  # the merge renumbered the hits' partitions
-        assert got == old
-        assert _rows(eng.search(q, k=20, fetch=())) == new
-    finally:
-        eng.close()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(eng, "_cpus", 4 if placement == "fanout" else 1)
+                # patched on the class: the search runs on a pinned copy of eng
+                mp.setattr(QueryEngine, "_fanout", held)
+                with ThreadPoolExecutor(1) as ex:
+                    fut = ex.submit(eng.search, q, k=20, fetch=fetch)
+                    assert entered.wait(60)
+                    try:
+                        tiered_merge(idx)
+                        admin.refresh(eng)
+                    finally:
+                        release.set()
+                    got = _fetched(fut.result())
+            assert eng.placements[placement] == 1, placement
+            new = _fetched(QueryEngine(idx).search(q, k=20, mode="exhaustive", fetch=fetch))
+            assert old != new  # the merge renumbered the hits' partitions
+            assert got == old, placement
+            assert _fetched(eng.search(q, k=20, fetch=fetch)) == new
+        finally:
+            eng.close()
 
 
 def test_close_releases_the_engines_views(ray_session, tmp_path):
