@@ -223,7 +223,7 @@ def run_serving() -> dict:
     DataContext.get_current().enable_progress_bars = False
     logging.getLogger("ray.data").setLevel(logging.ERROR)
 
-    from elasticsearch_ray.search.engine import QueryEngine
+    from elasticsearch_ray.search.engine import QueryEngine, coordinator_request
 
     idx_dir = os.environ["BENCH_IDX_DIR"]
     vdir = os.environ.get("BENCH_VEC_DIR")
@@ -247,7 +247,7 @@ def run_serving() -> dict:
     # caches for every query (each coordinator addressed directly)
     for _name, _spec in QUERY_SET:
         eng.search(build_query(_spec), k=10)
-    ray.get([c((eng._view, build_query(_spec), 10, "bmw", None, None, None, None, None))
+    ray.get([c(coordinator_request(eng._view, build_query(_spec), 10))
              for c in eng._coords for _name, _spec in QUERY_SET])
     total_q = 0.0
     for name, spec in QUERY_SET:

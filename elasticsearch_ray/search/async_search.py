@@ -16,8 +16,8 @@ partitions can match; the rest count as completed up front, like the
 reference's can_match-skipped shards. A background thread walks the
 candidates, adding each partition's top-k to a mutable response under a
 lock (MutableSearchResponse.updatePartialResponse); readers snapshot it
-without blocking the runner. Partial hits are the engine's own top-k
-merge (``engine._merge_topk``: score desc, part, doc) over COMPLETED
+without blocking the runner. Partial hits go through the engine's one
+hit merge (``engine._merge_hits``: score desc, part, doc) over COMPLETED
 partitions, so a partial response is always a correct prefix view of the
 partitions it covers.
 """
@@ -28,7 +28,7 @@ import itertools
 import threading
 import time
 
-from elasticsearch_ray.search.engine import _merge_topk
+from elasticsearch_ray.search.engine import _hits_table, _merge_hits
 
 
 class AsyncSearchError(KeyError):
@@ -153,7 +153,7 @@ class AsyncSearchService:
         with task.lock:
             results = list(task.results)
             completed = task.completed
-        tbl = self.engine._attach_fetch(_merge_topk(results, k), fetch)
+        tbl = self.engine._attach_fetch(_merge_hits(_hits_table(results), k), fetch)
         return {"id": task_id, "is_running": running,
                 "is_partial": running,
                 "start_time": task.start_time,

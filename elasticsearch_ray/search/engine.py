@@ -5,11 +5,16 @@ Phases, mirroring the reference coordinator:
      sum to GLOBAL stats (dfs_query_then_fetch semantics,
      ``search/dfs/DfsPhase.java:29-75`` + ``SearchPhaseController.aggregateDfs``)
      — our build makes this a cheap term-dict lookup per partition.
-  2. Query phase: per-partition top-k (Block-Max WAND or exhaustive) with the
-     global-stats BM25 scorers.
-  3. Merge: (score desc, partition asc, doc asc) — the tie-break of
-     ``SearchPhaseController.mergeTopDocs`` (score desc, shardIndex, doc).
-  4. Fetch phase: join winning (part, local) back to docs.parquet for
+  2. Query phase: one per-partition collector with the global-stats BM25
+     scorers — the top-k (Block-Max WAND or exhaustive) of a plain search,
+     or the exhaustive collector chain (terminate_after → post_filter →
+     min_score → sort keys → search_after → collapse → top-k by sort order)
+     of a search whose options need every candidate.
+  3. Merge: (sort keys…, partition asc, doc asc), by default (score desc,
+     partition asc, doc asc) — the tie-break of
+     ``SearchPhaseController.mergeTopDocs`` (score desc, shardIndex, doc);
+     then the optional rescore of the top window.
+  4. Fetch phase: read winning (part, local) rows of docs.parquet for
      url/doc_id (``search/fetch/FetchPhase.java:72`` analog).
 
 Execution backends:
@@ -41,8 +46,10 @@ Execution backends:
     lands meanwhile may have removed). ``close()`` (or garbage collection) releases the
     engine's views; the last lease kills the actors.
 Every read API reaches the partitions through ``QueryEngine._fanout``
-(one PartitionSearcher method per partition → ``[(part, result)]``) and
-ranks through ``_merge_topk``, so it is written once for both backends.
+(one PartitionSearcher method per partition → ``[(part, result)]``), and
+every search, whatever its options, runs one query phase
+(``QueryEngine._query_phase``) and ranks its hits through ``_merge_hits``,
+so each is written once for both backends.
 """
 
 from __future__ import annotations
@@ -130,20 +137,47 @@ _CAN_MATCH_TYPES = (TermQuery, TermsQuery, MatchQuery, MatchPhraseQuery,
                     SpanNearQuery, IntervalsQuery)
 
 
-def _merge_topk(results, k: int) -> pa.Table:
-    """Merge per-partition top-k lists ``[(part, (docs, scores)), ...]`` into
-    the global top-k Table(rank, score, part, local), ordered (score desc,
-    part asc, doc asc) — the reference's TopDocs.merge tie-break — with
-    scores compared as float64. Typed and empty when nothing matched."""
-    parts = [np.empty(0, np.int64)] + [np.full(len(d), p, np.int64) for p, (d, _s) in results]
-    docs = [np.empty(0, np.int64)] + [np.asarray(d, np.int64) for _p, (d, _s) in results]
-    scores = [np.empty(0)] + [np.asarray(s, np.float64) for _p, (_d, s) in results]
-    parts_a, docs_a, scores_a = map(np.concatenate, (parts, docs, scores))
-    order = np.lexsort((docs_a, parts_a, -scores_a))[:k]
-    return pa.table({"rank": pa.array(np.arange(1, len(order) + 1, dtype=np.int64)),
-                     "score": pa.array(scores_a[order]),
-                     "part": pa.array(parts_a[order]),
-                     "local": pa.array(docs_a[order])})
+def _hits_table(results, names=()) -> pa.Table:
+    """Per-partition collector results ``[(part, (locals, scores, *cols))]``
+    as one hits table: score (as float64), part, local, then ``cols`` under
+    ``names``. Typed and empty when nothing matched."""
+    rows = [(p, r) for p, r in results if len(r[0])] or [
+        (0, (np.empty(0, np.int64), np.empty(0), *[np.empty(0)] * len(names)))]
+    return pa.table({
+        "score": np.concatenate([np.asarray(r[1], np.float64) for _p, r in rows]),
+        "part": np.concatenate([np.full(len(r[0]), p, np.int64) for p, r in rows]),
+        "local": np.concatenate([np.asarray(r[0], np.int64) for _p, r in rows]),
+        **{n: np.concatenate([r[2 + i] for _p, r in rows]) for i, n in enumerate(names)},
+    })
+
+
+def _merge_hits(hits: pa.Table, k: int | None = None, keys=(("score", "desc"),),
+                per=None) -> pa.Table:
+    """The one hit merge (the reference's ``TopDocs.merge``): order ``hits``
+    by (keys…, part asc, local asc), where the default key is score desc
+    compared as float64; with ``per`` = (column, n) keep the first n rows of
+    each value of that column (collapse, inner_hits). Returns the first ``k``
+    rows, numbered 1..n in a leading ``rank`` column (replacing any old one)."""
+    order = np.empty(0, np.int64)
+    if len(hits):
+        order = _sort_order([hits[c].to_numpy() for c, _ in keys],
+                            [d == "desc" for _, d in keys],
+                            hits["local"].to_numpy(), hits["part"].to_numpy())
+        if per is not None:
+            order = order[_rank_within(hits[per[0]].to_numpy()[order]) < per[1]]
+    order = order[:k]
+    if "rank" in hits.column_names:
+        hits = hits.drop_columns(["rank"])
+    return hits.take(order).add_column(
+        0, "rank", pa.array(np.arange(1, len(order) + 1, dtype=np.int64)))
+
+
+def _rank_within(vals) -> np.ndarray:
+    """0-based occurrence number of each row among the rows with its value,
+    in row order (nulls form one value)."""
+    import pandas as pd
+
+    return pd.Series(vals).groupby(vals, dropna=False, sort=False).cumcount().to_numpy()
 
 
 class PartitionSearcher:
@@ -1302,63 +1336,38 @@ class PartitionSearcher:
             base_docs, base_scores = base_docs[keep], base_scores[keep]
         return base_docs, (base_scores * q.boost).astype(dtype)
 
-    def topk(self, q: Query, scorers, k: int, mode: str = "bmw",
-             search_after: tuple | None = None):
-        """Per-partition top-k. When a ``search_after`` cursor
-        (score, part, local) is given it is applied BEFORE the top-k cut
-        (SearchAfterBuilder semantics): hits beyond the local top-k must stay
-        reachable on later pages, so the cursor forces exhaustive evaluation
-        (BMW's threshold prunes exactly the below-cursor region we need)."""
-        if search_after is not None:
-            mode = "exhaustive"
-        docs, scores = self._eval_scoring(q, scorers, k=k, mode=mode)
-        if search_after is not None:
-            ca_s, ca_p, ca_l = search_after
-            part = self.part
-            keep = (scores < ca_s) | (
-                (scores == ca_s) & ((part > ca_p) | ((part == ca_p) & (docs > ca_l)))
-            )
-            docs, scores = docs[keep], scores[keep]
-        return topk_select(docs, scores, k)
+    def topk(self, q: Query, scorers, k: int, mode: str = "bmw"):
+        """Per-partition top-k by (score desc, doc asc): the score-ordered
+        collector of every search whose options need no full candidate set."""
+        return topk_select(*self._eval_scoring(q, scorers, k=k, mode=mode), k)
+
+    def window_scores(self, q: Query, scorers, window: dict) -> np.ndarray:
+        """Rescore pass over this partition's rows of the rescore window
+        (``window`` = {part: locals}): ``q``'s score at each local, NaN where
+        ``q`` does not match. Only window-sized arrays leave the partition."""
+        locs = window[self.part]
+        docs, scores = self._eval_scoring(q, scorers, None, "exhaustive")
+        out = np.full(len(locs), np.nan)
+        if len(docs):
+            i = np.minimum(np.searchsorted(docs, locs), len(docs) - 1)
+            hit = docs[i] == locs
+            out[hit] = np.asarray(scores, np.float64)[i[hit]]
+        return out
 
     def count(self, q: Query, scorers) -> int:
         """Matching-doc count (the _count API ships ints, never doc ids)."""
         return len(self._eval_scoring(q, scorers, None, "exhaustive")[0])
 
     def inner_hits_candidates(self, q, scorers, collapse: str, values, size: int):
-        """Per-partition inner_hits pre-cut: ≤ size best hits per collapse
-        value — (values, scores, locals) columns, driver-mergeable."""
+        """Per-partition inner_hits pre-cut: the ≤ size best hits (score
+        desc, doc asc) of each collapse value in ``values`` — (locals,
+        scores, values) columns, driver-mergeable."""
         docs, scores = self._eval_scoring(q, scorers, None, "exhaustive")
-        v_out: list = []
-        s_out: list = []
-        l_out: list = []
-        if len(docs):
-            coll = self._doc_col(collapse)[docs]
-            # ONE pass over the matching docs regardless of |values|:
-            # factorize membership, lexsort by (group, -score, doc), then
-            # run-length ranks cut at `size`
-            vals_arr = np.asarray(list(values))
-            sorter = np.argsort(vals_arr, kind="stable")
-            codes = np.full(len(coll), -1, np.int64)
-            svals = vals_arr[sorter]
-            idx = np.searchsorted(svals, coll)
-            ok = (idx < len(svals))
-            ok[ok] &= svals[idx[ok]] == coll[ok]
-            codes[ok] = sorter[idx[ok]]
-            m_all = np.flatnonzero(codes >= 0)
-            if len(m_all):
-                c = codes[m_all]
-                order = np.lexsort((docs[m_all], -scores[m_all], c))
-                cs = c[order]
-                starts = np.flatnonzero(np.r_[True, cs[1:] != cs[:-1]])
-                ranks = np.arange(len(cs)) - np.repeat(
-                    starts, np.diff(np.r_[starts, len(cs)]))
-                keep = order[ranks < size]
-                sel = m_all[keep]
-                v_out = np.asarray(list(values))[codes[sel]].tolist()
-                s_out = np.asarray(scores[sel], np.float64).tolist()
-                l_out = np.asarray(docs[sel], np.int64).tolist()
-        return v_out, s_out, l_out
+        coll = self._doc_col(collapse)[docs]
+        m = np.flatnonzero(np.isin(coll, list(values)))
+        order = m[_sort_order([scores[m]], [True], docs[m])]
+        order = order[_rank_within(coll[order]) < size]
+        return docs[order], scores[order], coll[order]
 
     def suggest_candidates(self, tok: str, max_edits: int,
                            prefix_length: int = 1) -> dict[str, int]:
@@ -1506,78 +1515,69 @@ class PartitionSearcher:
             self._term_lens_cache = a
         return a
 
-    def extended_candidates(self, q, scorers, sort, k, search_after=None,
-                            collapse=None, min_score=None, index_sorted=False):
-        """Per-partition candidate collection for the field-sort / collapse /
-        rescore path: exhaustive eval → min_score → sort keys → search_after
-        cursor → per-value best (collapse) → top-k BY SORT ORDER. The driver
-        merges k·P rows; nothing partition-sized leaves the partition.
+    def extended_candidates(self, q, scorers, k, opts):
+        """The exhaustive per-partition collector, for a search whose options
+        need every candidate. It runs the reference's QueryPhase collector
+        chain in its order: terminate_after cut in doc order → post_filter →
+        min_score → sort keys → search_after cursor → collapse (best hit per
+        value) → top-k BY SORT ORDER. Returns (locals, scores, *cols): one
+        column per sort key other than _score, then the collapse values. The
+        driver merges k·P rows; nothing partition-sized leaves the partition.
 
+        ``opts`` (``QueryEngine._query_phase``) holds ``sort`` and any of
+        ``terminate_after``, ``post_filter`` as (query, its scorers),
+        ``min_score``, ``search_after``, ``collapse`` and ``index_sorted``.
         A cursor two entries longer than the sort spec carries the implicit
         (part, doc) tiebreak (the reference's ``_shard_doc`` PIT field), so
         pagination is exact even when sort values tie at a page boundary.
 
-        ``index_sorted=True`` (the engine sets it only when the requested
-        sort is exactly the index sort — field AND direction) takes the
-        early-terminating path of a Lucene sorted index: storage order IS
-        the sort order, so the partition evaluates MATCHES only (no
+        ``index_sorted`` (set only when the requested sort is exactly the
+        index sort — field AND direction — and nothing needs scores) takes
+        the early-terminating path of a Lucene sorted index: storage order
+        IS the sort order, so the partition evaluates MATCHES only (no
         scoring), applies the cursor, and slices the first k — no sort, no
         per-match score. Scores come back NaN (the reference's null _score
         on early-terminated sorted queries)."""
-        empty0 = (np.empty(0, np.int64), np.empty(0, np.float64), [], None)
-        if index_sorted:
+        sort, cursor = opts["sort"], opts.get("search_after")
+        if opts.get("index_sorted"):
             docs = self._eval_filter(q, scorers)
-            if len(docs) == 0:
-                return empty0
-            key_cols = [self._doc_col(sort[0][0])[docs]]
-            if search_after is not None:
-                cols = key_cols
-                ds_ = [sort[0][1] == "desc"]
-                if len(search_after) == len(key_cols) + 2:
-                    cols = key_cols + [np.full(len(docs), self.part, np.int64),
-                                       np.asarray(docs, np.int64)]
-                    ds_ = ds_ + [False, False]
-                keep = _after_mask(cols, ds_, search_after)
-                docs = docs[keep]
-                key_cols = [kc[keep] for kc in key_cols]
-                if len(docs) == 0:
-                    return empty0
-            self.sorted_early_hits = getattr(self, "sorted_early_hits", 0) + 1
-            docs = docs[:k]
-            return (docs, np.full(len(docs), np.nan),
-                    [kc[:k] for kc in key_cols], None)
-        docs, scores = self._eval_scoring(q, scorers, k=None, mode="exhaustive")
-        scores = np.asarray(scores, np.float64)
-        if min_score is not None:
-            keep = scores >= min_score
+            scores = np.full(len(docs), np.nan)
+        else:
+            docs, scores = self._eval_scoring(q, scorers, k=None, mode="exhaustive")
+            scores = np.asarray(scores, np.float64)
+        if "terminate_after" in opts:
+            docs, scores = docs[:opts["terminate_after"]], scores[:opts["terminate_after"]]
+        if "post_filter" in opts:
+            keep = np.isin(docs, self._eval_filter(*opts["post_filter"]), assume_unique=True)
             docs, scores = docs[keep], scores[keep]
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64), [], None)
-        if len(docs) == 0:
-            return empty
+        if "min_score" in opts:
+            keep = scores >= opts["min_score"]
+            docs, scores = docs[keep], scores[keep]
         key_cols = [scores if col == "_score" else self._doc_col(col)[docs]
                     for col, _ in sort]
         descs = [d == "desc" for _, d in sort]
-        if search_after is not None:
+        if cursor is not None:
             cols, ds_ = key_cols, descs
-            if len(search_after) == len(key_cols) + 2:
+            if len(cursor) == len(key_cols) + 2:
                 cols = key_cols + [np.full(len(docs), self.part, np.int64),
                                    np.asarray(docs, np.int64)]
                 ds_ = descs + [False, False]
-            keep = _after_mask(cols, ds_, search_after)
+            keep = _after_mask(cols, ds_, cursor)
             docs, scores = docs[keep], scores[keep]
             key_cols = [kc[keep] for kc in key_cols]
-            if len(docs) == 0:
-                return empty
-        coll = self._doc_col(collapse)[docs] if collapse else None
-        order = _sort_order(key_cols, descs, docs)
-        if collapse is not None:
-            import pandas as pd
-
-            vals = coll[order]
-            order = order[~pd.Series(vals).duplicated().to_numpy()]
-        order = order[:k]
-        return (docs[order], scores[order], [kc[order] for kc in key_cols],
-                coll[order] if collapse is not None else None)
+        cols = [kc for kc, (col, _) in zip(key_cols, sort) if col != "_score"]
+        if "collapse" in opts:
+            cols.append(self._doc_col(opts["collapse"])[docs])
+        if opts.get("index_sorted"):
+            if len(docs):
+                self.sorted_early_hits = getattr(self, "sorted_early_hits", 0) + 1
+            order = np.arange(min(k, len(docs)))
+        else:
+            order = _sort_order(key_cols, descs, docs)
+            if "collapse" in opts:
+                order = order[_rank_within(cols[-1][order]) == 0]
+            order = order[:k]
+        return (docs[order], scores[order], *[c[order] for c in cols])
 
 
 def _ordered_chain(keys_per_term: list, slop: int):
@@ -1626,7 +1626,9 @@ def _sort_order(key_cols, descs, docs, parts=None) -> np.ndarray:
         if desc:
             if a.dtype.kind in "Mm":
                 a = (a.astype("int64")) * -1
-            elif a.dtype.kind in "if":
+            elif a.dtype.kind in "iu":
+                a = ~a  # exact reversal, also beyond 2**53
+            elif a.dtype.kind == "f":
                 a = -a.astype(np.float64)
             else:
                 raise TypeError(f"cannot sort desc on dtype {a.dtype}")
@@ -1801,6 +1803,7 @@ class QueryEngine:
         self._ttf_cache: dict[str, int] = {}
         self._blooms: dict[int, tuple] = {}
         self._lease = None
+        self._view = None  # the pool view key (_open_view); None when local
         self._actors = None
         self._actor_pools = None
         self._num_actors = num_actors
@@ -1829,10 +1832,7 @@ class QueryEngine:
         if os.path.exists(_fz):
             with open(_fz) as f:
                 self.frozen = bool(json.load(f).get("frozen"))
-        if self.frozen:
-            import threading
-
-            self._frozen_lock = threading.Lock()
+        self._frozen_lock = threading.Lock()
         # _field_usage/stats API (rest/action/admin/indices/
         # RestFieldUsageStatsAction, shards/FieldUsageStats.java):
         # coordinator-tracked per-field access counters, bumped on every
@@ -2518,8 +2518,6 @@ class QueryEngine:
         auxiliary read paths (suggesters, terms_enum, completion,
         termvectors) still warm caches — acceptable for the freeze use
         case (rarely-queried archive indices) and documented here."""
-        import threading
-
         if self.parallel == "ray":
             raise ValueError(
                 "freeze() applies to the task/local backend; pooled searcher "
@@ -2530,8 +2528,6 @@ class QueryEngine:
         atomic_write_json(os.path.join(self.index_dir, "frozen.json"),
                           {"frozen": True})
         self.frozen = True
-        if not hasattr(self, "_frozen_lock"):
-            self._frozen_lock = threading.Lock()
         self._release_transient()
 
     def unfreeze(self) -> None:
@@ -2548,39 +2544,31 @@ class QueryEngine:
         self._searchers.clear()
         self._scorer_cache.clear()
 
+    def _read_gate(self, read, *args):
+        """The gate of ``search`` and ``count``: refuse a closed index or a
+        read block (``check_read``, mtime-cached, one os.stat), then run
+        ``read(*args)``; on a frozen index one read at a time (the
+        ``search_throttled`` pool), dropping the readers after it."""
+        from elasticsearch_ray.index import admin as _admin
+
+        _admin.check_read(self.index_dir)
+        if not self.frozen:
+            return read(*args)
+        with self._frozen_lock:
+            try:
+                return read(*args)
+            finally:
+                self._release_transient()
+
     def search(self, q: Query | str, k: int = 10, mode: str = "bmw",
                fetch: tuple = ("url", "doc_id"), sort: list | None = None,
                search_after: tuple | None = None, collapse: str | None = None,
                rescore: tuple | None = None, min_score: float | None = None,
                post_filter: Query | None = None,
                terminate_after: int | None = None) -> pa.Table:
-        from elasticsearch_ray.index import admin as _admin
-
-        # closed index / read API block (mtime-cached, one os.stat)
-        _admin.check_read(self.index_dir)
-        # dynamic settings override wins over the build-time spec value
-        mrw = _admin.effective_max_result_window(self.index_dir,
-                                                 self.spec)
-        if mrw is not None and k > int(mrw):
-            # IndexSettings.MAX_RESULT_WINDOW_SETTING guard (default
-            # 10000 in the reference; OPT-IN here via the spec key since
-            # this engine's k is also the internal deep-fetch vehicle)
-            raise ValueError(
-                f"Result window is too large, from + size must be less "
-                f"than or equal to: [{int(mrw)}] but was [{k}]. See the "
-                f"scroll api for a more efficient way to request large "
-                f"data sets.")
-        if getattr(self, "frozen", False):
-            with self._frozen_lock:  # search_throttled: one at a time
-                try:
-                    return self._search_unfrozen(
-                        q, k, mode, fetch, sort, search_after, collapse,
-                        rescore, min_score, post_filter, terminate_after)
-                finally:
-                    self._release_transient()
-        return self._search_unfrozen(
-            q, k, mode, fetch, sort, search_after, collapse, rescore,
-            min_score, post_filter, terminate_after)
+        return self._read_gate(
+            self._search_unfrozen, q, k, mode, fetch, sort, search_after, collapse,
+            rescore, min_score, post_filter, terminate_after)
 
     def _search_unfrozen(self, q: Query | str, k: int = 10,
                mode: str = "bmw",
@@ -2609,67 +2597,139 @@ class QueryEngine:
                 doc order (QueryPhase terminate_after; counts become lower
                 bounds, like the reference's terminated_early response).
 
-        post_filter/terminate_after evaluate on the engine's own readers;
-        every other path places its top-k by ``_place``. The whole search
-        reads one commit (``_pinned``), also across a concurrent reopen.
+        Every option runs the one query phase (``_query_phase``), placed by
+        ``_place``, or, when the search overlaps another in flight on an
+        engine with coordinators, on a coordinator, which gets the options
+        in one dict. The whole search reads one commit (``_pinned``), also
+        across a concurrent reopen.
         """
+        from elasticsearch_ray.index import admin as _admin
+
+        # dynamic settings override wins over the build-time spec value
+        mrw = _admin.effective_max_result_window(self.index_dir, self.spec)
+        if mrw is not None and k > int(mrw):
+            # IndexSettings.MAX_RESULT_WINDOW_SETTING guard (default
+            # 10000 in the reference; OPT-IN here via the spec key since
+            # this engine's k is also the internal deep-fetch vehicle)
+            raise ValueError(
+                f"Result window is too large, from + size must be less "
+                f"than or equal to: [{int(mrw)}] but was [{k}]. See the "
+                f"scroll api for a more efficient way to request large "
+                f"data sets.")
+        if (post_filter is not None or terminate_after is not None) and (
+                sort or collapse or rescore or search_after):
+            raise ValueError("post_filter/terminate_after cannot be combined "
+                             "with sort/collapse/rescore/search_after")
+        if rescore is not None and sort and list(sort) != [("_score", "desc")]:
+            # QueryRescorer rejects explicit sort + rescore (the rescorer
+            # would silently re-order the sorted window by _score).
+            raise ValueError("Cannot use [sort] option in conjunction with [rescore]")
         eng = self._pinned()
         if isinstance(q, str):
             q = MatchQuery(q)
         q = eng._apply_field_analyzers(eng._rewrite(q))
         eng._track_field_usage(q, fetch, sort, collapse)
-        if post_filter is not None or terminate_after is not None:
-            if sort or collapse or rescore or search_after:
-                raise ValueError("post_filter/terminate_after cannot be combined "
-                                 "with sort/collapse/rescore/search_after")
-            return eng._search_post(q, k, fetch, post_filter, terminate_after,
-                                    min_score)
-        if not eng._actors:
-            return eng._query_phase(q, k, mode, fetch, sort, search_after,
-                                    collapse, rescore, min_score)
+        req = coordinator_request(
+            eng._view, q, k, mode, sort=sort, search_after=search_after,
+            collapse=collapse, rescore=rescore, min_score=min_score,
+            post_filter=post_filter, terminate_after=terminate_after)
         # a search that overlaps another in flight on this engine goes to a
-        # coordinator if there is one, else its top-k fans out (_place); see
-        # CoordinatorActor for the measurements behind both switches
+        # coordinator if there is one, else its query phase fans out
+        # (_place); see CoordinatorActor for the measurements behind both
+        # switches
         with self._inflight_lock:
             eng._overlap = self._inflight > 0
             self._inflight += 1
         try:
-            if not (eng._overlap and eng._coords):
-                return eng._query_phase(q, k, mode, fetch, sort, search_after,
-                                        collapse, rescore, min_score)
-            import ray
+            if eng._overlap and eng._coords:
+                import ray
 
-            self.placements["coordinator"] += 1
-            coord = eng._coords[next(self._coord_rr) % len(eng._coords)]
-            tbl = ray.get(coord((eng._view, q, k, mode, sort, search_after, collapse,
-                                 rescore, min_score)))
-            return eng._attach_fetch(tbl, fetch)
+                self.placements["coordinator"] += 1
+                coord = eng._coords[next(self._coord_rr) % len(eng._coords)]
+                hits = ray.get(coord(req))
+            else:
+                hits = eng._query_phase(*req[1:])
+            return eng._attach_fetch(hits, fetch)
         finally:
             with self._inflight_lock:
                 self._inflight -= 1
 
-    def _query_phase(self, q: Query, k: int, mode: str, fetch: tuple, sort,
-                     search_after, collapse, rescore, min_score) -> pa.Table:
-        """can_match → DFS → top-k, placed by ``_place`` (this engine's own
-        readers, or one fan-out to the searcher actors) → merge → fetch, run
-        by this engine (the driver, or a coordinator's inner engine)."""
-        if sort or collapse or rescore:
-            return self._search_extended(q, k, mode, fetch, sort, search_after, collapse,
-                                         rescore, min_score)
+    def _query_phase(self, q: Query, k: int, mode: str, opts: dict) -> pa.Table:
+        """The query phase of every search, run by this engine (the driver,
+        or a coordinator's inner engine): DFS scorers → can_match → ONE
+        fan-out of a partition collector, placed by ``_place`` (this
+        engine's own readers, or the searcher actors) → one merge
+        (``_merge_hits``) → optional rescore of the top window. Hits without
+        fetch. ``topk`` (BMW) collects when the options (``opts``, as built
+        by ``coordinator_request``) need no full candidate set — none, or only
+        min_score and rescore; ``extended_candidates`` collects for sort,
+        search_after, collapse, post_filter and terminate_after."""
         scorers = self._scorers_cached(q)
         parts = self._candidate_parts(q)
-        results = self._fanout("topk", q, scorers, k, mode, search_after, parts=parts,
-                               pool=self._place(parts))
-        if min_score is not None:
-            results = [(p, (d[s >= min_score], s[s >= min_score])) for p, (d, s) in results]
-        return self._attach_fetch(_merge_topk(results, k), fetch)
+        pool = self._place(parts)
+        rescore = opts.get("rescore")
+        n = k if rescore is None else max(k, rescore[1])
+        if opts.keys() <= {"min_score", "rescore"}:
+            results = self._fanout("topk", q, scorers, n, mode, parts=parts, pool=pool)
+            if "min_score" in opts:
+                ms = opts["min_score"]
+                results = [(p, (d[s >= ms], s[s >= ms])) for p, (d, s) in results]
+            hits = _merge_hits(_hits_table(results), n)
+        else:
+            sort = opts.get("sort") or [("_score", "desc")]
+            copts = {**opts, "sort": sort}
+            copts.pop("rescore", None)
+            if "post_filter" in opts:
+                # the filter may be any query (ES postFilter accepts the full
+                # DSL): it needs its OWN scorers for analyzed/phrase members
+                pf = self._apply_field_analyzers(self._rewrite(opts["post_filter"]))
+                copts["post_filter"] = (pf, self._scorers(pf))
+            # index-sorting early termination (Lucene sorted-index search):
+            # only when the requested sort IS the index sort (field and
+            # direction) and nothing needs scores or full candidate sets
+            sf = self.spec.get("sort_field")
+            copts["index_sorted"] = bool(
+                sf and list(sort) == [(sf, self.spec.get("sort_order", "asc"))]
+                and not opts.keys() & {"rescore", "collapse", "min_score"})
+            results = self._fanout("extended_candidates", q, scorers, n, copts,
+                                   parts=parts, pool=pool)
+            keys = [("score" if col == "_score" else f"key{i}", d)
+                    for i, (col, d) in enumerate(sort)]
+            names = [c for c, _ in keys if c != "score"] + ["collapse"] * ("collapse" in opts)
+            hits = _merge_hits(_hits_table(results, names), n, keys,
+                               ("collapse", 1) if "collapse" in opts else None)
+        if rescore is not None:
+            hits = self._rescore(hits, rescore, pool)
+        return hits.select(["rank", "score", "part", "local"]).slice(0, k)
+
+    def _rescore(self, hits: pa.Table, rescore: tuple, pool) -> pa.Table:
+        """QueryRescorer over the top ``window`` hits: score·query_weight +
+        rescore score·rescore_weight (a hit the rescore query misses keeps
+        score·query_weight), re-merged; the hits below the window keep their
+        order. Each partition scores only its own window rows
+        (``window_scores``) on the query phase's pool."""
+        rq, window, qw, rw = rescore
+        top = hits.slice(0, window)
+        if not len(top):
+            return hits
+        rq = self._apply_field_analyzers(self._rewrite(rq))
+        parts, locs = top["part"].to_numpy(), top["local"].to_numpy()
+        want = {int(p): locs[parts == p] for p in np.unique(parts)}
+        extra = np.full(len(top), np.nan)
+        for p, sc in self._fanout("window_scores", rq, self._scorers(rq), want,
+                                  parts=list(want), pool=pool):
+            extra[parts == p] = sc
+        base = top["score"].to_numpy() * qw
+        top = top.set_column(top.column_names.index("score"), "score",
+                             pa.array(np.where(np.isnan(extra), base, base + extra * rw)))
+        return pa.concat_tables([_merge_hits(top), hits.slice(window)])
 
     def _place(self, parts):
-        """Where one query's top-k over candidate ``parts`` runs: the actor
-        pool to fan out to, or the empty pool ``()`` for this engine's own
-        readers (which the DFS just opened). P is the number of actors that
-        hold candidate partitions, capped by the cluster's CPUs. At P ≤ 1 a
-        fan-out buys no parallelism, only the actor round trip: on one
+        """Where one search's collector (and rescore pass) over candidate
+        ``parts`` runs: the actor pool to fan out to, or the empty pool
+        ``()`` for this engine's own readers (which the DFS just opened). P
+        is the number of actors that hold candidate partitions, capped by
+        the cluster's CPUs. At P ≤ 1 a fan-out buys no parallelism, only the actor round trip: on one
         pinned CPU (4 partitions of perfbench's Zipf pages, 1200 distinct
         stream queries, raw) the top-k's p50 was 2.7 ms in-process against
         5.2 ms through the actors. At P > 1 it fans out, as every search
@@ -2688,36 +2748,6 @@ class QueryEngine:
                 return pool
         self.placements["driver"] += 1
         return ()
-
-    def _search_post(self, q: Query, k: int, fetch: tuple,
-                     post_filter: Query | None, terminate_after: int | None,
-                     min_score: float | None = None) -> pa.Table:
-        """post_filter / terminate_after path: per-partition exhaustive
-        collection (terminate_after is a COLLECTION-order cut, so the scored
-        stream must be walked in doc order, not best-first), filter
-        intersection without score changes, then the usual merged top-k."""
-        scorers = self._scorers_cached(q)
-        pf = pf_scorers = None
-        if post_filter is not None:
-            # the filter may be any query (ES postFilter accepts the full
-            # DSL) — it needs its OWN scorers for analyzed/phrase members
-            pf = self._apply_field_analyzers(self._rewrite(post_filter))
-            pf_scorers = self._scorers(pf)
-        results = []
-        for p in self.parts:
-            s = self._searcher(p)
-            docs, scores = s._eval_scoring(q, scorers, k=None, mode="exhaustive")
-            if terminate_after is not None:
-                docs, scores = docs[:terminate_after], scores[:terminate_after]
-            if pf is not None and len(docs):
-                fd = s._eval_filter(pf, pf_scorers)
-                keep = np.isin(docs, fd, assume_unique=True)
-                docs, scores = docs[keep], scores[keep]
-            if min_score is not None and len(docs):
-                m = np.asarray(scores) >= min_score
-                docs, scores = docs[m], np.asarray(scores)[m]
-            results.append((p, (docs, scores)))
-        return self._attach_fetch(_merge_topk(results, k), fetch)
 
     def analyze(self, text: str, analyzer: str | None = None,
                 explain: bool = False):
@@ -2763,31 +2793,15 @@ class QueryEngine:
             q = MatchQuery(q)
         q = self._apply_field_analyzers(self._rewrite(q))
         scorers = self._scorers_cached(q)
-        # dedupe, order-preserving: duplicate values would duplicate
-        # candidate rows AND multiply through the _attach_fetch join
-        vals = list(dict.fromkeys(values))
-        rows = {"_coll": [], "score": [], "part": [], "local": []}
-        for p, (v_arr, sc_arr, loc_arr) in self._fanout(
-                "inner_hits_candidates", q, scorers, collapse, vals, size):
-            rows["_coll"].extend(v_arr)
-            rows["score"].extend(sc_arr)
-            rows["part"].extend([p] * len(v_arr))
-            rows["local"].extend(loc_arr)
-        import pandas as pd
-
-        df = pd.DataFrame(rows)
-        if len(df):
-            df = (df.sort_values(["_coll", "score", "part", "local"],
-                                 ascending=[True, False, True, True])
-                  .groupby("_coll").head(size).reset_index(drop=True))
-            df["inner_rank"] = df.groupby("_coll").cumcount() + 1
-        else:
-            df["inner_rank"] = pd.Series([], dtype="int64")
-        # global rank over (group, inner_rank) — _attach_fetch re-sorts on it
-        df["rank"] = np.arange(1, len(df) + 1)
-        tbl = pa.Table.from_pandas(
-            df.rename(columns={"_coll": collapse}), preserve_index=False)
-        return self._attach_fetch(tbl, fetch)
+        got = self._fanout("inner_hits_candidates", q, scorers, collapse, list(values), size)
+        hits = _merge_hits(_hits_table(got, [collapse]), None,
+                           ((collapse, "asc"), ("score", "desc")), (collapse, size))
+        # global rank over (group, inner_rank)
+        inner_rank = _rank_within(hits[collapse].to_numpy()) + 1
+        return self._attach_fetch(
+            hits.select([collapse, "score", "part", "local"])
+            .append_column("inner_rank", pa.array(inner_rank, pa.int64()))
+            .append_column("rank", hits["rank"]), fetch)
 
     def termvectors(self, doc_id: int | None = None, doc: str | None = None,
                     **kw) -> dict:
@@ -2996,21 +3010,8 @@ class QueryEngine:
         """The `_count` API (TransportCountAction): total matching docs.
         Per-partition match-set SIZES sum on the driver — no top-k merge,
         no score sort, no fetch, and from actors only an int per pool
-        member crosses the wire."""
-        from elasticsearch_ray.index import admin as _admin
-
-        _admin.check_read(self.index_dir)
-        if getattr(self, "frozen", False):
-            # frozen contract covers _count too: throttled + transient
-            # readers (review r5 #4); other read paths (suggest,
-            # terms_enum, completion) keep warm caches — out of the
-            # frozen scope here, noted in freeze()'s docstring
-            with self._frozen_lock:
-                try:
-                    return self._count_unfrozen(q)
-                finally:
-                    self._release_transient()
-        return self._count_unfrozen(q)
+        member crosses the wire. Frozen indices throttle it like search."""
+        return self._read_gate(self._count_unfrozen, q)
 
     def _count_unfrozen(self, q: "Query | str") -> int:
         if isinstance(q, str):
@@ -3272,96 +3273,24 @@ class QueryEngine:
                 break
         return out
 
-    def _search_extended(self, q, k, mode, fetch, sort, search_after, collapse,
-                         rescore, min_score):
-        """Field-sort / collapse / rescore path — DISTRIBUTED: each partition
-        returns its top-k (top max(k, rescore window)) candidates by the
-        FINAL sort order (cursor + collapse applied inside the partition);
-        the driver merges ≤ k·P rows. One ``_place`` decision places both
-        the candidate pass and the rescore pass."""
-        scorers = self._scorers_cached(q)
-        if rescore is not None and sort and list(sort) != [("_score", "desc")]:
-            # QueryRescorer rejects explicit sort + rescore (the rescorer
-            # would silently re-order the sorted window by _score).
-            raise ValueError("Cannot use [sort] option in conjunction with [rescore]")
-        sort = sort or [("_score", "desc")]
-        descs = [d == "desc" for _, d in sort]
-        fetch_k = k if rescore is None else max(k, rescore[1])
-        # index-sorting early termination (Lucene sorted-index search): only
-        # when the requested sort IS the index sort (field and direction)
-        # and nothing needs scores or full candidate sets
-        index_sorted = bool(
-            self.spec.get("sort_field")
-            and len(sort) == 1
-            and sort[0] == (self.spec["sort_field"], self.spec.get("sort_order", "asc"))
-            and rescore is None and collapse is None and min_score is None
-        )
-        pool = self._place(self.parts)
-        per_part = [(p, *r) for p, r in self._fanout(
-            "extended_candidates", q, scorers, sort, fetch_k, search_after, collapse,
-            min_score, index_sorted, pool=pool) if len(r[0])]
-        if not per_part:
-            return _merge_topk([], k)
-        parts_a = np.concatenate([np.full(len(d), p, np.int64) for p, d, *_ in per_part])
-        docs_a = np.concatenate([d for _, d, *_ in per_part])
-        scores_a = np.concatenate([s for _, _, s, _, _ in per_part])
-        nk = len(sort)
-        key_cols = [np.concatenate([r[3][i] for r in per_part]) for i in range(nk)]
-        coll_a = np.concatenate([r[4] for r in per_part]) if collapse else None
-
-        order = _sort_order(key_cols, descs, docs_a, parts_a)
-        if collapse is not None:
-            import pandas as pd
-
-            vals = coll_a[order]
-            order = order[~pd.Series(vals).duplicated().to_numpy()]
-        if rescore is not None:
-            rq, window, qw, rw = rescore
-            rq = self._apply_field_analyzers(self._rewrite(rq))
-            window_idx = order[:window]
-            rscorers = self._scorers(rq)
-            need_parts = np.unique(parts_a[window_idx]).tolist()
-            rmap: dict[tuple, float] = {}
-            for p, (rd_, rs) in self._fanout("_eval_scoring", rq, rscorers, None, "exhaustive",
-                                             parts=need_parts, pool=pool):
-                for d, sc in zip(rd_.tolist(), np.asarray(rs, np.float64).tolist()):
-                    rmap[(int(p), d)] = sc
-            new_scores = scores_a.copy()
-            for i in window_idx:
-                base = scores_a[i] * qw
-                extra = rmap.get((int(parts_a[i]), int(docs_a[i])), None)
-                new_scores[i] = base + (extra * rw if extra is not None else 0.0)
-            sub = window_idx[np.lexsort((docs_a[window_idx], parts_a[window_idx],
-                                         -new_scores[window_idx]))]
-            order = np.concatenate([sub, order[window:]])
-            scores_a = new_scores
-        order = order[:k]
-        tbl = pa.table(
-            {
-                "rank": pa.array(np.arange(1, len(order) + 1)),
-                "score": pa.array(scores_a[order]),
-                "part": pa.array(parts_a[order]),
-                "local": pa.array(docs_a[order]),
-            }
-        )
-        return self._attach_fetch(tbl, fetch)
-
     def _attach_fetch(self, tbl, fetch):
-        """Fetch phase: join ``fetch`` doc columns onto a hits table by its
-        (part, local) columns, keeping rank order."""
+        """Fetch phase: append the ``fetch`` doc columns of each hit of a
+        hits table: one ``doc_fields`` read per partition, placed by the
+        hits' (part, local) positions with one ``take``."""
         if not fetch or len(tbl) == 0:
             return tbl
         parts_a = tbl["part"].to_numpy()
-        docs_a = tbl["local"].to_numpy()
-        fetched = []
-        for p in np.unique(parts_a):
-            mask = parts_a == p
-            ft = self._searcher(int(p)).r.doc_fields(docs_a[mask], fetch)
-            ft = ft.append_column("part", pa.array(np.full(mask.sum(), p, np.int64)))
-            ft = ft.append_column("local", pa.array(docs_a[mask]))
-            fetched.append(ft)
-        f = pa.concat_tables(fetched)
-        return tbl.join(f, keys=["part", "local"], join_type="left outer").sort_by("rank")
+        order = np.argsort(parts_a, kind="stable")
+        ps, starts = np.unique(parts_a[order], return_index=True)
+        fetched = pa.concat_tables([
+            self._searcher(int(p)).r.doc_fields(locs, fetch)
+            for p, locs in zip(ps, np.split(tbl["local"].to_numpy()[order], starts[1:]))])
+        pos = np.empty(len(order), np.int64)
+        pos[order] = np.arange(len(order))
+        fetched = fetched.take(pos)
+        for name in fetched.column_names:
+            tbl = tbl.append_column(name, fetched[name])
+        return tbl
 
     def fetch_source(self, part: int, locals_: np.ndarray, columns=None) -> pa.Table:
         """_source fetch via lineage: read the original input rows for hits
@@ -4130,7 +4059,9 @@ class CoordinatorActor:
     queries), scoring every coordinator search in-process cost a single
     coordinator 30% of its QPS (≈135 vs ≈200) while 4 coordinators gained;
     the overlap switch keeps both at or above fanning out every time. The
-    handoff ships one request tuple (see ``search``). A search with nothing
+    handoff ships one request tuple whose search options travel in one
+    dict (``coordinator_request``), so a search with any option is placed
+    here like a plain one. A search with nothing
     else in flight runs the query phase on the driver. Measured on one
     pinned CPU before in-process placement, 4-partition Zipf index:
     sequential distinct queries p50 11.8 → 7.4 ms
@@ -4179,13 +4110,22 @@ class CoordinatorActor:
                     for k, e in self.engines.items()}
 
     def search(self, req):
-        """Hits without fetch for ``req`` = (view key, q, k, mode, sort,
-        search_after, collapse, rescore, min_score): one argument, because
-        Ray serializes each positional argument on its own (≈50 µs each)."""
-        key, q, k, mode, sort, search_after, collapse, rescore, min_score = req
-        return self.engines[key].search(q, k=k, mode=mode, fetch=(), sort=sort,
-                                        search_after=search_after, collapse=collapse,
-                                        rescore=rescore, min_score=min_score)
+        """Hits without fetch for ``req``, built by ``coordinator_request``.
+        One argument, because Ray serializes each positional argument on
+        its own (≈50 µs each)."""
+        key, q, k, mode, opts = req
+        return self.engines[key].search(q, k=k, mode=mode, fetch=(), **opts)
+
+
+def coordinator_request(view, q, k: int = 10, mode: str = "bmw", **options) -> tuple:
+    """The one argument of ``CoordinatorActor.search``: (view key, q, k,
+    mode, options), where ``options`` is the dict of ``QueryEngine.search``
+    keyword options that are set (sort, search_after, collapse, rescore,
+    min_score, post_filter, terminate_after); a None value, an empty sort
+    and an empty collapse are left out. ``QueryEngine._query_phase`` takes
+    the same (q, k, mode, options)."""
+    return (view, q, k, mode, {o: v for o, v in options.items()
+                               if v is not None and (v or o not in ("sort", "collapse"))})
 
 
 class _Lease:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from elasticsearch_ray.search.engine import QueryEngine
+from elasticsearch_ray.search.engine import QueryEngine, _merge_hits
 from elasticsearch_ray.search.query import MatchQuery, query_terms
 
 
@@ -139,16 +139,8 @@ class MultiIndexEngine:
                                  pa.array(t["score"].to_numpy() * b))
             tables.append(t.append_column("_index", pa.array(
                 np.full(len(t), i, dtype=np.int64))))
-        merged = pa.concat_tables(tables, promote_options="default")
-        if len(merged) == 0:
-            return merged
-        score = merged["score"].to_numpy()
-        order = np.lexsort((merged["local"].to_numpy(),
-                            merged["part"].to_numpy(),
-                            merged["_index"].to_numpy(), -score))[:k]
-        out = merged.take(order)
-        return out.set_column(out.column_names.index("rank"), "rank",
-                              pa.array(np.arange(1, len(out) + 1)))
+        return _merge_hits(pa.concat_tables(tables, promote_options="default"), k,
+                           (("score", "desc"), ("_index", "asc")))
 
     def count(self, q) -> int:
         """Cross-index `_count`: per-index counts summed (stats-independent)."""

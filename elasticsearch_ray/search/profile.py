@@ -7,9 +7,10 @@ timing — rewrite, weight creation (the stats/scorer phase), can_match
 pruning, per-partition scoring (one entry per shard, like the reference's
 per-shard ProfileShardResult), merge, fetch. It keeps its own
 per-partition loop (for the per-shard timings) but reuses the engine's
-candidate selection (``QueryEngine._candidate_parts``) and top-k merge
-(``engine._merge_topk``), so it scores the same partitions and returns the
-SAME hits a plain search returns, plus the profile tree.
+candidate selection (``QueryEngine._candidate_parts``), top-k collector
+(``PartitionSearcher.topk``) and hit merge (``engine._merge_hits``), so it
+scores the same partitions and returns the SAME hits a plain search
+returns, plus the profile tree.
 
 _cat (``rest/action/cat/RestIndicesAction.java``,
 ``RestSegmentsAction.java``, ``RestCountAction.java``): fixed-column
@@ -24,7 +25,7 @@ import time
 
 import pandas as pd
 
-from elasticsearch_ray.search.engine import _merge_topk
+from elasticsearch_ray.search.engine import _hits_table, _merge_hits
 from elasticsearch_ray.search.query import MatchQuery
 
 
@@ -69,7 +70,7 @@ def profile_search(eng, q, k: int = 10, mode: str = "bmw",
         results.append((p, (d, s)))
 
     t0 = time.perf_counter_ns()
-    tbl = _merge_topk(results, k)
+    tbl = _merge_hits(_hits_table(results), k)
     merge_ns = time.perf_counter_ns() - t0
 
     t0 = time.perf_counter_ns()

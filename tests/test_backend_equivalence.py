@@ -18,9 +18,10 @@ from elasticsearch_ray.index.build import build_index
 from elasticsearch_ray.index.spec import IndexSpec
 from elasticsearch_ray.search import engine as engine_mod
 from elasticsearch_ray.search.async_search import AsyncSearchService
-from elasticsearch_ray.search.engine import CoordinatorActor, PartitionSearcher, QueryEngine
+from elasticsearch_ray.search.engine import (CoordinatorActor, PartitionSearcher, QueryEngine,
+                                            _sort_order, coordinator_request)
 from elasticsearch_ray.search.profile import profile_search
-from elasticsearch_ray.search.query import IntervalsQuery, MatchQuery, TermQuery
+from elasticsearch_ray.search.query import IntervalsQuery, MatchQuery, TermFilter, TermQuery
 
 N_PARTS = 4
 NEEDLE = "zzneedle"  # planted into one file only → one partition
@@ -105,9 +106,9 @@ def _set_cpus(monkeypatch, cpus: int, *engines) -> None:
 
 
 def _request(view, kw) -> tuple:
-    """The coordinator request tuple for one case's search keywords."""
-    return (view, kw["q"], kw["k"], kw.get("mode", "bmw"), kw.get("sort"),
-            kw.get("search_after"), None, None, None)
+    """The coordinator request for one case's search keywords (all but
+    fetch, which stays on the driver)."""
+    return coordinator_request(view, **{n: v for n, v in kw.items() if n != "fetch"})
 
 
 def test_backends_agree_on_every_read_api(zipf, backends, monkeypatch):
@@ -131,6 +132,15 @@ def test_backends_agree_on_every_read_api(zipf, backends, monkeypatch):
             k=10, fetch=("url",)),
         "search_field_sort": dict(q=q, k=10, sort=[("ts", "desc")],
                                   fetch=("url", "ts")),
+        "search_post_filter": dict(q=q, k=10, post_filter=TermFilter(column="lang", value="en"),
+                                   fetch=("url", "lang")),
+        "search_post_filter_scoring": dict(q=q, k=10, post_filter=MatchQuery(v[7]),
+                                           fetch=("url",)),
+        "search_terminate_after": dict(q=q, k=10, terminate_after=4, fetch=("url",)),
+        "search_min_score": dict(q=q, k=10, min_score=page1[2]["score"], fetch=("url",)),
+        "search_collapse": dict(q=q, k=10, collapse="lang", fetch=("url", "lang")),
+        "search_rescore": dict(q=q, k=10, rescore=(MatchQuery(f"{v[1]} {v[7]}"), 20, 1.0, 2.0),
+                               fetch=("url",)),
     }
     calls = {
         **{name: (lambda e, kw=kw: e.search(**kw).to_pylist())
@@ -172,19 +182,20 @@ def test_backends_agree_on_every_read_api(zipf, backends, monkeypatch):
     engines = (backends["actors"], coord, inner.engines[coord._view])
     for cpus in (4, 1):
         _set_cpus(monkeypatch, cpus, *engines)
-        before = [dict(e.placements) for e in engines]
         for name, kw in searches.items():
             want = calls[name](local)
-            for backend in ("actors", "coordinator"):
-                assert calls[name](backends[backend]) == want, (name, backend, cpus)
-            tbl = inner.search(_request(coord._view, kw))
-            assert coord._attach_fetch(tbl, kw["fetch"]).to_pylist() == want, (name, cpus)
-        # on 4 CPUs only the needle's top-k stays put: it sits in one
-        # partition, so on one actor
-        fanouts = len(searches) - 1 if cpus > 1 else 0
-        for e, b in zip(engines, before):
-            assert e.placements["fanout"] - b["fanout"] == fanouts, cpus
-            assert e.placements["driver"] - b["driver"] == len(searches) - fanouts, cpus
+            runs = [lambda: calls[name](backends["actors"]),
+                    lambda: calls[name](coord),
+                    lambda: coord._attach_fetch(inner.search(_request(coord._view, kw)),
+                                                kw["fetch"]).to_pylist()]
+            # every option is placed once, like a plain search; on 4 CPUs
+            # only the needle's query phase stays put: it sits in one
+            # partition, so on one actor
+            placed = "fanout" if cpus > 1 and name != "search_needle" else "driver"
+            for e, run in zip(engines, runs):
+                before = dict(e.placements)
+                assert run() == want, (name, e.parallel, cpus)
+                assert e.placements == {**before, placed: before[placed] + 1}, (name, cpus)
 
 
 @pytest.mark.parametrize("backend,first", [("actors", 500), ("coordinator", 520)])
@@ -373,3 +384,50 @@ def test_dfs_gather_once_per_fresh_term(zipf, tmp_path, monkeypatch):
         calls.clear()
         eng.search(TermQuery(term), k=5)  # cached: no gather at all
         assert calls == []
+
+
+def test_rescore_ships_only_its_window(zipf, backends, monkeypatch):
+    """The rescore pass returns one score per window row, however many docs
+    the rescore query matches, and re-ranks the window as QueryRescorer
+    does: score·query_weight + rescore score·rescore_weight, and
+    score·query_weight alone where the rescore query misses."""
+    _idx, v = zipf
+    local = backends["local"]
+    q, rq = MatchQuery(f"{v[5]} {v[30]} {v[200]}"), MatchQuery(v[3])
+    window, qw, rw = 12, 0.5, 3.0
+    rescored = {(r["part"], r["local"]): r["score"]
+                for r in local.search(rq, k=10**6, mode="exhaustive", fetch=()).to_pylist()}
+    assert len(rescored) > 10 * window  # the rescore query matches far more than the window
+    top = local.search(q, k=window, fetch=()).to_pylist()
+    assert len(top) == window
+    for r in top:
+        extra = rescored.get((r["part"], r["local"]))
+        r["score"] = r["score"] * qw + (extra * rw if extra is not None else 0.0)
+    assert any((r["part"], r["local"]) not in rescored for r in top)
+    want = [(r["part"], r["local"], r["score"])
+            for r in sorted(top, key=lambda r: (-r["score"], r["part"], r["local"]))[:10]]
+    shipped = []
+
+    def counted(fanout):
+        def wrapper(method, *a, **kw):
+            out = fanout(method, *a, **kw)
+            if method == "window_scores":
+                shipped.append(sum(len(s) for _p, s in out))
+            return out
+        return wrapper
+
+    for name, eng in backends.items():
+        monkeypatch.setattr(eng, "_fanout", counted(eng._fanout))
+        shipped.clear()
+        got = eng.search(q, k=10, fetch=(), rescore=(rq, window, qw, rw)).to_pylist()
+        assert [(r["part"], r["local"], r["score"]) for r in got] == want, name
+        assert [r["rank"] for r in got] == list(range(1, 11)), name
+        assert shipped == [window], name
+
+
+def test_merge_orders_large_ints_exactly():
+    """A descending integer sort key keeps its order beyond 2**53, where
+    float64 would make neighbours tie and fall back to (part, doc)."""
+    big = np.array([2**53, 2**53 + 1, 2**62, -(2**62)], np.int64)
+    assert _sort_order([big], [True], np.arange(4)).tolist() == [2, 1, 0, 3]
+    assert _sort_order([big.astype(np.uint64)[:3]], [True], np.arange(3)).tolist() == [2, 1, 0]
