@@ -71,92 +71,63 @@ def reindex(
     return {"shards": len(shards), "skipped": skipped, "rows": rows}
 
 
-def _rewrite_partition(batch: pa.Table, cfg: dict) -> pa.Table:
-    """One task per partition: evaluate the query locally, then rewrite the
-    partition's OWN input files — delete-by-query drops matching rows,
-    update-by-query pipes matching rows through the processor chain. No
-    broadcast of a corpus-sized id set; output is one file per input file
-    (partitioned; the destination is recreated fresh each run)."""
+def _rewrite_partition(s, docs, _scores, cfg: dict) -> pa.Table:
+    """One partition's task of the engine's all-hits pass: with the query's
+    hits ``docs`` in hand, rewrite the partition's OWN input files —
+    delete-by-query drops matching rows, update-by-query pipes matching rows
+    through the processor chain. No broadcast of a corpus-sized id set;
+    output is one file per input file (partitioned; the destination is
+    recreated fresh each run)."""
     import numpy as np
 
-    from elasticsearch_ray.search.engine import _hl_searcher
-
     pipe = Pipeline(cfg["processors"])  # Pipeline([]) is the identity
-    outs = []
-    for part in batch["part"].to_pylist():
-        s = _hl_searcher(cfg["index_dir"], int(part), cfg["analyzer"],
-                         cfg["params_kb"], cfg["dtype"])
-        docs, _ = s._eval_scoring(cfg["q"], cfg["scorers"], k=None, mode="exhaustive")
-        docs = np.asarray(docs, dtype=np.int64)
-        paths = s.r.manifest["input_path"]
-        if isinstance(paths, str):
-            paths = [paths]
-        base = 0
-        n_out = 0
-        for fi, pth in enumerate(paths):
-            t = pq.read_table(pth)
-            n = len(t)
-            in_file = docs[(docs >= base) & (docs < base + n)] - base
-            mask = np.zeros(n, dtype=bool)
-            mask[in_file] = True
-            if cfg["mode"] == "delete":
-                t = t.filter(pa.array(~mask))
-            elif mask.any():  # update: pipe matching rows, splice back
-                df = t.to_pandas()
-                out = pipe(df.loc[mask].copy())
-                # splice POSITIONALLY (label alignment would NaN-fill if a
-                # processor reindexed); row-dropping or column-removing
-                # processors cannot be spliced — that's reindex_query's job
-                if len(out) != int(mask.sum()):
-                    raise ValueError("update_by_query processors must keep the "
-                                     "row count (use reindex_query to drop rows)")
-                for c in out.columns:  # script-added fields extend the schema
-                    if c not in df.columns:
-                        df[c] = None
-                missing = set(df.columns) - set(out.columns)
-                if missing:
-                    raise ValueError(f"update_by_query processors removed "
-                                     f"columns {sorted(missing)}")
-                df.loc[mask, list(df.columns)] = out[list(df.columns)].to_numpy()
-                t = pa.Table.from_pandas(df, preserve_index=False)
-            out_path = os.path.join(cfg["dst_dir"], f"part-{int(part):05d}-{fi:03d}.parquet")
-            tmp = out_path + ".tmp"
-            pq.write_table(t, tmp)
-            os.replace(tmp, out_path)
-            n_out += len(t)
-            base += n
-        outs.append({"part": int(part), "rows": n_out})
-    return pa.Table.from_pylist(outs)
+    paths = s.r.manifest["input_path"]
+    if isinstance(paths, str):
+        paths = [paths]
+    base = 0
+    n_out = 0
+    for fi, pth in enumerate(paths):
+        t = pq.read_table(pth)
+        n = len(t)
+        in_file = docs[(docs >= base) & (docs < base + n)] - base
+        mask = np.zeros(n, dtype=bool)
+        mask[in_file] = True
+        if cfg["mode"] == "delete":
+            t = t.filter(pa.array(~mask))
+        elif mask.any():  # update: pipe matching rows, splice back
+            df = t.to_pandas()
+            out = pipe(df.loc[mask].copy())
+            # splice POSITIONALLY (label alignment would NaN-fill if a
+            # processor reindexed); row-dropping or column-removing
+            # processors cannot be spliced — that's reindex_query's job
+            if len(out) != int(mask.sum()):
+                raise ValueError("update_by_query processors must keep the "
+                                 "row count (use reindex_query to drop rows)")
+            for c in out.columns:  # script-added fields extend the schema
+                if c not in df.columns:
+                    df[c] = None
+            missing = set(df.columns) - set(out.columns)
+            if missing:
+                raise ValueError(f"update_by_query processors removed "
+                                 f"columns {sorted(missing)}")
+            df.loc[mask, list(df.columns)] = out[list(df.columns)].to_numpy()
+            t = pa.Table.from_pandas(df, preserve_index=False)
+        out_path = os.path.join(cfg["dst_dir"], f"part-{s.part:05d}-{fi:03d}.parquet")
+        tmp = out_path + ".tmp"
+        pq.write_table(t, tmp)
+        os.replace(tmp, out_path)
+        n_out += len(t)
+        base += n
+    return pa.table({"part": [s.part], "rows": [n_out]})
 
 
 def _by_query(engine, dst_dir: str, q, mode: str, processors: list | None) -> int:
-    from elasticsearch_ray.search.query import MatchQuery
-
-    if isinstance(q, str):
-        q = MatchQuery(q)
-    q = engine._apply_field_analyzers(engine._rewrite(q))
-    scorers = engine._scorers_cached(q)
     import shutil
 
     shutil.rmtree(dst_dir, ignore_errors=True)  # deterministic names: stale
     os.makedirs(dst_dir, exist_ok=True)         # files must not mix in
-    cfg = {
-        "index_dir": engine.index_dir,
-        "q": q,
-        "scorers": scorers,
-        "analyzer": engine.analyzer_name,
-        "params_kb": (engine.params.k1, engine.params.b),
-        "dtype": engine.dtype,
-        "dst_dir": dst_dir,
-        "mode": mode,
-        "processors": processors or [],
-    }
-    res = (
-        rd.from_items([{"part": int(p)} for p in engine.parts],
-                      override_num_blocks=len(engine.parts))
-        .map_batches(_rewrite_partition, fn_args=(cfg,), batch_format="pyarrow")
-        .take_all()
-    )
+    res = engine._all_hits_ds(q, _rewrite_partition, dst_dir=dst_dir, mode=mode,
+                              processors=processors or []).take_all()
     if mode == "update" and processors:
         _unify_output_schema(dst_dir)
     return sum(r["rows"] for r in res)

@@ -10,10 +10,13 @@ search beat the timeout, else a PARTIAL response (``is_partial=True``,
 ``delete`` cancels/forgets. Responses expire ``keep_alive`` seconds
 after submit unless refreshed by ``get(..., keep_alive=...)``.
 
-Execution model: partitions play the reference's shards. The engine's
-candidate selection (``QueryEngine._candidate_parts``) decides which
-partitions can match; the rest count as completed up front, like the
-reference's can_match-skipped shards. A background thread walks the
+Execution model: partitions play the reference's shards. A search runs on
+a snapshot of the engine (``QueryEngine._pinned``) behind the same gate as
+``search`` (``_read_gate``: a closed or read-blocked index fails it, and
+``get`` or ``submit`` raises the error), and its fetch reads the same
+snapshot. The engine's candidate selection (``_candidate_parts``) decides
+which partitions can match; the rest count as completed up front, like
+the reference's can_match-skipped shards. A background thread walks the
 candidates, adding each partition's top-k to a mutable response under a
 lock (MutableSearchResponse.updatePartialResponse); readers snapshot it
 without blocking the runner. Partial hits go through the engine's one
@@ -36,10 +39,11 @@ class AsyncSearchError(KeyError):
 
 
 class _Task:
-    def __init__(self, total_shards: int, keep_alive: float):
+    def __init__(self, engine, keep_alive: float):
+        self.engine = engine  # the pinned engine the search and its fetch run on
         self.lock = threading.Lock()
         self.done = threading.Event()
-        self.total_shards = total_shards
+        self.total_shards = len(engine.parts)
         self.completed = 0
         self.results = []  # (part, (docs, scores))
         self.error: Exception | None = None
@@ -66,12 +70,8 @@ class AsyncSearchService:
                _between_parts=None) -> dict:
         """Start an async search; ``_between_parts`` is a test hook
         called after every completed partition."""
-        from elasticsearch_ray.search.query import MatchQuery
-
-        eng = self.engine
-        if isinstance(q, str):
-            q = MatchQuery(q)
-        q_resolved = eng._apply_field_analyzers(eng._rewrite(q))
+        eng = self.engine._pinned()
+        q = eng._prepare(q)
         # reap expired entries (the reference's maintenance service) so a
         # fire-and-forget caller can't grow the store unboundedly
         now = time.time()
@@ -80,24 +80,27 @@ class AsyncSearchService:
             self._tasks[tid].cancelled = True
             del self._tasks[tid]
         task_id = f"async_{next(self._ids)}"
-        task = _Task(len(eng.parts), keep_alive)
+        task = _Task(eng, keep_alive)
         self._tasks[task_id] = task
+
+        def search():
+            scorers = eng._scorers_cached(q)
+            cand = eng._candidate_parts(q)
+            with task.lock:
+                task.completed = len(eng.parts) - len(cand)
+            for p in cand:
+                if task.cancelled:
+                    return
+                d, s = eng._searcher(p).topk(q, scorers, k, mode)
+                with task.lock:
+                    task.results.append((p, (d, s)))
+                    task.completed += 1
+                if _between_parts is not None:
+                    _between_parts(p)
 
         def run():
             try:
-                scorers = eng._scorers_cached(q_resolved)
-                cand = eng._candidate_parts(q_resolved)
-                with task.lock:
-                    task.completed = len(eng.parts) - len(cand)
-                for p in cand:
-                    if task.cancelled:
-                        return
-                    d, s = eng._searcher(p).topk(q_resolved, scorers, k, mode)
-                    with task.lock:
-                        task.results.append((p, (d, s)))
-                        task.completed += 1
-                    if _between_parts is not None:
-                        _between_parts(p)
+                eng._read_gate(search)
             except Exception as e:  # surfaced via get(), like the ref
                 task.error = e
             finally:
@@ -153,7 +156,7 @@ class AsyncSearchService:
         with task.lock:
             results = list(task.results)
             completed = task.completed
-        tbl = self.engine._attach_fetch(_merge_hits(_hits_table(results), k), fetch)
+        tbl = task.engine._attach_fetch(_merge_hits(_hits_table(results), k), fetch)
         return {"id": task_id, "is_running": running,
                 "is_partial": running,
                 "start_time": task.start_time,

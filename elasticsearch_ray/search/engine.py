@@ -1,6 +1,11 @@
 """Distributed query execution — the _search path (SURVEY §3.2).
 
 Phases, mirroring the reference coordinator:
+  0. Prepare: every read API takes its query through ``QueryEngine._prepare``
+     (a string becomes a MatchQuery; ``_rewrite`` runs once over the whole
+     tree: per-field analyzers, more_like_this / multi_match / query_string
+     / sparse_vector / terms-lookup rewrites), so all of them see the same
+     query as ``search``.
   1. DFS phase: gather per-partition df/total_tf for the query's terms and
      sum to GLOBAL stats (dfs_query_then_fetch semantics,
      ``search/dfs/DfsPhase.java:29-75`` + ``SearchPhaseController.aggregateDfs``)
@@ -15,7 +20,9 @@ Phases, mirroring the reference coordinator:
      ``SearchPhaseController.mergeTopDocs`` (score desc, shardIndex, doc);
      then the optional rescore of the top window.
   4. Fetch phase: read winning (part, local) rows of docs.parquet for
-     url/doc_id (``search/fetch/FetchPhase.java:72`` analog).
+     url/doc_id (``search/fetch/FetchPhase.java:72`` analog). The fetch and
+     its subphases (mget, highlight_hits, matched_queries, script_fields)
+     share one per-partition gather (``QueryEngine._gather``).
 
 Execution backends:
   - parallel="local": sequential driver loop with cached SegmentReaders —
@@ -43,17 +50,24 @@ Execution backends:
     start (``_pinned``), so a search in flight during a reopen scores and
     fetches on the commit and the open readers it started with (a reader
     it must still open reads the partition directory, which a merge that
-    lands meanwhile may have removed). ``close()`` (or garbage collection) releases the
-    engine's views; the last lease kills the actors.
-Every read API reaches the partitions through ``QueryEngine._fanout``
-(one PartitionSearcher method per partition → ``[(part, result)]``), and
-every search, whatever its options, runs one query phase
-(``QueryEngine._query_phase``) and ranks its hits through ``_merge_hits``,
-so each is written once for both backends.
+    lands meanwhile may have removed). ``close()`` (or garbage collection)
+    releases the engine's views; the last lease kills the actors.
+Read APIs reach the partitions in one of three ways, each written once:
+``QueryEngine._fanout`` (one PartitionSearcher method per partition →
+``[(part, result)]``, on either backend), ``_gather`` (the fetch-side
+reads of given hits, on the driver's readers), and ``_all_hits_ds`` (one
+Ray Data task per partition over ALL hits of a query, for scan_dataset,
+highlight_scan, significant_text and delete/update_by_query). Every
+search, whatever its options, runs one query phase
+(``QueryEngine._query_phase``) and ranks its hits through ``_merge_hits``.
+The profiler and async search keep their own per-partition loops (for
+per-partition timings and partial responses), behind the same gate
+(``_read_gate``) and on the same snapshot (``_pinned``) as ``search``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -75,6 +89,7 @@ from elasticsearch_ray.search.bm25 import (
     make_scorer,
 )
 from elasticsearch_ray.search.query import (
+    COMPOUND_CHILDREN,
     BoolQuery,
     BoostingQuery,
     CombinedFieldsQuery,
@@ -117,6 +132,7 @@ from elasticsearch_ray.search.query import (
     intervals_terms,
     parse_query_string,
     query_terms,
+    subqueries,
 )
 from elasticsearch_ray.search.topk import (
     TermCursor,
@@ -1981,15 +1997,17 @@ class QueryEngine:
         return pools[next(self._pool_rr) % len(pools)]
 
     def _pinned(self) -> "QueryEngine":
-        """This engine as of now, for one search: a shallow copy of its
-        attributes. ``reopen`` swaps in new commit state (parts, readers,
-        blooms, DFS caches, actor view) and never mutates the old dicts, so
-        the copy's can_match, DFS, top-k and fetch all read one commit
-        however long the search takes. A reader it opens lazily goes to that
-        commit's dict but reads the partition directory, which a merge that
-        lands meanwhile may have removed; readers, Bloom filters and rank
-        sidecars already open are safe. Counters and caches shared by reference (placements,
-        round-robin counters, field usage) keep counting for the engine."""
+        """This engine as of now, for one search, profile or async search: a
+        shallow copy of its attributes. ``reopen`` swaps in new commit state
+        (parts, readers, blooms, DFS caches, actor view) and never mutates
+        the old dicts, so the copy's prepare, can_match, DFS, top-k and fetch
+        (``_gather``) all read one commit however long the search takes. A
+        reader it opens lazily goes to that commit's dict but reads the
+        partition directory, which a merge that lands meanwhile may have
+        removed; readers, Bloom filters and rank sidecars already open are
+        safe. Counters and caches shared by reference (placements,
+        round-robin counters, field usage, the frozen-index lock) keep
+        counting for the engine."""
         snap = object.__new__(type(self))
         snap.__dict__.update(self.__dict__)
         return snap
@@ -2023,52 +2041,47 @@ class QueryEngine:
             _POOL.release(self._lease, wait=True)
         self._actor_pools = self._actors = self._coords = None
 
-    def _apply_field_analyzers(self, q: Query) -> Query:
-        """Fill q.analyzer on fielded match/phrase queries from the spec's
-        per-field analyzers (TextFieldMapper: each field analyzes queries
-        with its own chain) — done once at the coordinator so DFS term sets,
-        scorers and partition eval all agree."""
-        fa = self.spec.get("field_analyzers") or {}
-        if not fa:
-            return q
-        import dataclasses
-
-        def walk(qq):
-            if isinstance(qq, (MatchQuery, MatchPhraseQuery)):
-                if qq.field in fa and qq.analyzer is None:
-                    return dataclasses.replace(qq, analyzer=fa[qq.field])
-                return qq
-            if isinstance(qq, BoolQuery):
-                return dataclasses.replace(
-                    qq,
-                    must=tuple(walk(s) for s in qq.must),
-                    should=tuple(walk(s) for s in qq.should),
-                    filter=tuple(walk(s) for s in qq.filter),
-                    must_not=tuple(walk(s) for s in qq.must_not),
-                )
-            if isinstance(qq, DisMaxQuery):
-                return dataclasses.replace(qq, queries=tuple(walk(s) for s in qq.queries))
-            if isinstance(qq, ConstantScoreQuery) and qq.filter is not None:
-                return dataclasses.replace(qq, filter=walk(qq.filter))
-            if isinstance(qq, BoostingQuery):
-                return dataclasses.replace(
-                    qq,
-                    positive=walk(qq.positive) if qq.positive else None,
-                    negative=walk(qq.negative) if qq.negative else None,
-                )
-            if isinstance(qq, FunctionScoreQuery) and qq.query is not None:
-                return dataclasses.replace(qq, query=walk(qq.query))
-            if isinstance(qq, PinnedQuery) and qq.organic is not None:
-                return dataclasses.replace(qq, organic=walk(qq.organic))
-            return qq
-
-        return walk(q)
+    def _prepare(self, q: "Query | str") -> Query:
+        """The front door of every read API: a string becomes a
+        ``MatchQuery``, then the query is rewritten once (``_rewrite``), so
+        DFS term sets, can_match, scorers and partition eval all see the
+        same tree."""
+        return self._rewrite(MatchQuery(q) if isinstance(q, str) else q)
 
     def _rewrite(self, q: Query) -> Query:
-        """Engine-level query rewrites needing GLOBAL stats: more_like_this
-        selects its top tf·idf terms once here (so every partition scores the
-        same rewritten disjunction), mirroring the coordinator-side rewrite
-        of MoreLikeThisQueryBuilder."""
+        """Rewrite the whole tree once, on the coordinator (Lucene rewrites
+        until nothing changes): each node goes through ``_rewrite_node``
+        again until it stays the same, then its compound children are
+        rewritten; a node is rebuilt only when a child changed, preserving
+        object identity for the scorer cache."""
+        nq = self._rewrite_node(q)
+        if nq is not q:
+            return self._rewrite(nq)
+        changed = {}
+        for a in COMPOUND_CHILDREN.get(type(q), ()):
+            v = getattr(q, a)
+            if isinstance(v, tuple):
+                nv = tuple(self._rewrite(s) for s in v)
+                if any(x is not y for x, y in zip(nv, v)):
+                    changed[a] = nv
+            elif v is not None:
+                nv = self._rewrite(v)
+                if nv is not v:
+                    changed[a] = nv
+        return dataclasses.replace(q, **changed) if changed else q
+
+    def _rewrite_node(self, q: Query) -> Query:
+        """One node's engine-level rewrite: fielded match/phrase queries take
+        the spec's per-field analyzer (TextFieldMapper: each field analyzes
+        queries with its own chain); rewrites needing GLOBAL stats run once
+        here, e.g. more_like_this selects its top tf·idf terms (so every
+        partition scores the same disjunction), mirroring the
+        coordinator-side rewrite of MoreLikeThisQueryBuilder. Returns ``q``
+        itself when nothing changes."""
+        if isinstance(q, (MatchQuery, MatchPhraseQuery)):
+            an = (self.spec.get("field_analyzers") or {}).get(q.field)
+            return q if an is None or q.analyzer is not None else \
+                dataclasses.replace(q, analyzer=an)
         if isinstance(q, RankFeatureQuery) and q.pivot is None:
             # Lucene FeatureField.newSaturationQuery with no pivot:
             # computePivotFeatureValue = decode(sumTotalTermFreq / docFreq)
@@ -2076,8 +2089,6 @@ class QueryEngine:
             # the same constant (only rank_features sidecar features carry
             # the needed freq stats; plain doc columns require an explicit
             # pivot, like pre-FeatureField Lucene)
-            import dataclasses
-
             if q.function != "saturation":
                 raise ValueError(
                     f"rank_feature {q.function} requires an explicit pivot")
@@ -2217,38 +2228,6 @@ class QueryEngine:
             an = get_analyzer(self.analyzer_name)
             terms = tuple(dict.fromkeys(an(text)[0]))
             return TermsQuery(terms=terms, boost=q.boost)
-        # recurse into compound children so a rewriteable query nested in a
-        # bool/dis_max/… clause is rewritten too (Lucene rewrites the whole
-        # tree); rebuild only when a child actually changed, preserving
-        # object identity for the scorer cache
-        import dataclasses
-
-        def _kids(qq, attrs):
-            changed = {}
-            for a in attrs:
-                v = getattr(qq, a)
-                if isinstance(v, tuple):
-                    nv = tuple(self._rewrite(s) for s in v)
-                    if any(x is not y for x, y in zip(nv, v)):
-                        changed[a] = nv
-                elif isinstance(v, Query):
-                    nv = self._rewrite(v)
-                    if nv is not v:
-                        changed[a] = nv
-            return dataclasses.replace(qq, **changed) if changed else qq
-
-        if isinstance(q, BoolQuery):
-            return _kids(q, ("must", "should", "filter", "must_not"))
-        if isinstance(q, DisMaxQuery):
-            return _kids(q, ("queries",))
-        if isinstance(q, ConstantScoreQuery):
-            return _kids(q, ("filter",))
-        if isinstance(q, BoostingQuery):
-            return _kids(q, ("positive", "negative"))
-        if isinstance(q, FunctionScoreQuery):
-            return _kids(q, ("query",))
-        if isinstance(q, PinnedQuery):
-            return _kids(q, ("organic",))
         return q
 
     def _locate(self, doc_id: int) -> tuple[int, int]:
@@ -2447,9 +2426,6 @@ class QueryEngine:
                 reg((qq.term,), qq.boost)
             elif isinstance(qq, SpanOrQuery):
                 reg(tuple(dict.fromkeys(qq.clauses)), qq.boost)
-            elif isinstance(qq, PinnedQuery):
-                if qq.organic is not None:
-                    add_phrase(qq.organic)
             elif isinstance(qq, SpanNotQuery):
                 reg((qq.include,), qq.boost)
             elif isinstance(qq, (SpanWithinQuery, SpanContainingQuery)):
@@ -2464,22 +2440,8 @@ class QueryEngine:
                     scorers[("__cf__", t, qq.fields, tuple(qq.weights))] = _CombinedScorer(
                         w, self.params.k1, self.params.b, avgdl_cf, self.dtype
                     )
-            elif isinstance(qq, BoolQuery):
-                for sub in (*qq.must, *qq.should, *qq.filter, *qq.must_not):
-                    add_phrase(sub)
-            elif isinstance(qq, ConstantScoreQuery):
-                if qq.filter is not None:
-                    add_phrase(qq.filter)
-            elif isinstance(qq, FunctionScoreQuery):
-                if qq.query is not None:
-                    add_phrase(qq.query)
-            elif isinstance(qq, BoostingQuery):
-                if qq.positive is not None:
-                    add_phrase(qq.positive)
-                if qq.negative is not None:
-                    add_phrase(qq.negative)
-            elif isinstance(qq, DisMaxQuery):
-                for sub in qq.queries:
+            else:
+                for sub in subqueries(qq):
                     add_phrase(sub)
 
         add_phrase(q)
@@ -2625,9 +2587,7 @@ class QueryEngine:
             # would silently re-order the sorted window by _score).
             raise ValueError("Cannot use [sort] option in conjunction with [rescore]")
         eng = self._pinned()
-        if isinstance(q, str):
-            q = MatchQuery(q)
-        q = eng._apply_field_analyzers(eng._rewrite(q))
+        q = eng._prepare(q)
         eng._track_field_usage(q, fetch, sort, collapse)
         req = coordinator_request(
             eng._view, q, k, mode, sort=sort, search_after=search_after,
@@ -2682,8 +2642,8 @@ class QueryEngine:
             if "post_filter" in opts:
                 # the filter may be any query (ES postFilter accepts the full
                 # DSL): it needs its OWN scorers for analyzed/phrase members
-                pf = self._apply_field_analyzers(self._rewrite(opts["post_filter"]))
-                copts["post_filter"] = (pf, self._scorers(pf))
+                pf = self._prepare(opts["post_filter"])
+                copts["post_filter"] = (pf, self._scorers_cached(pf))
             # index-sorting early termination (Lucene sorted-index search):
             # only when the requested sort IS the index sort (field and
             # direction) and nothing needs scores or full candidate sets
@@ -2712,11 +2672,11 @@ class QueryEngine:
         top = hits.slice(0, window)
         if not len(top):
             return hits
-        rq = self._apply_field_analyzers(self._rewrite(rq))
+        rq = self._prepare(rq)
         parts, locs = top["part"].to_numpy(), top["local"].to_numpy()
         want = {int(p): locs[parts == p] for p in np.unique(parts)}
         extra = np.full(len(top), np.nan)
-        for p, sc in self._fanout("window_scores", rq, self._scorers(rq), want,
+        for p, sc in self._fanout("window_scores", rq, self._scorers_cached(rq), want,
                                   parts=list(want), pool=pool):
             extra[parts == p] = sc
         base = top["score"].to_numpy() * qw
@@ -2789,9 +2749,7 @@ class QueryEngine:
         pre-cuts to ≤ size candidates per value, so the driver merge is
         |values|·size·P rows — the reference's expand phase runs one
         multi-search the same way."""
-        if isinstance(q, str):
-            q = MatchQuery(q)
-        q = self._apply_field_analyzers(self._rewrite(q))
+        q = self._prepare(q)
         scorers = self._scorers_cached(q)
         got = self._fanout("inner_hits_candidates", q, scorers, collapse, list(values), size)
         hits = _merge_hits(_hits_table(got, [collapse]), None,
@@ -2831,35 +2789,21 @@ class QueryEngine:
         # null fields — the reference's per-doc MultiGetItemResponse shape
         # — instead of an opaque Arrow IndexError (ADVICE r4)
         known = np.array([0 <= d < self.n_docs for d in ids], bool)
-        known_pos = np.flatnonzero(known)
-        located = [self._locate(ids[i]) for i in known_pos]
-        parts_a = np.array([p for p, _l in located], np.int64)
-        locals_a = np.array([l for _p, l in located], np.int64)
-        pieces = []
-        order = []
-        for p in np.unique(parts_a):
-            idx = np.flatnonzero(parts_a == p)
-            order.append(known_pos[idx])
-            s = self._searcher(int(p))
-            t = s.r.doc_fields(locals_a[idx], columns)
+        located = np.array([self._locate(d) for d, ok in zip(ids, known) if ok],
+                           np.int64).reshape(-1, 2)
+
+        def read(s, locs):
+            t = s.r.doc_fields(locs, columns)
             if source_columns:
-                src = _fetch_source_rows(s.r.manifest, locals_a[idx],
-                                         list(source_columns))
+                src = _fetch_source_rows(s.r.manifest, locs, list(source_columns))
                 for c in src.column_names:
                     if c not in t.column_names:
                         t = t.append_column(c, src[c])
-            pieces.append(t)
-        if not pieces:  # every id unknown — typed empty frame for schema
-            s = self._searcher(self.parts[0])
-            pieces = [s.r.doc_fields(np.empty(0, np.int64), columns)]
-            order = [np.empty(0, np.int64)]
-        tbl = pa.concat_tables(pieces, promote_options="default")
-        # request-order indices into tbl; unknown slots take a NULL index
-        # (Arrow take yields null rows there)
-        inv = np.full(len(ids), -1, np.int64)
-        inv[np.concatenate(order)] = np.arange(tbl.num_rows)
-        out = tbl.take(pa.array(
-            [int(i) if i >= 0 else None for i in inv], pa.int64()))
+            return t
+
+        tbl = self._gather(located[:, 0], located[:, 1], read)
+        # request order; an unknown slot takes a null index (a null row)
+        out = tbl.take(pa.array(np.cumsum(known) - 1, mask=~known))
         if "doc_id" in out.column_names:
             # echo the REQUESTED id on not-found rows (the reference
             # returns the _id with found=false)
@@ -2896,16 +2840,7 @@ class QueryEngine:
         query is given — the coordinator's can_match Bloom decision per
         shard (SearchService.canMatch), so callers can see which shards a
         search would skip before running it."""
-        matching = None
-        if q is not None:
-            if isinstance(q, str):
-                q = MatchQuery(q)
-            try:
-                terms = query_terms(q, self.analyzer_name)
-            except Exception:
-                terms = []
-            matching = set(self.can_match_parts(list(terms))) \
-                if terms else set(self.parts)
+        matching = None if q is None else set(self._candidate_parts(self._prepare(q)))
         shards = []
         for p in self.parts:
             m = read_manifest(self.index_dir, p) or {}
@@ -3014,9 +2949,7 @@ class QueryEngine:
         return self._read_gate(self._count_unfrozen, q)
 
     def _count_unfrozen(self, q: "Query | str") -> int:
-        if isinstance(q, str):
-            q = MatchQuery(q)
-        q = self._apply_field_analyzers(self._rewrite(q))
+        q = self._prepare(q)
         return int(sum(n for _p, n in self._fanout(
             "count", q, self._scorers_cached(q), parts=self._candidate_parts(q),
             pool=self._qpool())))
@@ -3038,10 +2971,8 @@ class QueryEngine:
         """Scroll analog (search/Scroll.java semantics): iterate ALL hits in
         (part, doc) order as pyarrow tables — server-held-cursor pagination
         becomes a generator over immutable segments (point-in-time for free)."""
-        if isinstance(q, str):
-            q = MatchQuery(q)
-        q = self._apply_field_analyzers(self._rewrite(q))
-        scorers = self._scorers(q)
+        q = self._prepare(q)
+        scorers = self._scorers_cached(q)
         for p in self.parts:
             s = self._searcher(p)
             docs, scores = s._eval_scoring(q, scorers, k=None, mode="exhaustive")
@@ -3273,21 +3204,29 @@ class QueryEngine:
                 break
         return out
 
-    def _attach_fetch(self, tbl, fetch):
-        """Fetch phase: append the ``fetch`` doc columns of each hit of a
-        hits table: one ``doc_fields`` read per partition, placed by the
-        hits' (part, local) positions with one ``take``."""
-        if not fetch or len(tbl) == 0:
-            return tbl
-        parts_a = tbl["part"].to_numpy()
-        order = np.argsort(parts_a, kind="stable")
-        ps, starts = np.unique(parts_a[order], return_index=True)
-        fetched = pa.concat_tables([
-            self._searcher(int(p)).r.doc_fields(locs, fetch)
-            for p, locs in zip(ps, np.split(tbl["local"].to_numpy()[order], starts[1:]))])
+    def _gather(self, parts, locals_, read) -> pa.Table:
+        """The one per-partition gather of the fetch phase and its subphases:
+        ``read(searcher, locals)`` once per partition in ``parts``, with that
+        partition's hits in input order, then one ``take`` puts the rows back
+        in input order. With no hits, one empty read of the first partition
+        gives the schema."""
+        order = np.argsort(parts, kind="stable")
+        ps, starts = np.unique(parts[order], return_index=True)
+        got = pa.concat_tables(
+            [read(self._searcher(int(p)), locs) for p, locs in
+             zip(ps if len(ps) else self.parts[:1], np.split(locals_[order], starts[1:]))],
+            promote_options="default")
         pos = np.empty(len(order), np.int64)
         pos[order] = np.arange(len(order))
-        fetched = fetched.take(pos)
+        return got.take(pos)
+
+    def _attach_fetch(self, tbl, fetch):
+        """Fetch phase: append the ``fetch`` doc columns of each hit of a
+        hits table, read per partition by ``_gather``."""
+        if not fetch or len(tbl) == 0:
+            return tbl
+        fetched = self._gather(tbl["part"].to_numpy(), tbl["local"].to_numpy(),
+                               lambda s, locs: s.r.doc_fields(locs, fetch))
         for name in fetched.column_names:
             tbl = tbl.append_column(name, fetched[name])
         return tbl
@@ -3299,48 +3238,30 @@ class QueryEngine:
 
     def highlight_hits(self, q: Query | str, hits: pa.Table, text_column: str = "text",
                        pre_tag: str = "<em>", post_tag: str = "</em>") -> list[str]:
-        """Highlight a whole hits table (rank/part/local) in one pass:
-        sources fetch batched per partition/input-file (fetch_source groups
-        reads), then the term-wrap runs per hit — no per-hit file reads."""
-        terms = frozenset(query_terms(q if not isinstance(q, str) else MatchQuery(q),
-                                      self.analyzer_name))
-
-        def wrap(text: str) -> str:
-            return _wrap_terms(text, terms, pre_tag, post_tag)
-
-        parts_a = hits["part"].to_numpy()
-        locals_a = hits["local"].to_numpy()
-        out: list[str | None] = [None] * len(hits)
-        for p in np.unique(parts_a):
-            idx = np.flatnonzero(parts_a == p)
-            src_tbl = self.fetch_source(int(p), locals_a[idx], columns=[text_column])
-            for j, text in zip(idx.tolist(), src_tbl[text_column].to_pylist()):
-                out[j] = wrap(text)
-        return out
+        """Highlight a whole hits table (rank/part/local) in one pass: the
+        sources are read per partition (``_gather``, one read per touched
+        input file), then the term-wrap runs per hit — no per-hit file
+        reads."""
+        terms = frozenset(query_terms(self._prepare(q), self.analyzer_name))
+        src = self._gather(hits["part"].to_numpy(), hits["local"].to_numpy(),
+                           lambda s, locs: _fetch_source_rows(s.r.manifest, locs, [text_column]))
+        return [_wrap_terms(t, terms, pre_tag, post_tag) for t in src[text_column].to_pylist()]
 
     def matched_queries(self, named: dict[str, Query], hits: pa.Table) -> list[list[str]]:
         """matched_queries fetch subphase (MatchedQueriesPhase analog): for
         each hit row (part, local), the sorted list of ``_name``-tagged
         clauses that match it. Each named clause is evaluated ONCE per
-        touched partition as a non-scoring filter; per-hit membership is a
-        searchsorted against that doc set."""
-        parts_a = hits["part"].to_numpy()
-        locals_a = hits["local"].to_numpy()
-        out: list[list[str]] = [[] for _ in range(len(hits))]
-        for p in np.unique(parts_a):
-            s = self._searcher(int(p))
-            idx = np.flatnonzero(parts_a == p)
-            for name in sorted(named):
-                q = self._apply_field_analyzers(self._rewrite(named[name]))
-                scorers = self._scorers_cached(q)
-                docs = s._eval_filter(q, scorers)
-                pos = np.searchsorted(docs, locals_a[idx])
-                ok = (pos < len(docs)) & (docs[np.minimum(pos, len(docs) - 1)]
-                                          == locals_a[idx]) if len(docs) else \
-                    np.zeros(len(idx), dtype=bool)
-                for j in idx[ok]:
-                    out[int(j)].append(name)
-        return out
+        touched partition as a non-scoring filter, and each hit is looked up
+        in that doc set."""
+        if not named or not len(hits):
+            return [[] for _ in range(len(hits))]
+        qs = {name: self._prepare(named[name]) for name in sorted(named)}
+        scorers = {name: self._scorers_cached(q) for name, q in qs.items()}
+        got = self._gather(hits["part"].to_numpy(), hits["local"].to_numpy(),
+                           lambda s, locs: pa.table({
+                               name: np.isin(locs, s._eval_filter(q, scorers[name]))
+                               for name, q in qs.items()}))
+        return [[name for name in qs if row[name]] for row in got.to_pylist()]
 
     def script_fields(self, hits: pa.Table, fields: dict,
                       source_columns: tuple = ()) -> pa.Table:
@@ -3364,25 +3285,9 @@ class QueryEngine:
                         extra.append(f)
         if extra:
             source_columns = tuple(source_columns) + tuple(extra)
-        parts_a = hits["part"].to_numpy()
-        locals_a = hits["local"].to_numpy()
-        pieces = []
-        order = []
-        for p in np.unique(parts_a):
-            idx = np.flatnonzero(parts_a == p)
-            order.append(idx)
-            pieces.append(_fetch_source_rows(self._searcher(int(p)).r.manifest,
-                                             locals_a[idx], list(source_columns)))
-        if not pieces:  # zero hits: empty source table with the right schema
-            pieces = [_fetch_source_rows(
-                self._searcher(int(self.parts[0])).r.manifest,
-                np.empty(0, np.int64), list(source_columns))]
-        src = pa.concat_tables(pieces)
-        # back to original hit order
-        if order:
-            inv = np.empty(len(hits), dtype=np.int64)
-            inv[np.concatenate(order)] = np.arange(len(hits))
-            src = src.take(pa.array(inv))
+        src = self._gather(hits["part"].to_numpy(), hits["local"].to_numpy(),
+                           lambda s, locs: _fetch_source_rows(s.r.manifest, locs,
+                                                              list(source_columns)))
         out = hits
         for name, fn in fields.items():
             if isinstance(fn, dict):
@@ -3422,9 +3327,7 @@ class QueryEngine:
         evaluation path as search, so it is bit-identical, float32 narrowing
         included); the detail tree decomposes it per clause/term with the
         BM25 components (boost, idf(n,N), tf/dl/avgdl fraction)."""
-        if isinstance(q, str):
-            q = MatchQuery(q)
-        q = self._apply_field_analyzers(self._rewrite(q))
+        q = self._prepare(q)
         scorers = self._scorers_cached(q)
         part, local = self._locate(int(doc_id))
         s = self._searcher(part)
@@ -3569,29 +3472,11 @@ class QueryEngine:
         back the background (None = default field; its per-field analyzer is
         applied to the re-analysis so fg and bg tokenize identically)."""
         import pandas as pd
-        import ray.data
 
-        if isinstance(q, str):
-            q = MatchQuery(q)
-        q = self._apply_field_analyzers(self._rewrite(q))
-        scorers = self._scorers_cached(q)
         an_name = (self.spec.get("field_analyzers") or {}).get(
             field, self.analyzer_name) if field else self.analyzer_name
-        cfg = {
-            "index_dir": self.index_dir,
-            "q": q,
-            "scorers": scorers,
-            "analyzer": self.analyzer_name,
-            "params_kb": (self.params.k1, self.params.b),
-            "dtype": self.dtype,
-            "text_column": text_column,
-            "sample": sample_per_partition,
-            "an_name": an_name,
-        }
-        ds = ray.data.from_items([{"part": int(p)} for p in self.parts],
-                                 override_num_blocks=len(self.parts))
-        rows = ds.map_batches(_sigtext_part_fn, fn_args=(cfg,),
-                              batch_format="pyarrow").to_pandas()
+        rows = self._all_hits_ds(q, _sigtext_hits, text_column=text_column,
+                                 sample=sample_per_partition, an_name=an_name).to_pandas()
         n_fg = int(rows.loc[rows["term"] == _SIGTEXT_COUNT, "df"].sum())
         fg = (rows[rows["term"] != _SIGTEXT_COUNT]
               .groupby("term", as_index=False)["df"].sum())
@@ -3630,9 +3515,8 @@ class QueryEngine:
         the way ``highlight_hits`` does for a small top-k page. Scorers are
         built once on the driver from global stats and ship once per task.
         """
-        return self._scan_ds(q, fetch, source_columns=(), source_out=(),
-                             highlight=True, text_column=text_column,
-                             pre_tag=pre_tag, post_tag=post_tag)
+        return self._all_hits_ds(q, _scan_hits, fetch=tuple(fetch), source_columns=(),
+                                 highlight=(text_column, pre_tag, post_tag))
 
     def scan_dataset(self, q: Query | str, fetch: tuple = ("doc_id",),
                      source_columns: tuple = ()):
@@ -3642,47 +3526,34 @@ class QueryEngine:
         ``_source`` columns (pruned reads from the partition's input files).
         The natural head of a reindex/export pipeline: compose with
         map_batches / write_parquet downstream."""
-        return self._scan_ds(q, fetch, source_columns=tuple(source_columns),
-                             source_out=tuple(source_columns), highlight=False,
-                             text_column="text", pre_tag="", post_tag="")
+        return self._all_hits_ds(q, _scan_hits, fetch=tuple(fetch),
+                                 source_columns=tuple(source_columns), highlight=None)
 
-    def _scan_ds(self, q, fetch, source_columns, source_out, highlight,
-                 text_column, pre_tag, post_tag):
+    def _all_hits_ds(self, q, fn, **cfg):
+        """The one Ray Data pass over ALL hits of ``q`` (scan_dataset,
+        highlight_scan, significant_text, delete/update_by_query): one task
+        per partition opens it through its worker's searcher cache
+        (``_all_hits_fn``), evaluates the prepared query exhaustively with
+        the driver's global-stats scorers, and returns the table ``fn(searcher,
+        docs, scores, cfg)``; ``fn`` is a module-level function and ``cfg``
+        carries its settings."""
         import ray.data
 
-        if isinstance(q, str):
-            q = MatchQuery(q)
-        q = self._apply_field_analyzers(self._rewrite(q))
-        scorers = self._scorers_cached(q)
-        cfg = {
-            "index_dir": self.index_dir,
-            "q": q,
-            "scorers": scorers,
-            "analyzer": self.analyzer_name,
-            "params_kb": (self.params.k1, self.params.b),
-            "dtype": self.dtype,
-            "terms": (frozenset(query_terms(q, self.analyzer_name))
-                      if highlight else None),
-            "text_column": text_column,
-            "pre_tag": pre_tag,
-            "post_tag": post_tag,
-            "fetch": tuple(fetch),
-            "source_columns": source_columns,
-            "source_out": source_out,
-        }
+        q = self._prepare(q)
+        cfg.update(fn=fn, q=q, scorers=self._scorers_cached(q), index_dir=self.index_dir,
+                   stamps={p: self._stamps.get(p) for p in self.parts},
+                   reader=(self.analyzer_name, (self.params.k1, self.params.b), self.dtype,
+                           self.runtime_fields))
         ds = ray.data.from_items([{"part": int(p)} for p in self.parts],
                                  override_num_blocks=len(self.parts))
-        return ds.map_batches(_scan_part_fn, fn_args=(cfg,),
-                              batch_format="pyarrow", batch_size=None)
+        return ds.map_batches(_all_hits_fn, fn_args=(cfg,), batch_format="pyarrow",
+                              batch_size=None)
 
     def highlight(self, q: Query, part: int, local: int, text_column: str = "text",
                   pre_tag: str = "<em>", post_tag: str = "</em>") -> str:
         """Unified-highlighter-style: wrap query-term occurrences in the
         source text (search/fetch/subphase/highlight analog)."""
-        q = q if not isinstance(q, str) else MatchQuery(q)
-        q = self._apply_field_analyzers(self._rewrite(q))  # per-field
-        # analyzers must shape the highlight terms like the search path
-        terms = frozenset(query_terms(q, self.analyzer_name))
+        terms = frozenset(query_terms(self._prepare(q), self.analyzer_name))
         src = self.fetch_source(part, [local], columns=[text_column])
         return _wrap_terms(src[text_column][0].as_py() or "", terms, pre_tag, post_tag)
 
@@ -3694,9 +3565,7 @@ class QueryEngine:
         """Fragmenting highlighter (HighlightBuilder fragment_size /
         number_of_fragments): top passages around match runs, document
         order, words never split — see _fragment_highlights."""
-        q = q if not isinstance(q, str) else MatchQuery(q)
-        q = self._apply_field_analyzers(self._rewrite(q))
-        terms = frozenset(query_terms(q, self.analyzer_name))
+        terms = frozenset(query_terms(self._prepare(q), self.analyzer_name))
         # unified-highlighter PassageScorer weights: (k1+1) * BM25 idf from
         # the cached DFS stats (keyed by BARE term — fielded query terms
         # match by their bare form in the text)
@@ -3865,98 +3734,76 @@ def _fragment_highlights(text: str, terms: frozenset, pre_tag: str,
     return out
 
 
-# per-worker-process searcher cache for the stateless-task highlight stage
-# (same pattern as index.build._STAGE_CACHE: plain-function map_batches runs
-# in long-lived worker processes, so warm readers are reused across tasks
-# without reserving a fixed actor pool)
-_HL_SEARCHERS: dict = {}
+# per-worker-process searcher cache of the all-hits pass (the pattern of
+# index.build._STAGE_CACHE: map_batches runs plain functions in long-lived
+# worker processes, so warm readers are reused across tasks without a fixed
+# actor pool): (index dir, part, reader config) → (manifest stamp, searcher),
+# replaced when the engine's stamp for the partition changes
+_TASK_SEARCHERS: dict = {}
 
 
-def _hl_searcher(index_dir: str, part: int, analyzer_name: str, params_kb: tuple,
-                 dtype: str) -> "PartitionSearcher":
-    key = (index_dir, part, analyzer_name, params_kb, dtype)
-    s = _HL_SEARCHERS.get(key)
-    if s is None:
-        if len(_HL_SEARCHERS) > 256:
-            _HL_SEARCHERS.clear()
-        s = PartitionSearcher(
-            SegmentReader(part_dir(index_dir, part)), part, analyzer_name,
-            BM25Params(*params_kb), dtype
-        )
-        _HL_SEARCHERS[key] = s
-    return s
+def _all_hits_fn(batch: pa.Table, cfg: dict) -> pa.Table:
+    """One task of ``QueryEngine._all_hits_ds``: for each partition of the
+    batch, all hits of the (prepared) query, passed to ``cfg["fn"]``."""
+    analyzer, params_kb, dtype, runtime_fields = cfg["reader"]
+    out = []
+    for part in batch["part"].to_pylist():
+        key = (cfg["index_dir"], part, analyzer, params_kb, dtype,
+               json.dumps(runtime_fields, sort_keys=True))
+        stamp, s = _TASK_SEARCHERS.get(key, (None, None))
+        if s is None or stamp != cfg["stamps"][part]:
+            s = PartitionSearcher(SegmentReader(part_dir(cfg["index_dir"], part)), part,
+                                  analyzer, BM25Params(*params_kb), dtype,
+                                  runtime_fields=runtime_fields)
+            _TASK_SEARCHERS[key] = (cfg["stamps"][part], s)
+        docs, scores = s._eval_scoring(cfg["q"], cfg["scorers"], k=None, mode="exhaustive")
+        out.append(cfg["fn"](s, _as_np(docs), np.asarray(scores, np.float64), cfg))
+    return pa.concat_tables(out)
+
+
+def _scan_hits(s: PartitionSearcher, docs, scores, cfg: dict) -> pa.Table:
+    """scan_dataset / highlight_scan rows of one partition: the ``fetch`` doc
+    fields, the ``source_columns`` read from the partition's input files,
+    part, local, score, and with ``highlight`` = (text column, pre tag, post
+    tag) the term-wrapped text as ``hl``."""
+    cols = {}
+    if cfg["fetch"]:
+        ft = s.r.doc_fields(docs, cfg["fetch"])
+        cols = {c: ft[c] for c in ft.column_names}
+    hl = cfg["highlight"]
+    read = list(dict.fromkeys(cfg["source_columns"] + (hl[:1] if hl else ())))
+    if read:
+        src = _fetch_source_rows(s.r.manifest, docs, columns=read)
+        cols.update((c, src[c]) for c in cfg["source_columns"])
+    cols["part"] = pa.array(np.full(len(docs), s.part, np.int64))
+    cols["local"] = pa.array(docs)
+    cols["score"] = pa.array(scores)
+    if hl:
+        terms = frozenset(query_terms(cfg["q"], s.analyzer_name))
+        cols["hl"] = pa.array([_wrap_terms(t, terms, hl[1], hl[2])
+                               for t in src[hl[0]].to_pylist()], pa.string())
+    return pa.table(cols)
 
 
 _SIGTEXT_COUNT = "\x00__n_docs__\x00"  # sentinel row: partition hit count
 
 
-def _sigtext_part_fn(batch: pa.Table, cfg: dict) -> pa.Table:
-    """significant_text partial: per partition, (term, distinct-doc df) over
-    the query's hit docs + one sentinel row carrying the hit count."""
-    terms_out: list[str] = []
-    dfs_out: list[int] = []
-    for part in batch["part"].to_pylist():
-        s = _hl_searcher(cfg["index_dir"], int(part), cfg["analyzer"],
-                         cfg["params_kb"], cfg["dtype"])
-        docs, _sc = s._eval_scoring(cfg["q"], cfg["scorers"], k=None,
-                                    mode="exhaustive")
-        docs = _as_np(docs).astype(np.int64)
-        if cfg["sample"] is not None and len(docs) > cfg["sample"]:
-            # shard sampling keeps the TOP-SCORING docs per partition (the
-            # reference's sampler-agg wrapping), not the first by doc id
-            sc = _as_np(_sc).astype(np.float64)
-            keep = np.lexsort((docs, -sc))[: cfg["sample"]]
-            docs = np.sort(docs[keep])
-        terms_out.append(_SIGTEXT_COUNT)
-        dfs_out.append(len(docs))
-        if len(docs) == 0:
-            continue
+def _sigtext_hits(s: PartitionSearcher, docs, scores, cfg: dict) -> pa.Table:
+    """significant_text partial of one partition: (term, distinct-doc df)
+    over the query's hit docs + one sentinel row carrying the hit count."""
+    if cfg["sample"] is not None and len(docs) > cfg["sample"]:
+        # shard sampling keeps the TOP-SCORING docs per partition (the
+        # reference's sampler-agg wrapping), not the first by doc id
+        docs = np.sort(docs[np.lexsort((docs, -scores))[: cfg["sample"]]])
+    counts = {_SIGTEXT_COUNT: len(docs)}
+    if len(docs):
         an = get_analyzer(cfg["an_name"])
-        src_t = _fetch_source_rows(s.r.manifest, docs,
-                                   columns=[cfg["text_column"]])
-        counts: dict[str, int] = {}
-        for text in src_t[cfg["text_column"]].to_pylist():
+        src = _fetch_source_rows(s.r.manifest, docs, columns=[cfg["text_column"]])
+        for text in src[cfg["text_column"]].to_pylist():
             for t in set(an(text or "")[0]):
                 counts[t] = counts.get(t, 0) + 1
-        terms_out.extend(counts.keys())
-        dfs_out.extend(counts.values())
-    return pa.table({"term": pa.array(terms_out, pa.string()),
-                     "df": pa.array(dfs_out, pa.int64())})
-
-
-def _scan_part_fn(batch: pa.Table, cfg: dict) -> pa.Table:
-    """One Ray-Data task per partition: evaluate the (pre-rewritten) query
-    exhaustively, attach fetched doc fields / source columns, optionally
-    term-wrap a highlight — query, fetch and highlight phases all run
-    partition-local (no shuffle, no driver loop)."""
-    out_tables = []
-    fetch = cfg["fetch"]
-    source_columns = list(cfg.get("source_columns") or ())
-    hl_terms = cfg.get("terms")
-    if hl_terms is not None and cfg["text_column"] not in source_columns:
-        source_columns = source_columns + [cfg["text_column"]]
-    for part in batch["part"].to_pylist():
-        s = _hl_searcher(cfg["index_dir"], int(part), cfg["analyzer"],
-                         cfg["params_kb"], cfg["dtype"])
-        docs, scores = s._eval_scoring(cfg["q"], cfg["scorers"], k=None, mode="exhaustive")
-        docs = _as_np(docs).astype(np.int64)
-        cols = {}
-        if fetch:
-            ft = s.r.doc_fields(docs, fetch)
-            cols = {c: ft[c] for c in ft.column_names}
-        if source_columns:
-            src = _fetch_source_rows(s.r.manifest, docs, columns=source_columns)
-            for c in cfg.get("source_out", source_columns):
-                cols[c] = src[c]
-        cols["part"] = pa.array(np.full(len(docs), part, np.int64))
-        cols["local"] = pa.array(docs)
-        cols["score"] = pa.array(np.asarray(scores, np.float64))
-        if hl_terms is not None:
-            hl = [_wrap_terms(t, hl_terms, cfg["pre_tag"], cfg["post_tag"])
-                  for t in (src[cfg["text_column"]].to_pylist() if len(docs) else [])]
-            cols["hl"] = pa.array(hl, pa.string())
-        out_tables.append(pa.table(cols))
-    return pa.concat_tables(out_tables)
+    return pa.table({"term": pa.array(list(counts), pa.string()),
+                     "df": pa.array(list(counts.values()), pa.int64())})
 
 
 def _manifest_stamp(index_dir: str, part: int):

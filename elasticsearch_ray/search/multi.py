@@ -34,7 +34,7 @@ import numpy as np
 import pyarrow as pa
 
 from elasticsearch_ray.search.engine import QueryEngine, _merge_hits
-from elasticsearch_ray.search.query import MatchQuery, query_terms
+from elasticsearch_ray.search.query import query_terms
 
 
 class MultiIndexEngine:
@@ -91,8 +91,7 @@ class MultiIndexEngine:
         combined stats never change for an immutable index set."""
         term_set: set[str] = set()
         for e in self.engines:
-            qq = e._apply_field_analyzers(e._rewrite(q))
-            term_set.update(query_terms(qq, e.analyzer_name))
+            term_set.update(query_terms(e._prepare(q), e.analyzer_name))
         missing = sorted(term_set - self._primed)
         if not missing:
             return
@@ -124,8 +123,6 @@ class MultiIndexEngine:
         ``indices_boost``: DefaultSearchContext.java:171 applies the
         resolved index boost as the shard-level queryBoost, scaling every
         hit's score BEFORE the cross-shard merge)."""
-        if isinstance(q, str):
-            q = MatchQuery(q)
         if index_boosts is not None and len(index_boosts) != \
                 len(self.engines):
             raise ValueError("index_boosts must have one entry per index")
@@ -144,8 +141,6 @@ class MultiIndexEngine:
 
     def count(self, q) -> int:
         """Cross-index `_count`: per-index counts summed (stats-independent)."""
-        if isinstance(q, str):
-            q = MatchQuery(q)
         return sum(e.count(q) for e in self.engines)
 
     def close(self) -> None:

@@ -3,10 +3,8 @@
 ``SearchService.java``).
 
 The reference PIT pins the Lucene reader contexts so later writes and
-refreshes don't change what a paged search sees. Segments here are
-immutable partition directories and incremental appends only ADD
-partitions + rewrite ``index_meta.json`` — so a PIT is a SNAPSHOT OF
-THE META taken at open time:
+refreshes don't change what a paged search sees. Here a PIT is a
+SNAPSHOT OF THE META (``index_meta.json``) taken at open time:
 
 - ``open_pit(index_dir, keep_alive)`` captures index_meta.json and
   returns an id;
@@ -15,11 +13,16 @@ THE META taken at open time:
   scores are stable too — the reference guarantee);
 - ``close_pit(pit_id)`` / expiry releases it.
 
-Caveat (documented, checked): a force/tiered merge DELETES source
-partition directories; a PIT whose partitions were merged away raises
-a clear error instead of serving partial data. The reference holds
-refcounts that keep such segments alive — a filesystem-retention
-discipline this engine leaves to the snapshot API.
+Caveat (documented, checked): a snapshot of partition directories is
+only as stable as the directories. An incremental append adds
+partitions, but it also rewrites IN PLACE the last partition when that
+one still has room for input files (``files_per_partition`` > 1), and a
+force/tiered merge DELETES source partition directories. A PIT whose
+partition was rewritten (its current manifest lists other input files or
+another doc count) or merged away raises a clear error instead of
+serving other data. The reference holds refcounts that keep such
+segments alive — a filesystem-retention discipline this engine leaves to
+the snapshot API.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ def pit_engine(pit_id: str, dtype: str = "float64",
                keep_alive: float | None = None):
     """A QueryEngine pinned to the PIT's captured meta. Searches see the
     partition set AND corpus statistics as of open time."""
-    from elasticsearch_ray.index.segments import part_dir
+    from elasticsearch_ray.index.segments import read_manifest
     from elasticsearch_ray.search.engine import QueryEngine
 
     pit = _lookup(pit_id)
@@ -77,11 +80,11 @@ def pit_engine(pit_id: str, dtype: str = "float64",
         pit["expires"] = time.time() + keep_alive
     meta = pit["meta"]
     for p in meta["parts"]:
-        d = part_dir(pit["index_dir"], p["part"])
-        if not os.path.isdir(d):
+        m = read_manifest(pit["index_dir"], p["part"]) or {}
+        if (m.get("input_path"), m.get("n_docs")) != (p["input_path"], p["n_docs"]):
             raise PitError(
                 f"PIT {pit_id!r} references partition {p['part']} which "
-                f"was merged/deleted after the PIT was opened")
+                f"was merged/deleted or rewritten after the PIT was opened")
     eng = QueryEngine(pit["index_dir"], dtype=dtype)
     # pin the captured snapshot: partition list + corpus-level stats
     eng.meta = meta

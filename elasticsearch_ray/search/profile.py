@@ -6,11 +6,13 @@ Profiler (``server/.../search/profile/ProfileResult.java``,
 timing — rewrite, weight creation (the stats/scorer phase), can_match
 pruning, per-partition scoring (one entry per shard, like the reference's
 per-shard ProfileShardResult), merge, fetch. It keeps its own
-per-partition loop (for the per-shard timings) but reuses the engine's
-candidate selection (``QueryEngine._candidate_parts``), top-k collector
-(``PartitionSearcher.topk``) and hit merge (``engine._merge_hits``), so it
-scores the same partitions and returns the SAME hits a plain search
-returns, plus the profile tree.
+per-partition loop (for the per-shard timings) but passes the same gate
+as a search (``QueryEngine._read_gate``: a closed or read-blocked index
+refuses it), runs on a snapshot of the engine (``_pinned``) and reuses the
+engine's query preparation (``_prepare``), candidate selection
+(``_candidate_parts``), top-k collector (``PartitionSearcher.topk``) and
+hit merge (``engine._merge_hits``), so it scores the same partitions and
+returns the SAME hits a plain search returns, plus the profile tree.
 
 _cat (``rest/action/cat/RestIndicesAction.java``,
 ``RestSegmentsAction.java``, ``RestCountAction.java``): fixed-column
@@ -26,7 +28,6 @@ import time
 import pandas as pd
 
 from elasticsearch_ray.search.engine import _hits_table, _merge_hits
-from elasticsearch_ray.search.query import MatchQuery
 
 
 def profile_search(eng, q, k: int = 10, mode: str = "bmw",
@@ -35,12 +36,14 @@ def profile_search(eng, q, k: int = 10, mode: str = "bmw",
     "profile"}`` where profile mirrors the reference's shape: a
     ``shards`` list with per-partition query timings plus coordinator
     ``phases``."""
-    if isinstance(q, str):
-        q = MatchQuery(q)
+    return eng._read_gate(lambda: _profile(eng._pinned(), q, k, mode, fetch))
+
+
+def _profile(eng, q, k, mode, fetch) -> dict:
     t_start = time.perf_counter_ns()
 
     t0 = time.perf_counter_ns()
-    q2 = eng._apply_field_analyzers(eng._rewrite(q))
+    q2 = eng._prepare(q)
     rewrite_ns = time.perf_counter_ns() - t0
 
     t0 = time.perf_counter_ns()

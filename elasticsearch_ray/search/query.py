@@ -558,6 +558,27 @@ class BoolQuery(Query):
     boost: float = 1.0
 
 
+# compound query types → the attributes holding their child queries (a
+# query, a tuple of queries, or None), in clause order: the one description
+# of the query tree that the rewrite, the scorer build and query_terms walk
+COMPOUND_CHILDREN = {
+    BoolQuery: ("must", "should", "filter", "must_not"),
+    DisMaxQuery: ("queries",),
+    ConstantScoreQuery: ("filter",),
+    BoostingQuery: ("positive", "negative"),
+    FunctionScoreQuery: ("query",),
+    PinnedQuery: ("organic",),
+}
+
+
+def subqueries(q: Query):
+    """The child queries of a compound query in clause order (none for a
+    leaf)."""
+    for a in COMPOUND_CHILDREN.get(type(q), ()):
+        v = getattr(q, a)
+        yield from v if isinstance(v, tuple) else () if v is None else (v,)
+
+
 def parse_simple_query_string(text: str, default_operator: str = "or") -> Query:
     """``simple_query_string`` syntax subset (SimpleQueryStringBuilder /
     Lucene SimpleQueryParser; single text field):
@@ -752,9 +773,6 @@ def query_terms(q: Query, default_analyzer: str) -> list[str]:
             out.append(q.term)
         elif isinstance(q, SpanOrQuery):
             out.extend(q.clauses)
-        elif isinstance(q, PinnedQuery):
-            if q.organic is not None:
-                walk(q.organic)
         elif isinstance(q, SpanNotQuery):
             out.extend((q.include, q.exclude))
         elif isinstance(q, (SpanWithinQuery, SpanContainingQuery)):
@@ -764,21 +782,9 @@ def query_terms(q: Query, default_analyzer: str) -> list[str]:
             out.extend(q.terms)
         elif isinstance(q, IntervalsQuery):
             out.extend(intervals_terms(q.source, default_analyzer))
-        elif isinstance(q, BoolQuery):
-            for sub in (*q.must, *q.should, *q.filter, *q.must_not):
+        else:
+            for sub in subqueries(q):
                 walk(sub)
-        elif isinstance(q, ConstantScoreQuery) and q.filter is not None:
-            walk(q.filter)
-        elif isinstance(q, FunctionScoreQuery) and q.query is not None:
-            walk(q.query)
-        elif isinstance(q, DisMaxQuery):
-            for sub in q.queries:
-                walk(sub)
-        elif isinstance(q, BoostingQuery):
-            if q.positive is not None:
-                walk(q.positive)
-            if q.negative is not None:
-                walk(q.negative)
 
     walk(q)
     seen = set()

@@ -14,8 +14,9 @@ from elasticsearch_ray.search.query import MatchQuery
 SF_DIR = "/root/testdata/sf0.001"
 
 
-@pytest.fixture()
-def growing_index(ray_session, tmp_path):
+def _growing(tmp_path, files_per_partition: int = 1):
+    """An index over the first half of the docs, and a function that
+    appends the second half as a new file and refreshes the index."""
     from elasticsearch_ray.index.build import build_index
     from elasticsearch_ray.index.spec import IndexSpec
 
@@ -26,7 +27,7 @@ def growing_index(ray_session, tmp_path):
     pq.write_table(t.slice(0, half), str(corpus / "docs0.parquet"))
     idx = str(tmp_path / "index")
     spec = IndexSpec(use_html=False, text_column="text",
-                     doc_columns=("lang",), files_per_partition=1)
+                     doc_columns=("lang",), files_per_partition=files_per_partition)
     build_index(str(corpus), idx, spec, concurrency=2,
                 file_pattern="docs*.parquet")
 
@@ -37,6 +38,11 @@ def growing_index(ray_session, tmp_path):
                     file_pattern="docs*.parquet")
 
     return idx, grow
+
+
+@pytest.fixture()
+def growing_index(ray_session, tmp_path):
+    return _growing(tmp_path)
 
 
 def test_pit_isolates_appends(growing_index):
@@ -84,3 +90,15 @@ def test_pit_merged_away_partition_errors(growing_index):
     close_pit(pit)
     with pytest.raises(PitError):
         close_pit("pit_nope")
+
+
+def test_pit_detects_a_partition_rewritten_in_place(ray_session, tmp_path):
+    """With two files per partition, an append rewrites partition 0 in
+    place: the PIT can no longer serve its snapshot and says so."""
+    idx, grow = _growing(tmp_path, files_per_partition=2)
+    pit = open_pit(idx)
+    assert len(pit_engine(pit).search("spark", k=10**9, fetch=("doc_id",))) > 0
+    grow()
+    with pytest.raises(PitError, match="rewritten"):
+        pit_engine(pit)
+    close_pit(pit)

@@ -99,3 +99,13 @@ def test_runtime_fields_through_actor_path(ray_session, rt_engine):
                   filter=(RangeFilter("chars_sqrt", gte=20.0),))
     assert eng.count(q) == rt_engine.count(q)
     eng.close()
+
+
+def test_runtime_field_filter_in_all_hits_pass(rt_engine):
+    """The Ray Data pass over all hits opens its partitions with the
+    engine's runtime fields, like search."""
+    q = BoolQuery(must=(MatchQuery("spark"),),
+                  filter=(RangeFilter("chars_sqrt2", lte=40.0),))
+    want = sorted(rt_engine.search(q, k=10**6, fetch=("doc_id",))["doc_id"].to_pylist())
+    assert want
+    assert sorted(rt_engine.scan_dataset(q).to_pandas()["doc_id"]) == want
