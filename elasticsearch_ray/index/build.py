@@ -34,6 +34,24 @@ distinct sub-keys to split a hot term's chunk run across reducers (equal
 keys cannot be split otherwise). Partition size itself is bounded by
 ``files_per_partition``, which caps any reducer's merge work.
 
+Two executors run these same stage objects (``_build_runs_and_merge``):
+
+  * Ray Data — the pipeline above as tokenize tasks, a distributed sort,
+    route tasks and one merge task per partition;
+  * inline — when Ray Data would give the pipeline ONE lane (a one-CPU
+    cluster, or todo shards that fit one tokenize batch, which is also one
+    todo partition), the calling process runs TokenizeShard → Arrow
+    ``sort_by(part, term, salt, first_doc)`` → RouteChunks per tokenize
+    batch, then MergeParts per partition. One lane gains nothing from the
+    executor, which would only add task dispatch and its polling loop (the
+    reference likewise flushes a refresh's segment inside the shard's own
+    process). The inline path holds one tokenize batch's chunk table at a
+    time — what one Ray Data tokenize task holds, and less than the Ray Data
+    sort, which materializes the whole table — so it needs no byte bound.
+    Its run files split differently, but ``write_segment`` re-encodes
+    multi-chunk terms canonically, so both executors write byte-identical
+    segment files (tested).
+
 Resumability: a partition with a valid ``manifest.json`` is skipped entirely
 on re-build; incomplete partitions rebuild idempotently (atomic temp+rename,
 run files tracked by returned manifests, not directory listings).
@@ -48,6 +66,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import time
 import uuid
 from collections import Counter
 
@@ -106,11 +125,14 @@ def plan_partitions(corpus_dir: str, file_pattern: str, files_per_partition: int
 
 
 def sketch_head_terms(shards: list[dict], spec: IndexSpec) -> set[str]:
-    """Driver-side sample sketch of head-term df ratios (SURVEY §4 skew row)."""
+    """Driver-side sample sketch of head-term df ratios (SURVEY §4 skew row):
+    the terms in at least ``head_df_ratio`` of the first docs of up to four
+    spread-out shards (``sample_docs`` docs in all). With a batching analyzer
+    (``analyze_block``, the default ``standard`` path) the sample is
+    analyzed as one block and its distinct (doc, term) pairs counted in
+    numpy; otherwise each doc is analyzed on its own."""
     if not shards:
         return set()
-    n = 0
-    df: Counter = Counter()
     analyzer = get_analyzer(spec.analyzer)
     # sample a few SPREAD-OUT shards, not just shard 0 — a head term
     # localized away from file 0 would otherwise escape salting
@@ -118,23 +140,31 @@ def sketch_head_terms(shards: list[dict], spec: IndexSpec) -> set[str]:
     step = max(1, len(shards) // n_sample_shards)
     sample_shards = shards[::step][:n_sample_shards]
     per_shard = max(1, spec.sample_docs // len(sample_shards))
+    texts: list[str] = []
     for sh in sample_shards:
         pf = pq.ParquetFile(sh["path"])
         tcol = spec.text_column if spec.text_column in pf.schema_arrow.names else "text"
-        taken = 0
+        taken: list = []
         for batch in pf.iter_batches(batch_size=512, columns=[tcol]):
-            for text in batch[tcol].to_pylist():
-                terms, _ = analyzer(text or "")
-                df.update(set(terms))
-                n += 1
-                taken += 1
-                if taken >= per_shard:
-                    break
-            if taken >= per_shard:
+            taken += batch[tcol].to_pylist()
+            if len(taken) >= per_shard:
                 break
-    if n == 0:
-        return set()
-    return {t for t, c in df.items() if c / n >= spec.head_df_ratio}
+        texts += [t or "" for t in taken[:per_shard]]
+    n = len(texts)
+    blk = getattr(analyzer, "analyze_block", lambda _t: None)(texts) if n else None
+    if blk is None:
+        df: Counter = Counter()
+        for text in texts:
+            df.update(set(analyzer(text)[0]))
+        return {t for t, c in df.items() if c / n >= spec.head_df_ratio}
+    terms_arr, doclens = blk
+    codes_arr = terms_arr.dictionary_encode()
+    vocab = codes_arr.dictionary
+    codes = codes_arr.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    docs = np.repeat(np.arange(n, dtype=np.int64), doclens)
+    pairs = np.unique(docs * len(vocab) + codes)
+    df_arr = np.bincount(pairs % max(len(vocab), 1), minlength=len(vocab))
+    return set(vocab.filter(pa.array(df_arr / n >= spec.head_df_ratio)).to_pylist())
 
 
 CHUNK_SCHEMA = [
@@ -146,6 +176,8 @@ CHUNK_SCHEMA = [
     ("total_tf", pa.int64()),
     ("blob", pa.binary()),
 ]
+# the term-keyed shuffle's order, which every run file keeps
+SORT_KEY = ["part", "term", "salt", "first_doc"]
 
 
 class TokenizeShard:
@@ -413,14 +445,16 @@ class MergeParts:
 # stateless tasks on Ray's pre-started worker processes — no actor-pool spawn
 # or ramp-up — while the module-level cache still amortizes stage state
 # (compiled analyzers) across every task that lands on the same worker. The
-# actor-pool classes above remain the API for genuinely heavy state (models);
-# the build defaults to tasks because its per-stage state is cheap to rebuild
-# and pool spawn dominates at benchmark scale.
+# stage classes above are what both executors run: the Ray Data pipeline
+# reaches them through this cache, the inline build constructs them once per
+# build in the calling process.
 _STAGE_CACHE: dict = {}
 
-# Ray Data per-operator stats of the most recent build_index call in this
-# process (tokenize/sort/route and merge pipelines) — the ds.stats() review
-# feedstock for BASELINE.md.
+# Stage reports of the most recent build_index call in this process that
+# built anything: ``executor`` ("ray_data" or "inline"), and ``chunks``
+# (tokenize/sort/route) and ``merge`` in Ray Data's ``Dataset.stats()`` text
+# (the inline build writes the same shape) — the review feedstock for
+# BASELINE.md and the benchmark's traced build layers.
 LAST_BUILD_STATS: dict = {}
 
 
@@ -486,10 +520,9 @@ def _stage_sorted_corpus(corpus_dir: str, staged_dir: str, spec: IndexSpec,
 def _build_runs_and_merge(index_dir, spec, spec_dict, shards, by_part,
                           todo_parts, concurrency):
     """Execute the tokenize → sort → route run-file pass and the
-    per-partition merge for the given todo partitions."""
+    per-partition merge for the given todo partitions, inline when the
+    pipeline would be one lane wide, otherwise through Ray Data."""
     todo_shards = [s for s in shards if s["part"] in set(todo_parts)]
-    import functools
-
     head = frozenset(sketch_head_terms(todo_shards, spec))
     ncpu = concurrency or max(1, int(ray.cluster_resources().get("CPU", 4)))
     # Task granularity: a few input files per tokenize task keeps task
@@ -499,39 +532,124 @@ def _build_runs_and_merge(index_dir, spec, spec_dict, shards, by_part,
     tok_bs = max(1, min(spec.files_per_partition,
                         (len(todo_shards) + 2 * ncpu - 1) // (2 * ncpu)))
     n_blocks = (len(todo_shards) + tok_bs - 1) // tok_bs
-    chunks = (
-        rd.from_items(todo_shards, override_num_blocks=n_blocks)
-        .map_batches(
-            functools.partial(
-                _tokenize_fn, index_dir=index_dir, spec_dict=spec_dict, head_terms=head
-            ),
-            batch_size=tok_bs,
-            batch_format="pyarrow",
-            num_cpus=1,
-        )
-        .sort(["part", "term", "salt", "first_doc"])
-        .map_batches(
-            functools.partial(_route_fn, index_dir=index_dir, spec_dict=spec_dict),
-            batch_format="pyarrow",
-            num_cpus=1,
-        )
-    )
-    run_rows = chunks.take_all()
-    LAST_BUILD_STATS["chunks"] = chunks.stats()
+    if ncpu == 1 or n_blocks == 1:
+        _build_inline(index_dir, spec_dict, todo_shards, by_part, todo_parts, head, tok_bs)
+    else:
+        _build_ray_data(index_dir, spec_dict, todo_shards, by_part, todo_parts, head, tok_bs,
+                        n_blocks)
+
+
+def _merge_items(runs_by_part: dict, by_part: dict) -> list[dict]:
+    return [{"part": p, "run_paths": runs, "shards": by_part[p]}
+            for p, runs in runs_by_part.items()]
+
+
+def _build_inline(index_dir, spec_dict, todo_shards, by_part, todo_parts, head, tok_bs):
+    """The one-lane build: the Ray Data pipeline's stage objects called in
+    this process. Each batch of ``tok_bs`` shards is tokenized, sorted and
+    routed to its own run files before the next is read, so the process
+    holds one tokenize task's chunk table at a time; then each partition
+    merges. Run files split differently than after Ray Data's global sort,
+    which ``write_segment``'s canonical re-encode makes invisible in the
+    segment bytes."""
+    tok = TokenizeShard(index_dir, spec_dict, head)
+    route = RouteChunks(index_dir, spec_dict)
+    wall = {"tokenize": 0.0, "sort": 0.0, "route": 0.0}
+    rows = nbytes = 0
     runs_by_part: dict[int, list[str]] = {p: [] for p in todo_parts}
-    for r in run_rows:
-        runs_by_part[int(r["part"])].append(r["run_path"])
-    merge_items = [
-        {"part": p, "run_paths": runs_by_part[p], "shards": by_part[p]} for p in todo_parts
-    ]
-    merged = rd.from_items(merge_items, override_num_blocks=len(merge_items)).map_batches(
-        functools.partial(_merge_fn, index_dir=index_dir, spec_dict=spec_dict),
-        batch_size=1,
-        batch_format="pyarrow",
-        num_cpus=1,
-    )
-    merged.take_all()
-    LAST_BUILD_STATS["merge"] = merged.stats()
+    for i in range(0, len(todo_shards), tok_bs):
+        t0 = time.perf_counter()
+        chunks = tok(pa.Table.from_pylist(todo_shards[i:i + tok_bs]))
+        t1 = time.perf_counter()
+        rows, nbytes = rows + chunks.num_rows, nbytes + chunks.nbytes
+        chunks = chunks.sort_by([(c, "ascending") for c in SORT_KEY])
+        t2 = time.perf_counter()
+        runs = route(chunks)
+        t3 = time.perf_counter()
+        for p, path in zip(runs["part"].to_pylist(), runs["run_path"].to_pylist()):
+            runs_by_part[p].append(path)
+        wall["tokenize"] += t1 - t0
+        wall["sort"] += t2 - t1
+        wall["route"] += t3 - t2
+    t0 = time.perf_counter()
+    MergeParts(index_dir, spec_dict)(pa.Table.from_pylist(_merge_items(runs_by_part, by_part)))
+    merge_s = time.perf_counter() - t0
+    LAST_BUILD_STATS.update(
+        executor="inline",
+        chunks=_inline_report([
+            (f"MapBatches({_tokenize_fn.__name__})", wall["tokenize"],
+             [f"* Output num rows per block: {rows} total",
+              f"* Output size bytes per block: {nbytes} total"]),
+            ("Sort", wall["sort"], []),
+            (f"MapBatches({_route_fn.__name__})", wall["route"], []),
+        ]),
+        merge=_inline_report([(f"MapBatches({_merge_fn.__name__})", merge_s, [])]))
+
+
+def _inline_report(ops: list) -> str:
+    """Operator stats of an inline build in ``Dataset.stats()``'s shape: an
+    ``Operator N name:`` header per stage, its wall time as ``Remote wall
+    time: … total`` and any further lines, so one parser reads both
+    executors' reports."""
+    lines = []
+    for i, (name, secs, extra) in enumerate(ops):
+        lines += [f"Operator {i} {name}: run inline in the calling process",
+                  f"* Remote wall time: {secs:.6f}s total", *extra]
+    return "\n".join(lines)
+
+
+def _build_ray_data(index_dir, spec_dict, todo_shards, by_part, todo_parts, head, tok_bs,
+                    n_blocks):
+    """The streaming build: tokenize tasks → Ray Data sort → route tasks,
+    then one merge task per partition."""
+    import functools
+
+    from ray.data import DataContext
+
+    # The streaming executor's per-operator resource reservation (default
+    # ratio 0.5) caps the tokenize stage at HALF the CPUs even though
+    # downstream sort/route need almost none until it finishes — measured
+    # 13.4 s → 9.8 s tokenize wall at 1.5M docs/32 cpus with it off. Safe
+    # here: map → sort → map consumed by take_all has no concurrent-consumer
+    # backpressure to protect. Restored afterwards.
+    ctx = DataContext.get_current()
+    prev_reserve = getattr(ctx, "op_resource_reservation_enabled", None)
+    if prev_reserve is not None:
+        ctx.op_resource_reservation_enabled = False
+    try:
+        chunks = (
+            rd.from_items(todo_shards, override_num_blocks=n_blocks)
+            .map_batches(
+                functools.partial(
+                    _tokenize_fn, index_dir=index_dir, spec_dict=spec_dict, head_terms=head
+                ),
+                batch_size=tok_bs,
+                batch_format="pyarrow",
+                num_cpus=1,
+            )
+            .sort(SORT_KEY)
+            .map_batches(
+                functools.partial(_route_fn, index_dir=index_dir, spec_dict=spec_dict),
+                batch_format="pyarrow",
+                num_cpus=1,
+            )
+        )
+        run_rows = chunks.take_all()
+        runs_by_part: dict[int, list[str]] = {p: [] for p in todo_parts}
+        for r in run_rows:
+            runs_by_part[int(r["part"])].append(r["run_path"])
+        merge_items = _merge_items(runs_by_part, by_part)
+        merged = rd.from_items(merge_items, override_num_blocks=len(merge_items)).map_batches(
+            functools.partial(_merge_fn, index_dir=index_dir, spec_dict=spec_dict),
+            batch_size=1,
+            batch_format="pyarrow",
+            num_cpus=1,
+        )
+        merged.take_all()
+    finally:
+        if prev_reserve is not None:
+            ctx.op_resource_reservation_enabled = prev_reserve
+    LAST_BUILD_STATS.update(executor="ray_data", chunks=chunks.stats(), merge=merged.stats())
 
 
 def build_index(
@@ -605,24 +723,8 @@ def build_index(
         for pat in ("rankfeat-*.json", "wildcard-*.json"):
             for stale in _glob.glob(os.path.join(index_dir, pat)):
                 os.remove(stale)
-        # The streaming executor's per-operator resource reservation
-        # (default ratio 0.5) caps the tokenize stage at HALF the CPUs even
-        # though downstream sort/route need almost none until it finishes —
-        # measured 13.4 s → 9.8 s tokenize wall at 1.5M docs/32 cpus with it
-        # off. Safe here: map → sort → map consumed by take_all has no
-        # concurrent-consumer backpressure to protect. Restored afterwards.
-        from ray.data import DataContext as _DC
-
-        _ctx = _DC.get_current()
-        _prev_reserve = getattr(_ctx, "op_resource_reservation_enabled", None)
-        if _prev_reserve is not None:
-            _ctx.op_resource_reservation_enabled = False
-        try:
-            _build_runs_and_merge(index_dir, spec, spec_dict, shards, by_part,
-                                  todo_parts, concurrency)
-        finally:
-            if _prev_reserve is not None:
-                _ctx.op_resource_reservation_enabled = _prev_reserve
+        _build_runs_and_merge(index_dir, spec, spec_dict, shards, by_part,
+                              todo_parts, concurrency)
         done = [read_manifest(index_dir, p) for p in sorted(by_part)]
 
     sum_dl_fields: dict[str, int] = {}

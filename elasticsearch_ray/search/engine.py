@@ -2507,7 +2507,8 @@ class QueryEngine:
         self._scorer_cache.clear()
 
     def _read_gate(self, read, *args):
-        """The gate of ``search`` and ``count``: refuse a closed index or a
+        """The gate of ``search``, ``count``, ``scan``, ``scan_dataset``,
+        ``explain``, ``mget`` and ``inner_hits``: refuse a closed index or a
         read block (``check_read``, mtime-cached, one os.stat), then run
         ``read(*args)``; on a frozen index one read at a time (the
         ``search_throttled`` pool), dropping the readers after it."""
@@ -2749,6 +2750,9 @@ class QueryEngine:
         pre-cuts to ≤ size candidates per value, so the driver merge is
         |values|·size·P rows — the reference's expand phase runs one
         multi-search the same way."""
+        return self._read_gate(self._inner_hits, q, collapse, values, size, fetch)
+
+    def _inner_hits(self, q, collapse, values, size, fetch) -> pa.Table:
         q = self._prepare(q)
         scorers = self._scorers_cached(q)
         got = self._fanout("inner_hits_candidates", q, scorers, collapse, list(values), size)
@@ -2782,13 +2786,19 @@ class QueryEngine:
         ``source_columns`` additionally read from the _source lineage via
         the row-group-pushdown fetch (one read per touched partition/row
         group, grouped like the fetch phase)."""
+        return self._read_gate(self._mget, doc_ids, columns, source_columns)
+
+    def _mget(self, doc_ids, columns, source_columns) -> pa.Table:
         ids = [int(d) for d in doc_ids]
         if not ids:
             return pa.table({})
-        # unknown ids (outside [0, n_docs)) become found=false rows with
-        # null fields — the reference's per-doc MultiGetItemResponse shape
-        # — instead of an opaque Arrow IndexError (ADVICE r4)
-        known = np.array([0 <= d < self.n_docs for d in ids], bool)
+        # unknown ids (outside this index's own partitions) become
+        # found=false rows with null fields — the reference's per-doc
+        # MultiGetItemResponse shape — instead of an opaque Arrow IndexError
+        # (ADVICE r4). The partitions, not ``n_docs``, bound the ids: a
+        # MultiIndexEngine member's ``n_docs`` is the combined count.
+        n_own = sum(p["n_docs"] for p in self.meta["parts"])
+        known = np.array([0 <= d < n_own for d in ids], bool)
         located = np.array([self._locate(d) for d, ok in zip(ids, known) if ok],
                            np.int64).reshape(-1, 2)
 
@@ -2970,8 +2980,11 @@ class QueryEngine:
     def scan(self, q: Query | str, batch_size: int = 1000, fetch: tuple = ("doc_id",)):
         """Scroll analog (search/Scroll.java semantics): iterate ALL hits in
         (part, doc) order as pyarrow tables — server-held-cursor pagination
-        becomes a generator over immutable segments (point-in-time for free)."""
-        q = self._prepare(q)
+        becomes a generator over immutable segments (point-in-time for free).
+        The index gate runs at the call, before the first batch."""
+        return self._scan_batches(self._read_gate(self._prepare, q), batch_size, fetch)
+
+    def _scan_batches(self, q, batch_size: int, fetch: tuple):
         scorers = self._scorers_cached(q)
         for p in self.parts:
             s = self._searcher(p)
@@ -3327,6 +3340,9 @@ class QueryEngine:
         evaluation path as search, so it is bit-identical, float32 narrowing
         included); the detail tree decomposes it per clause/term with the
         BM25 components (boost, idf(n,N), tf/dl/avgdl fraction)."""
+        return self._read_gate(self._explain, q, doc_id)
+
+    def _explain(self, q: Query | str, doc_id: int) -> dict:
         q = self._prepare(q)
         scorers = self._scorers_cached(q)
         part, local = self._locate(int(doc_id))
@@ -3526,8 +3542,9 @@ class QueryEngine:
         ``_source`` columns (pruned reads from the partition's input files).
         The natural head of a reindex/export pipeline: compose with
         map_batches / write_parquet downstream."""
-        return self._all_hits_ds(q, _scan_hits, fetch=tuple(fetch),
-                                 source_columns=tuple(source_columns), highlight=None)
+        return self._read_gate(lambda: self._all_hits_ds(
+            q, _scan_hits, fetch=tuple(fetch), source_columns=tuple(source_columns),
+            highlight=None))
 
     def _all_hits_ds(self, q, fn, **cfg):
         """The one Ray Data pass over ALL hits of ``q`` (scan_dataset,

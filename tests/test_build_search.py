@@ -31,6 +31,7 @@ K1, B = 1.2, 0.75
 
 @pytest.fixture(scope="module")
 def built_index(ray_session, tmp_path_factory):
+    from elasticsearch_ray.index import build
     from elasticsearch_ray.index.build import build_index
     from elasticsearch_ray.sources.webpages import corpus_for_sf, plan_shards
 
@@ -39,6 +40,7 @@ def built_index(ray_session, tmp_path_factory):
     # files_per_partition=1 → partition == input file, which is what the
     # brute-force oracle's (part, local) mapping assumes
     meta = build_index(corpus, idx, IndexSpec(files_per_partition=1), concurrency=2)
+    assert build.LAST_BUILD_STATS["executor"] == "ray_data"  # three tokenize blocks
     return corpus, idx, meta
 
 
@@ -223,6 +225,7 @@ def test_range_filter_on_warc_ts(built_index):
 def test_multi_file_partitions_same_results(built_index, ray_session, tmp_path_factory):
     """files_per_partition>1 (exercising the multi-chunk merge/re-encode path)
     must return the same docs+scores as single-file partitions."""
+    from elasticsearch_ray.index import build
     from elasticsearch_ray.index.build import build_index
     from elasticsearch_ray.search.engine import QueryEngine
 
@@ -230,6 +233,7 @@ def test_multi_file_partitions_same_results(built_index, ray_session, tmp_path_f
     idx2 = str(tmp_path_factory.mktemp("idxfp") / "index")
     meta2 = build_index(corpus, idx2, IndexSpec(files_per_partition=2), concurrency=2)
     assert meta2["num_parts"] == 2  # 3 files → ceil(3/2)
+    assert build.LAST_BUILD_STATS["executor"] == "ray_data"
     e1 = QueryEngine(idx, dtype="float64")
     e2 = QueryEngine(idx2, dtype="float64")
     for qtext in ["spark join merge", "the", "window filter group"]:

@@ -112,3 +112,15 @@ def test_count_and_msearch(split_indexes):
     for got, q2 in zip(bulk, qs):
         want = full.search(q2, k=5, fetch=("url",))
         assert got["url"].to_pylist() == want["url"].to_pylist()
+
+
+def test_member_mget_bounds_ids_by_its_own_partitions(split_indexes):
+    """A member's ``n_docs`` is the combined count; an id past its own
+    partitions is a found=false row, not a ``_locate`` error."""
+    multi, _ = split_indexes
+    member = multi.engines[0]
+    own = sum(p["n_docs"] for p in member.meta["parts"])
+    assert member.n_docs > own
+    got = member.mget([own - 1, own + 1], columns=("doc_id",))
+    assert got["doc_id"].to_pylist() == [own - 1, own + 1]
+    assert got["found"].to_pylist() == [True, False]

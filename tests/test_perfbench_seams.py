@@ -56,10 +56,9 @@ def test_query_tracer_sees_every_phase(two_part_index):
     assert len(plain) == 10  # k defaults to 10; 30 docs match
 
 
-def test_build_stage_stats_name_every_stage(ray_session, tmp_path):
-    """The traced build reads its stage times from the Ray Data operator
-    names in ``LAST_BUILD_STATS``; a renamed stage function would silently
-    drop its ``layer.build.*_s`` metric."""
+def _two_file_build_stages(tmp_path, concurrency: int, executor: str) -> dict:
+    """Build two one-file partitions and parse ``LAST_BUILD_STATS`` the way
+    the traced build does."""
     from elasticsearch_ray.index import build
 
     src = tmp_path / "src"
@@ -70,10 +69,27 @@ def test_build_stage_stats_name_every_stage(ray_session, tmp_path):
                        str(src / f"f{f}.parquet"))
     build_index(str(src), str(tmp_path / "index"),
                 IndexSpec(use_html=False, text_column="text", doc_columns=("url",),
-                          files_per_partition=1), concurrency=2)
+                          files_per_partition=1), concurrency=concurrency)
+    assert build.LAST_BUILD_STATS["executor"] == executor
     stages = layers.build_stages(build.LAST_BUILD_STATS)
     for st in ("tokenize", "sort", "route", "merge_part"):
         assert stages.get(f"{st}_s", 0.0) > 0, st
+    return stages
+
+
+def test_build_stage_stats_name_every_stage(ray_session, tmp_path):
+    """The traced build reads its stage times from the Ray Data operator
+    names in ``LAST_BUILD_STATS``; a renamed stage function would silently
+    drop its ``layer.build.*_s`` metric."""
+    _two_file_build_stages(tmp_path, 2, "ray_data")
+
+
+def test_inline_build_reports_every_stage(tmp_path):
+    """A one-lane build runs inline and writes the same stage reports
+    itself, chunk rows and bytes included."""
+    stages = _two_file_build_stages(tmp_path, 1, "inline")
+    assert stages["chunk_rows"] == 6  # 3 terms in each of 2 files
+    assert stages["shuffle_bytes"] > 0
 
 
 def _actor_pids() -> set[int]:

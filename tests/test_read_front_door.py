@@ -65,6 +65,29 @@ def test_profile_and_async_search_refuse_a_closed_index(ray_session, tmp_path):
         admin.open_index(eng.index_dir)
 
 
+def test_every_read_api_refuses_a_closed_index(four_parts):
+    """scan (before its first batch), scan_dataset, explain, mget and
+    inner_hits pass the same gate as search."""
+    eng = QueryEngine(four_parts)
+    q = MatchQuery("spark")
+    reads = {
+        "scan": lambda: next(eng.scan(q)),
+        "scan_dataset": lambda: eng.scan_dataset(q).count(),
+        "explain": lambda: eng.explain(q, 0),
+        "mget": lambda: eng.mget([0]),
+        "inner_hits": lambda: eng.inner_hits(q, "lang", ["en"]),
+    }
+    for read in reads.values():
+        read()
+    admin.close_index(four_parts)
+    try:
+        for name, read in reads.items():
+            with pytest.raises(IndexClosedError):
+                read()
+    finally:
+        admin.open_index(four_parts)
+
+
 def test_search_shards_prunes_like_search(four_parts):
     eng = QueryEngine(four_parts)
     q = BoolQuery(must=(MatchAllQuery(),), should=(TermQuery("zzzqqxunseen"),))
