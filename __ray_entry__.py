@@ -1582,15 +1582,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         mantissa bits, so FeatureField's freq-encoding truncation
         (floatToIntBits >>> 15) is EXACT and the SQL twin is plain
         arithmetic on doc_id."""
-        from elasticsearch_ray.index.rank_features import (
-            build_rank_features,
-            sidecar_complete,
-        )
+        from elasticsearch_ray.index import state
+        from elasticsearch_ray.index.rank_features import build_rank_features
 
         eng = _documents_index(sf)
-        # completeness, not just the root manifest: a part rebuild wipes
-        # per-part sidecars but can leave the manifest behind
-        if not sidecar_complete(eng.index_dir, "tags"):
+        # completeness, not just the root record: a part rebuild wipes
+        # per-part sidecars
+        if not state.snapshot(eng.index_dir).sidecar_complete("rankfeat", "tags"):
             n = eng.n_docs
             ids = np.arange(n, dtype=np.int64)
             fb_ids = ids[ids % 3 == 0]
@@ -3602,13 +3600,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         (WildcardFieldMapper analog): the value is a deterministic
         url derivation of (source, lang, doc_id), so the DuckDB twin
         recomputes the same strings and filters with LIKE / regexp."""
-        from elasticsearch_ray.index.wildcard import (
-            build_wildcard_field,
-            wildcard_sidecar_complete,
-        )
+        from elasticsearch_ray.index import state
+        from elasticsearch_ray.index.wildcard import build_wildcard_field
 
         eng = _documents_index(sf)
-        if not wildcard_sidecar_complete(eng.index_dir, "url"):
+        if not state.snapshot(eng.index_dir).sidecar_complete("wildcard", "url"):
             t = _ds(sf, "documents").select_columns(
                 ["doc_id", "source", "lang"]).to_pandas()
             t = t.sort_values("doc_id", ignore_index=True)

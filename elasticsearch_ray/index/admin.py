@@ -9,20 +9,22 @@ only, like ``IndexScopedSettings``), ``_stats``
 (``RestIndicesStatsAction``), ``_recovery`` (``RestRecoveryAction``),
 and the ``_flush`` / ``_refresh`` / ``_clear_cache`` analogs.
 
-All state lives in ``admin.json`` next to the index (atomic writes, the
-``frozen.json`` pattern) and is EXEC-ONLY: it is never part of the spec
-fingerprint, so toggling it can never trigger a segment rebuild —
-exactly the reference's split between index METADATA updates and
-mapping-incompatible changes that require a reindex. Reads go through a
-tiny mtime-validated cache so per-query enforcement costs one
-``os.stat``.
+All state is the index's admin state (``state.admin_state`` /
+``state.commit_admin``: atomic writes next to the index) and is
+EXEC-ONLY: it is never part of the spec fingerprint, so toggling it can
+never trigger a segment rebuild — exactly the reference's split between
+index METADATA updates and mapping-incompatible changes that require a
+reindex. Reads go through a tiny mtime-validated cache so per-query
+enforcement costs one ``os.stat``.
 """
 
 from __future__ import annotations
 
 import os
 
-from elasticsearch_ray.index.segments import atomic_write_json
+from elasticsearch_ray.index import state
+from elasticsearch_ray.index.state import admin_state as _state
+from elasticsearch_ray.index.state import commit_admin as _save
 
 
 class IndexClosedError(RuntimeError):
@@ -41,36 +43,6 @@ _DYNAMIC = {"index.max_result_window", "index.blocks.read",
             "index.blocks.write", "index.blocks.read_only",
             "index.blocks.metadata", "index.search.throttled",
             "index.refresh_interval"}
-
-_CACHE: dict[str, tuple[float, dict]] = {}
-
-
-def _path(index_dir: str) -> str:
-    return os.path.join(index_dir, "admin.json")
-
-
-def _state(index_dir: str) -> dict:
-    """mtime-cached admin state ({} when absent)."""
-    import json
-
-    p = _path(index_dir)
-    try:
-        mt = os.stat(p).st_mtime_ns
-    except FileNotFoundError:
-        return {}
-    hit = _CACHE.get(p)
-    if hit is not None and hit[0] == mt:
-        return hit[1]
-    with open(p) as f:
-        st = json.load(f)
-    _CACHE[p] = (mt, st)
-    return st
-
-
-def _save(index_dir: str, st: dict) -> None:
-    atomic_write_json(_path(index_dir), st)
-    _CACHE.pop(_path(index_dir), None)
-
 
 # ------------------------------------------------------------ open/close
 
@@ -250,20 +222,12 @@ def effective_max_result_window(index_dir: str, spec: dict) -> int | None:
 # ------------------------------------------------------ stats / recovery
 
 def _iter_manifests(index_dir: str):
-    """Yield the INVERTED-index part manifests (``parts/*/manifest.json``)
-    in part order — restricted to the ``parts`` subtree so a co-located
-    vector index's vpart manifests are never miscounted as segments
-    (review r5e #8)."""
-    import json
-
-    parts_root = os.path.join(index_dir, "parts")
-    if not os.path.isdir(parts_root):
-        return
-    for d in sorted(os.listdir(parts_root)):
-        mp = os.path.join(parts_root, d, "manifest.json")
-        if os.path.exists(mp):
-            with open(mp) as fh:
-                yield json.load(fh)
+    """Yield the committed INVERTED-index part manifests in part order —
+    never a co-located vector index's vpart manifests (review r5e #8)."""
+    if state.exists(index_dir):
+        for p in state.snapshot(index_dir).parts:
+            if p.manifest is not None:
+                yield p.manifest
 
 
 def indices_stats(index_dir: str) -> dict:
@@ -316,10 +280,10 @@ def flush(index_dir: str) -> dict:
 def refresh(engine) -> dict:
     """``POST /<index>/_refresh`` analog — near-real-time refresh, which the
     reference does by reopening readers inside live nodes
-    (``IndexSettings.java:252``). ``QueryEngine.reopen`` re-reads
-    ``index_meta.json`` and reopens only the partitions whose manifest
-    changed, on the engine's own readers and, for a ray-backed engine, in
-    its live pooled searcher actors (no process is started); removed
+    (``IndexSettings.java:252``). ``QueryEngine.reopen`` takes a new
+    snapshot of the index state and reopens only the partitions whose
+    manifest changed, on the engine's own readers and, for a ray-backed
+    engine, in its live pooled searcher actors (no process is started); removed
     partitions are dropped. Then the query-side caches are cleared. Returns
     the reopen's partition counts and the cleared cache entries."""
     out = engine.reopen() if hasattr(engine, "reopen") else {}

@@ -25,7 +25,7 @@ Pipeline (SURVEY §3.1, with an explicit map-side combine):
       terms re-encode canonically in one bulk call), concatenates doc runs
       → docs.parquet, writes terms.parquet / postings.bin / positions.bin /
       manifest.json (completion marker, last)
-    → index_meta.json (global stats: N, sum_dl)
+    → state.commit_parts: the part list + global stats (N, sum_dl)
 
 Skew handling (north rule): a head term's postings arrive as bounded chunks
 (one per input shard), and the explicit ``salt`` key — populated for terms
@@ -52,9 +52,10 @@ Two executors run these same stage objects (``_build_runs_and_merge``):
     multi-chunk terms canonically, so both executors write byte-identical
     segment files (tested).
 
-Resumability: a partition with a valid ``manifest.json`` is skipped entirely
-on re-build; incomplete partitions rebuild idempotently (atomic temp+rename,
-run files tracked by returned manifests, not directory listings).
+Resumability: a partition whose committed manifest has the planned lineage
+is skipped entirely on re-build (``state.resume``); incomplete partitions
+rebuild idempotently (atomic temp+rename, run files tracked by returned
+manifests, not directory listings).
 
 Reference anchors: shard routing ``cluster/routing/IndexRouting.java:113``
 (contiguous ranges by default; murmur3 parity in index/routing),
@@ -80,6 +81,7 @@ import ray.data as rd
 
 from elasticsearch_ray.analysis.analyzers import get_analyzer
 from elasticsearch_ray.analysis.html_strip import strip_html
+from elasticsearch_ray.index import state
 from elasticsearch_ray.index.norms import int_to_byte4
 from elasticsearch_ray.index.merge import run_source, write_segment
 from elasticsearch_ray.index.postings import encode_many
@@ -87,7 +89,6 @@ from elasticsearch_ray.index.segments import (
     atomic_write_json,
     atomic_write_table,
     part_dir,
-    read_manifest,
 )
 from elasticsearch_ray.index.spec import FIELD_SEP, IndexSpec
 from elasticsearch_ray.sources.webpages import corpus_files, plan_shards
@@ -410,6 +411,17 @@ class RouteChunks:
         )
 
 
+def _lineage(shards: list[dict], spec_fp: str) -> dict:
+    """A partition's resume identity: input paths + rows + BYTES (a
+    regenerated corpus with identical row counts must invalidate) + the
+    analysis-relevant spec fingerprint (changing analyzer/fields/positions
+    must rebuild)."""
+    return {"input_path": [s["path"] for s in shards],
+            "input_rows": int(sum(s["rows"] for s in shards)),
+            "input_bytes": int(sum(s.get("bytes", 0) for s in shards)),
+            "spec_fp": spec_fp}
+
+
 class MergeParts:
     """Per-partition merge stage: the partition's run files and doc runs go
     through the segment-merge kernel (``index.merge.write_segment``)."""
@@ -425,13 +437,8 @@ class MergeParts:
             ddir = os.path.join(pdir, "docruns")
             docruns = sorted(os.listdir(ddir)) if os.path.isdir(ddir) else []
             shards, with_pos = row["shards"], self.spec.store_positions
-            lineage = {
-                "input_path": [s["path"] for s in shards],
-                "input_rows": int(sum(s["rows"] for s in shards)),
-                "input_bytes": int(sum(s.get("bytes", 0) for s in shards)),
-                "spec_fp": spec_fingerprint(self.spec),
-                "base_doc_id": int(shards[0]["part_base"]),
-            }
+            lineage = {**_lineage(shards, spec_fingerprint(self.spec)),
+                       "base_doc_id": int(shards[0]["part_base"])}
             m = write_segment(self.index_dir, int(row["part"]),
                               [run_source(p, with_pos) for p in row["run_paths"]],
                               [os.path.join(ddir, f) for f in docruns], with_pos, lineage,
@@ -450,11 +457,12 @@ class MergeParts:
 # build in the calling process.
 _STAGE_CACHE: dict = {}
 
-# Stage reports of the most recent build_index call in this process that
-# built anything: ``executor`` ("ray_data" or "inline"), and ``chunks``
-# (tokenize/sort/route) and ``merge`` in Ray Data's ``Dataset.stats()`` text
-# (the inline build writes the same shape) — the review feedstock for
-# BASELINE.md and the benchmark's traced build layers.
+# Stage reports of the most recent build_index call in this process, empty
+# when it built nothing (every partition resumed): ``executor`` ("ray_data"
+# or "inline"), and ``chunks`` (tokenize/sort/route) and ``merge`` in Ray
+# Data's ``Dataset.stats()`` text (the inline build writes the same shape) —
+# the review feedstock for BASELINE.md and the benchmark's traced build
+# layers.
 LAST_BUILD_STATS: dict = {}
 
 
@@ -663,8 +671,9 @@ def build_index(
     from elasticsearch_ray.index import admin as _admin
 
     # closed index / write API block forbids (re)build + append — a
-    # no-op for fresh directories (no admin.json yet)
+    # no-op for fresh directories (no admin state yet)
     _admin.check_write(index_dir)
+    LAST_BUILD_STATS.clear()
     spec = spec or IndexSpec()
     if spec.char_filters or spec.token_filters:
         # fold char/token filters into a parametric analyzer NAME: every
@@ -693,53 +702,10 @@ def build_index(
     by_part: dict[int, list[dict]] = {}
     for s in shards:
         by_part.setdefault(s["part"], []).append(s)
-    # resume identity: input paths + rows + BYTES (a regenerated corpus with
-    # identical row counts must invalidate) + the analysis-relevant spec
-    # fingerprint (changing analyzer/fields/positions must rebuild).
     spec_fp = spec_fingerprint(spec)
-    done, todo_parts = [], []
-    for part, plist in sorted(by_part.items()):
-        m = read_manifest(index_dir, part)
-        if (
-            m
-            and m.get("input_rows") == sum(s["rows"] for s in plist)
-            and m.get("input_path") == [s["path"] for s in plist]
-            and m.get("input_bytes") == sum(s.get("bytes", 0) for s in plist)
-            and m.get("spec_fp") == spec_fp
-        ):
-            done.append(m)
-        else:
-            shutil.rmtree(part_dir(index_dir, part), ignore_errors=True)
-            todo_parts.append(part)
-
-    spec_dict = spec.to_dict()
+    todo_parts = state.resume(
+        index_dir, {part: _lineage(plist, spec_fp) for part, plist in by_part.items()})
     if todo_parts:
-        # any rebuild wipes part dirs, taking per-part DERIVED artifacts
-        # (rank_features sidecars) with them — their root-level manifests
-        # must go too or stale guards will claim the sidecar still exists
-        # (regression: spec-field additions orphaned rankfeat-tags.json)
-        import glob as _glob
-
-        for pat in ("rankfeat-*.json", "wildcard-*.json"):
-            for stale in _glob.glob(os.path.join(index_dir, pat)):
-                os.remove(stale)
-        _build_runs_and_merge(index_dir, spec, spec_dict, shards, by_part,
+        _build_runs_and_merge(index_dir, spec, spec.to_dict(), shards, by_part,
                               todo_parts, concurrency)
-        done = [read_manifest(index_dir, p) for p in sorted(by_part)]
-
-    sum_dl_fields: dict[str, int] = {}
-    for m in done:
-        for f, v in (m.get("sum_dl_fields") or {}).items():
-            sum_dl_fields[f] = sum_dl_fields.get(f, 0) + int(v)
-    meta = {
-        "spec": spec.to_dict(),
-        "num_parts": len(by_part),
-        "n_docs": int(sum(m["n_docs"] for m in done)),
-        "sum_dl": int(sum(m["sum_dl"] for m in done)),
-        "sum_dl_fields": sum_dl_fields,
-        "parts": [
-            {"part": m["part"], "n_docs": m["n_docs"], "input_path": m["input_path"]} for m in done
-        ],
-    }
-    atomic_write_json(os.path.join(index_dir, "index_meta.json"), meta)
-    return meta
+    return state.commit_parts(index_dir, sorted(by_part), spec.to_dict())

@@ -8,10 +8,11 @@ immutable segment partitions with manifests, so following is
 SEGMENT-level (the shape of the reference's initial `restore from
 remote` plus file-based recovery on changes):
 
-- ``follow(leader, follower)`` — initial sync: copy every partition +
-  index meta, write ``follow.json`` recording the leader;
+- ``follow(leader, follower)`` — initial sync: copy every partition,
+  commit the leader's part list, write ``follow.json`` recording the
+  leader;
 - ``poll_follow(follower)`` — incremental sync: a partition is copied
-  only when the follower lacks it or its ``manifest.json`` bytes
+  only when the follower lacks it or its committed manifest
   changed (manifests carry format/spec/input fingerprints, so any
   rebuild/merge/append changes them); partitions gone from the leader
   (tiered merges rewrite groups) are dropped. Untouched partitions are
@@ -29,29 +30,14 @@ import json
 import os
 import shutil
 
+from elasticsearch_ray.index import state
+from elasticsearch_ray.index.segments import part_dir
+
 FOLLOW_MARKER = "follow.json"
 
 
 class FollowerError(ValueError):
     pass
-
-
-def _parts(index_dir: str) -> dict[str, str]:
-    """{part dirname: abs path} of complete partitions."""
-    root = os.path.join(index_dir, "parts")
-    out = {}
-    if os.path.isdir(root):
-        for d in sorted(os.listdir(root)):
-            p = os.path.join(root, d)
-            if (d.startswith("part=") and not d.endswith(".tmp")
-                    and os.path.exists(os.path.join(p, "manifest.json"))):
-                out[d] = p
-    return out
-
-
-def _manifest_bytes(part_dir: str) -> bytes:
-    with open(os.path.join(part_dir, "manifest.json"), "rb") as f:
-        return f.read()
 
 
 def is_follower(index_dir: str) -> bool:
@@ -81,37 +67,33 @@ def poll_follow(follower_dir: str) -> dict:
         raise FollowerError(f"{follower_dir} is not a follower")
     with open(marker) as f:
         leader_dir = json.load(f)["leader"]
-    if not os.path.exists(os.path.join(leader_dir, "index_meta.json")):
+    if not state.exists(leader_dir):
         raise FollowerError(f"leader {leader_dir!r} has no index")
-
-    leader_parts = _parts(leader_dir)
-    follower_parts = _parts(follower_dir)
+    leader = state.snapshot(leader_dir)
+    have = ({p.part: p.manifest for p in state.snapshot(follower_dir).parts}
+            if state.exists(follower_dir) else {})
     copied, removed, unchanged = [], [], []
-    os.makedirs(os.path.join(follower_dir, "parts"), exist_ok=True)
-    for name, src in leader_parts.items():
-        dst = os.path.join(follower_dir, "parts", name)
-        if name in follower_parts and \
-                _manifest_bytes(src) == _manifest_bytes(dst):
-            unchanged.append(name)
+    for p in leader.parts:
+        dst = part_dir(follower_dir, p.part)
+        if p.manifest is not None and have.get(p.part) == p.manifest:
+            unchanged.append(os.path.basename(dst))
             continue
-        _copy_part(src, dst)
-        copied.append(name)
-    for name in follower_parts:
-        if name not in leader_parts:
-            shutil.rmtree(os.path.join(follower_dir, "parts", name))
-            removed.append(name)
-    # meta last: readers opened against the new meta see complete parts
-    shutil.copy2(os.path.join(leader_dir, "index_meta.json"),
-                 os.path.join(follower_dir, "index_meta.json"))
+        _copy_part(part_dir(leader_dir, p.part), dst)
+        copied.append(os.path.basename(dst))
+    for part in sorted(set(have) - set(leader.part_ids)):
+        shutil.rmtree(part_dir(follower_dir, part), ignore_errors=True)
+        removed.append(os.path.basename(part_dir(follower_dir, part)))
+    # the part list last: readers of the new commit see complete parts
+    state.commit_parts(follower_dir, leader.part_ids, leader.spec)
     return {"copied": copied, "removed": removed, "unchanged": unchanged}
 
 
 def follow(leader_dir: str, follower_dir: str) -> dict:
     """Create a follower of ``leader_dir`` at ``follower_dir`` (must not
     already be an index) and run the initial sync."""
-    if not os.path.exists(os.path.join(leader_dir, "index_meta.json")):
+    if not state.exists(leader_dir):
         raise FollowerError(f"leader {leader_dir!r} has no index")
-    if os.path.exists(os.path.join(follower_dir, "index_meta.json")):
+    if state.exists(follower_dir):
         raise FollowerError(f"{follower_dir!r} already holds an index")
     if is_follower(leader_dir):
         raise FollowerError("cannot follow a follower (the reference "
@@ -137,7 +119,7 @@ class AutoFollowService:
     pattern are followed automatically on each coordinator poll.
 
     A leader "cluster" is a root directory whose index subdirectories
-    (those holding ``index_meta.json``) are the leader indices. Like the
+    (those holding a committed index) are the leader indices. Like the
     reference's ``followedLeaderIndexUUIDs`` bookkeeping, every leader
     index a pattern has followed once stays tracked, so deleting the
     follower does NOT re-trigger a follow. Patterns can be paused and
@@ -234,8 +216,7 @@ class AutoFollowService:
             leaders = []
             if os.path.isdir(leader_root):
                 leaders = [d for d in sorted(os.listdir(leader_root))
-                           if os.path.exists(os.path.join(
-                               leader_root, d, "index_meta.json"))]
+                           if state.exists(os.path.join(leader_root, d))]
             for idx in leaders:
                 if not self._matches(idx, pat):
                     continue

@@ -4,8 +4,8 @@ index data present on disk but absent from the cluster state — typically
 left behind when state was restored while data directories survived.
 
 Analog: the "cluster state" is the caller's registry of known index
-names; any directory under ``root`` holding an ``index_meta.json`` that
-is not registered is dangling. ``import_dangling_index`` adopts it into
+names; any directory under ``root`` holding a committed index
+(``state.exists``) that is not registered is dangling. ``import_dangling_index`` adopts it into
 the registry (``accept_data_loss`` must be passed, like the API);
 ``delete_dangling_index`` removes its data from disk."""
 
@@ -14,6 +14,8 @@ from __future__ import annotations
 import os
 import shutil
 
+from elasticsearch_ray.index import state
+
 
 def list_dangling_indices(root: str, known: set[str] | list[str]) -> list[dict]:
     known = set(known)
@@ -21,8 +23,7 @@ def list_dangling_indices(root: str, known: set[str] | list[str]) -> list[dict]:
     if not os.path.isdir(root):
         return out
     for d in sorted(os.listdir(root)):
-        meta = os.path.join(root, d, "index_meta.json")
-        if d not in known and os.path.exists(meta):
+        if d not in known and state.exists(os.path.join(root, d)):
             out.append({"index_name": d,
                         "index_dir": os.path.join(root, d),
                         "size_in_bytes": _du(os.path.join(root, d))})

@@ -26,6 +26,7 @@ import shutil
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from elasticsearch_ray.index import state
 from elasticsearch_ray.index.ilm import RolloverAlias
 from elasticsearch_ray.index.spec import IndexSpec
 
@@ -147,8 +148,5 @@ class DataStreamService:
     def stats(self, name: str) -> dict:
         ra = RolloverAlias(os.path.join(self._dir(name), "alias"))
         gens = ra.generations()
-        n = 0
-        for g in gens:
-            with open(os.path.join(g, "index_meta.json")) as f:
-                n += json.load(f)["n_docs"]
+        n = sum(state.snapshot(g).n_docs for g in gens)
         return {"backing_indices": len(gens), "total_docs": n}

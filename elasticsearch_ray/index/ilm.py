@@ -30,6 +30,8 @@ import os
 import shutil
 import time
 
+from elasticsearch_ray.index import state
+
 GEN_FMT = "gen-{:06d}"
 
 
@@ -68,7 +70,7 @@ class RolloverAlias:
         out = []
         for g in range(1, st["generation"] + 1):
             d = os.path.join(self.base, GEN_FMT.format(g))
-            if os.path.exists(os.path.join(d, "index_meta.json")):
+            if state.exists(d):
                 out.append(d)
         return out
 
@@ -76,11 +78,7 @@ class RolloverAlias:
         """(n_docs, age_seconds, size_bytes) of the write generation."""
         st = self._state()
         d = os.path.join(self.base, GEN_FMT.format(st["generation"]))
-        meta = os.path.join(d, "index_meta.json")
-        n_docs = 0
-        if os.path.exists(meta):
-            with open(meta) as f:
-                n_docs = json.load(f).get("n_docs", 0)
+        n_docs = state.snapshot(d).meta.get("n_docs", 0) if state.exists(d) else 0
         age = time.time() - st["created"][str(st["generation"])]
         size = 0
         for root, _dirs, files in os.walk(d):
@@ -214,12 +212,9 @@ class LifecyclePolicy:
 
 
 def index_creation_time(index_dir: str) -> float:
-    with open(os.path.join(index_dir, "index_meta.json")) as f:
-        meta = json.load(f)
-    ct = meta.get("created_unix")
-    if ct is not None:
-        return float(ct)
-    return os.path.getmtime(os.path.join(index_dir, "index_meta.json"))
+    snap = state.snapshot(index_dir)
+    ct = snap.meta.get("created_unix")
+    return float(ct) if ct is not None else snap.mtime
 
 
 class IlmExecutor:

@@ -30,7 +30,6 @@ byte-identical to a fresh build of the same files (tested)."""
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import shutil
 import time
@@ -42,12 +41,11 @@ import pyarrow.parquet as pq
 
 import ray
 
+from elasticsearch_ray.index import state
 from elasticsearch_ray.index.postings import call_ranges, reencode_many
 from elasticsearch_ray.index.segments import (
     FORMAT_VERSION,
-    atomic_write_json,
     atomic_write_table,
-    manifest_path,
     part_dir,
     write_term_bloom,
 )
@@ -289,18 +287,18 @@ def _offsets_of(arr) -> np.ndarray:
 
 
 def write_segment(index_dir: str, part: int, sources: list, doc_paths: list[str],
-                  with_pos: bool, lineage: dict, drop: tuple = ()) -> dict:
+                  with_pos: bool, lineage: dict, drop: tuple = (),
+                  sidecars: dict | None = None) -> dict:
     """Merge ``sources`` into partition ``part``'s segment files — the only
     writer of a segment. ``doc_paths`` concatenate, in doc order, into
     docs.parquet; ``lineage`` (input_path, input_rows, input_bytes, spec_fp,
-    base_doc_id, ...) goes into the manifest; ``drop`` dirs are removed just
+    base_doc_id, ...) goes into the manifest; ``sidecars`` ({file name:
+    table, or None to remove it}) are written and ``drop`` dirs removed just
     before it. Crash order: the old manifest goes first and the new one is
     written last, so a partial rewrite never validates."""
     t0 = time.time()
     pdir = part_dir(index_dir, part)
-    mpath = manifest_path(index_dir, part)
-    if os.path.exists(mpath):
-        os.remove(mpath)
+    state.retract_part(index_dir, part)
     docs = pa.concat_tables([pq.read_table(p) for p in doc_paths])
     norms = {None: docs["norm"].to_numpy()}
     norms.update({n[5:]: docs[n].to_numpy()
@@ -370,24 +368,61 @@ def write_segment(index_dir: str, part: int, sources: list, doc_paths: list[str]
         "postings_bytes": int(os.path.getsize(os.path.join(pdir, "postings.bin"))),
         "elapsed_sec": round(time.time() - t0, 3),
     }
+    for name, tbl in (sidecars or {}).items():
+        path = os.path.join(pdir, name)
+        if tbl is None:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        else:  # small row groups: wildcard doc values are read by row group
+            atomic_write_table(tbl, path, row_group_size=8192)
     for d in drop:
         shutil.rmtree(d, ignore_errors=True)
-    atomic_write_json(mpath, manifest)
+    state.commit_part(index_dir, part, manifest)
     return manifest
 
 
+def _merged_sidecars(snap, group: list[int], shifts: list[int]) -> dict:
+    """The merged slot's sidecar files: each file of a sidecar the snapshot
+    records, concatenated over ``group`` in doc order — ``local`` shifted
+    by each part's doc offset and rows re-sorted by (key, local), the order
+    the sidecar builders write — or None (remove) when a part lacks it."""
+    out = {}
+    for name in snap.sidecar_files():
+        paths = [os.path.join(part_dir(snap.index_dir, p), name) for p in group]
+        if not all(os.path.exists(p) for p in paths):
+            out[name] = None
+            continue
+        tables = []
+        for path, shift in zip(paths, shifts):
+            t = pq.read_table(path)
+            if "local" in t.column_names:
+                t = t.set_column(t.column_names.index("local"), "local",
+                                 pc.add(t["local"], shift).cast(t.schema.field("local").type))
+            tables.append(t)
+        t = pa.concat_tables(tables)
+        if "local" in t.column_names:
+            key = t.column_names[0]
+            typ = t.schema.field(key).type
+            if pa.types.is_dictionary(typ):
+                t = t.set_column(0, key, t[key].cast(typ.value_type))
+            t = t.sort_by([(key, "ascending"), ("local", "ascending")])
+            if pa.types.is_dictionary(typ):
+                t = t.set_column(0, key, t[key].combine_chunks().dictionary_encode())
+        out[name] = t
+    return out
+
+
 def merge_group(index_dir: str, group: list[int]) -> dict:
-    """Merge the adjacent partitions in ``group`` into the first one's slot."""
+    """Merge the adjacent partitions in ``group`` into the first one's slot,
+    with every sidecar the index records for them."""
     group = sorted(group)
+    snap = state.snapshot(index_dir)
     pdirs = [part_dir(index_dir, p) for p in group]
-    manifests = []
-    for pd in pdirs:
-        with open(os.path.join(pd, "manifest.json")) as f:
-            manifests.append(json.load(f))
+    manifests = [snap.part(p).manifest for p in group]
     new_base = min(m["base_doc_id"] for m in manifests)
+    shifts = [m["base_doc_id"] - new_base for m in manifests]
     with_pos = all(os.path.exists(os.path.join(pd, "positions.bin")) for pd in pdirs)
-    sources = [segment_source(pd, m["base_doc_id"] - new_base, with_pos)
-               for pd, m in zip(pdirs, manifests)]
+    sources = [segment_source(pd, shift, with_pos) for pd, shift in zip(pdirs, shifts)]
     lineage = {
         "input_path": [p for m in manifests for p in m["input_path"]],
         "input_rows": sum(m["input_rows"] for m in manifests),
@@ -398,7 +433,8 @@ def merge_group(index_dir: str, group: list[int]) -> dict:
     }
     manifest = write_segment(index_dir, group[0], sources,
                              [os.path.join(pd, "docs.parquet") for pd in pdirs],
-                             with_pos, lineage)
+                             with_pos, lineage,
+                             sidecars=_merged_sidecars(snap, group, shifts))
     for p in group[1:]:
         shutil.rmtree(part_dir(index_dir, p), ignore_errors=True)
     return manifest
@@ -409,42 +445,35 @@ def _merge_group_task(index_dir: str, group: list[int]) -> dict:
     return merge_group(index_dir, group)
 
 
-def _rewrite_meta(index_dir: str, merged: list[dict]) -> dict:
-    with open(os.path.join(index_dir, "index_meta.json")) as f:
-        meta = json.load(f)
-    replaced = {p for m in merged for p in m["merged_from"]}
-    parts = [p for p in meta["parts"] if p["part"] not in replaced]
-    for m in merged:
-        parts.append({"part": m["part"], "n_docs": m["n_docs"], "input_path": m["input_path"]})
-    meta["parts"] = sorted(parts, key=lambda p: p["part"])
-    meta["num_parts"] = len(meta["parts"])
-    atomic_write_json(os.path.join(index_dir, "index_meta.json"), meta)
-    return meta
+def commit_merges(index_dir: str, merged: list[dict]) -> dict:
+    """Commit the index's part list after merges: each merged manifest
+    replaces the parts it was merged from."""
+    snap = state.snapshot(index_dir)
+    replaced = {p for m in merged for p in m["merged_from"][1:]}
+    return state.commit_parts(index_dir, [p for p in snap.part_ids if p not in replaced],
+                              snap.spec)
+
+
+def _merge_groups(index_dir: str, snap, groups: list[list[int]]) -> dict:
+    """Merge each group in its own Ray task, then commit; the index meta."""
+    if not groups:
+        return snap.meta
+    return commit_merges(index_dir, ray.get([_merge_group_task.remote(index_dir, g)
+                                             for g in groups]))
 
 
 def tiered_merge(index_dir: str) -> dict:
     """One round of tiered merging; returns the updated index meta."""
-    with open(os.path.join(index_dir, "index_meta.json")) as f:
-        meta = json.load(f)
-    sizes = []
-    for p in meta["parts"]:
-        pd = part_dir(index_dir, p["part"])
-        sizes.append({"part": p["part"], "bytes": os.path.getsize(os.path.join(pd, "postings.bin"))})
-    groups = plan_tiered_merges(sorted(sizes, key=lambda s: s["part"]))
-    if not groups:
-        return meta
-    merged = ray.get([_merge_group_task.remote(index_dir, g) for g in groups])
-    return _rewrite_meta(index_dir, merged)
+    snap = state.snapshot(index_dir)
+    sizes = [{"part": p, "bytes": os.path.getsize(os.path.join(part_dir(index_dir, p),
+                                                               "postings.bin"))}
+             for p in sorted(snap.part_ids)]
+    return _merge_groups(index_dir, snap, plan_tiered_merges(sizes))
 
 
 def force_merge(index_dir: str, max_segments: int = 1) -> dict:
     """forceMerge(maxNumSegments): merge adjacent partitions down to ≤ N."""
-    with open(os.path.join(index_dir, "index_meta.json")) as f:
-        meta = json.load(f)
-    parts = sorted(p["part"] for p in meta["parts"])
-    if len(parts) <= max_segments:
-        return meta
-    groups_all = np.array_split(np.array(parts), max_segments)
-    groups = [g.tolist() for g in groups_all if len(g) > 1]
-    merged = ray.get([_merge_group_task.remote(index_dir, g) for g in groups])
-    return _rewrite_meta(index_dir, merged)
+    snap = state.snapshot(index_dir)
+    parts = sorted(snap.part_ids)
+    groups = np.array_split(np.array(parts), max_segments) if len(parts) > max_segments else []
+    return _merge_groups(index_dir, snap, [g.tolist() for g in groups if len(g) > 1])

@@ -19,7 +19,7 @@ bit-exactly (vectorized via numpy float32 views).
 
 Ray-Data shape: features arrive as a (doc_id, feature, weight) table/Dataset;
 rows are range-assigned to the index's contiguous doc-id partitions (NO
-shuffle — partition bases are known from index_meta.json, assignment is a
+shuffle — partition bases are known from the index snapshot, assignment is a
 searchsorted) and each partition's slice is sorted by (feature, local) and
 written as an atomic per-partition parquet sidecar next to the segment, the
 per-segment FeatureField postings analog. Serving reads are lazy + cached in
@@ -29,17 +29,15 @@ the warm PartitionSearcher, and per-feature global stats (for Lucene's
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from elasticsearch_ray.index.segments import (
-    atomic_write_json,
-    part_dir,
-)
+from elasticsearch_ray.index import state
+from elasticsearch_ray.index.segments import atomic_write_table, part_dir
 
 
 def encode_feature(values: np.ndarray) -> np.ndarray:
@@ -66,18 +64,6 @@ def sidecar_path(index_dir: str, part: int, field: str) -> str:
     return os.path.join(part_dir(index_dir, part), f"rankfeat-{field}.parquet")
 
 
-def _part_bases(index_dir: str) -> tuple[list[int], list[int], int]:
-    """(part ids, global base per part, total docs) from index_meta.json."""
-    with open(os.path.join(index_dir, "index_meta.json")) as f:
-        meta = json.load(f)
-    parts, bases, acc = [], [], 0
-    for p in meta["parts"]:
-        parts.append(int(p["part"]))
-        bases.append(acc)
-        acc += int(p["n_docs"])
-    return parts, bases, acc
-
-
 def _write_part_sidecar(index_dir: str, field: str, part: int,
                         local: np.ndarray, feats: np.ndarray,
                         weights: np.ndarray,
@@ -93,10 +79,7 @@ def _write_part_sidecar(index_dir: str, field: str, part: int,
         "local": pa.array(local[order].astype(np.int32)),
         "freq": pa.array(freqs[order]),
     })
-    path = sidecar_path(index_dir, part, field)
-    tmp = path + ".tmp"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, path)
+    atomic_write_table(tbl, sidecar_path(index_dir, part, field))
 
 
 def build_rank_features(index_dir: str, field: str, features,
@@ -110,8 +93,9 @@ def build_rank_features(index_dir: str, field: str, features,
 
     Returns {"n_rows": total, "parts": P}.
     """
-    parts, bases, n_docs = _part_bases(index_dir)
-    bases_np = np.asarray(bases, dtype=np.int64)
+    snap = state.snapshot(index_dir)
+    parts, n_docs = snap.part_ids, snap.n_docs
+    bases_np = np.asarray([p.base for p in snap.parts], dtype=np.int64)
 
     def _assign(tbl: pa.Table) -> dict[int, tuple]:
         d = tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -163,9 +147,9 @@ def build_rank_features(index_dir: str, field: str, features,
         _write_part_sidecar(index_dir, field, part, local,
                             feats.astype(str), w, positive_score_impact)
         total += len(local)
-    atomic_write_json(os.path.join(index_dir, f"rankfeat-{field}.json"),
-                      {"field": field, "n_rows": int(total),
-                       "positive_score_impact": bool(positive_score_impact)})
+    state.commit_sidecar(index_dir, "rankfeat", field,
+                         {"field": field, "n_rows": int(total),
+                          "positive_score_impact": bool(positive_score_impact)})
     return {"n_rows": int(total), "parts": len(parts)}
 
 
@@ -173,20 +157,7 @@ def feature_stats(index_dir: str, field: str, feature: str) -> tuple[int, int]:
     """Global (sum_freq, doc_freq) of one feature — the inputs of Lucene's
     ``FeatureField.computePivotFeatureValue`` (pivot = decode(sumFreq/df));
     reads only the small sidecar files."""
-    parts, _bases, _n = _part_bases(index_dir)
-    sum_freq = 0
-    df = 0
-    for part in parts:
-        path = sidecar_path(index_dir, part, field)
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"rank_features sidecar missing: {path}")
-        t = pq.read_table(path, columns=["feature", "freq"])
-        m = pa.compute.equal(t["feature"].cast(pa.string()), feature)
-        ff = t.filter(m)["freq"]
-        df += len(ff)
-        if len(ff):
-            sum_freq += int(pa.compute.sum(ff).as_py())
-    return sum_freq, df
+    return feature_stats_bulk(index_dir, field, [feature])[0][str(feature)]
 
 
 def field_freq_stats(index_dir: str, field: str) -> tuple[int, int]:
@@ -197,31 +168,7 @@ def field_freq_stats(index_dir: str, field: str) -> tuple[int, int]:
     frequency). Frequency here is DOC freq: the FeatureField ``freq``
     lane stores the ENCODED WEIGHT, so summing it would conflate weight
     magnitude with how often a token occurs."""
-    parts, _bases, _n = _part_bases(index_dir)
-    total = 0
-    feats: set = set()
-    for part in parts:
-        path = sidecar_path(index_dir, part, field)
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"rank_features sidecar missing: {path}")
-        t = pq.read_table(path, columns=["feature"])
-        if len(t):
-            total += len(t)
-            feats.update(t["feature"].cast(pa.string()).to_pylist())
-    return total, len(feats)
-
-
-def sidecar_complete(index_dir: str, field: str) -> bool:
-    """True iff the root manifest AND every partition's sidecar parquet
-    exist. A part rebuild wipes part dirs but (in older layouts) could
-    leave the root manifest behind — callers deciding whether to (re)build
-    must check THIS, not the manifest alone."""
-    if not os.path.exists(os.path.join(index_dir,
-                                       f"rankfeat-{field}.json")):
-        return False
-    parts, _bases, _n = _part_bases(index_dir)
-    return all(os.path.exists(sidecar_path(index_dir, p, field))
-               for p in parts)
+    return feature_stats_bulk(index_dir, field, ())[1:]
 
 
 def feature_stats_bulk(index_dir: str, field: str,
@@ -231,26 +178,22 @@ def feature_stats_bulk(index_dir: str, field: str,
     (total_doc_freq, n_unique_features). An N-token pruned sparse_vector
     query needs all of these — N+1 separate sweeps repeated per query
     was the review-flagged shape (r5 #7)."""
-    want = set(map(str, features))
-    parts, _bases, _n = _part_bases(index_dir)
-    stats = {f: [0, 0] for f in want}
+    want = pa.array(sorted(set(map(str, features))), pa.string())
+    sums = np.zeros(len(want), np.int64)
+    dfs = np.zeros(len(want), np.int64)
     total = 0
     uniq: set = set()
-    for part in parts:
+    for part in state.snapshot(index_dir).part_ids:
         path = sidecar_path(index_dir, part, field)
         if not os.path.exists(path):
             raise FileNotFoundError(f"rank_features sidecar missing: {path}")
         t = pq.read_table(path, columns=["feature", "freq"])
-        if not len(t):
-            continue
+        feats = t["feature"].cast(pa.string())
         total += len(t)
-        feats = t["feature"].cast(pa.string()).to_pylist()
-        uniq.update(feats)
-        freqs = t["freq"].to_pylist()
-        for f, fr in zip(feats, freqs):
-            s = stats.get(f)
-            if s is not None:
-                s[0] += int(fr)
-                s[1] += 1
-    return ({f: (s[0], s[1]) for f, s in stats.items()},
+        uniq.update(pc.unique(feats).to_pylist())
+        i = pc.fill_null(pc.index_in(feats, value_set=want), -1).to_numpy()
+        hit = i >= 0
+        sums += np.bincount(i[hit], t["freq"].to_numpy()[hit], len(want)).astype(np.int64)
+        dfs += np.bincount(i[hit], minlength=len(want))
+    return ({f: (int(sums[j]), int(dfs[j])) for j, f in enumerate(want.to_pylist())},
             total, len(uniq))

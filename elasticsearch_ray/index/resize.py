@@ -22,11 +22,12 @@ shard-count validations).
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 
 import numpy as np
+
+from elasticsearch_ray.index import state
 
 
 class ResizeError(ValueError):
@@ -34,21 +35,14 @@ class ResizeError(ValueError):
 
 
 def _meta(index_dir: str) -> dict:
-    with open(os.path.join(index_dir, "index_meta.json")) as f:
-        return json.load(f)
+    return state.snapshot(index_dir).meta
 
 
-def shrink_index(src_dir: str, dst_dir: str, target_shards: int) -> dict:
+def _copy_index(src_dir: str, dst_dir: str) -> str:
+    """Copy the index to ``dst_dir``.tmp, less any follower marker; the
+    caller renames the copy in."""
     from elasticsearch_ray.index.ccr import FOLLOW_MARKER
-    from elasticsearch_ray.index.merge import _rewrite_meta, merge_group
 
-    meta = _meta(src_dir)
-    n = len(meta["parts"])
-    if target_shards < 1 or n % target_shards != 0:
-        raise ResizeError(
-            f"cannot shrink {n} partitions to {target_shards}: the source "
-            f"count must be a multiple of the target (reference factor "
-            f"rule)")
     if os.path.exists(dst_dir):
         raise ResizeError(f"resize target {dst_dir!r} already exists")
     tmp = dst_dir + ".tmp"
@@ -57,13 +51,25 @@ def shrink_index(src_dir: str, dst_dir: str, target_shards: int) -> dict:
     marker = os.path.join(tmp, FOLLOW_MARKER)
     if os.path.exists(marker):
         os.remove(marker)
-    parts = sorted(p["part"] for p in _meta(tmp)["parts"])
-    groups = [g.tolist() for g in np.array_split(np.array(parts),
-                                                 target_shards)
+    return tmp
+
+
+def shrink_index(src_dir: str, dst_dir: str, target_shards: int) -> dict:
+    from elasticsearch_ray.index.merge import commit_merges, merge_group
+
+    parts = state.snapshot(src_dir).part_ids
+    n = len(parts)
+    if target_shards < 1 or n % target_shards != 0:
+        raise ResizeError(
+            f"cannot shrink {n} partitions to {target_shards}: the source "
+            f"count must be a multiple of the target (reference factor "
+            f"rule)")
+    tmp = _copy_index(src_dir, dst_dir)
+    groups = [g.tolist() for g in np.array_split(np.array(parts), target_shards)
               if len(g) > 1]
     merged = [merge_group(tmp, g) for g in groups]
     if merged:
-        _rewrite_meta(tmp, merged)
+        commit_merges(tmp, merged)
     os.replace(tmp, dst_dir)
     return _meta(dst_dir)
 
@@ -88,8 +94,7 @@ def split_index(src_dir: str, dst_dir: str, target_shards: int,
     if os.path.exists(dst_dir):
         raise ResizeError(f"resize target {dst_dir!r} already exists")
     spec = IndexSpec.from_dict({**meta["spec"], "files_per_partition": fpp // factor})
-    build_index(corpus_dir, dst_dir, spec, file_pattern=file_pattern)
-    out = _meta(dst_dir)
+    out = build_index(corpus_dir, dst_dir, spec, file_pattern=file_pattern)
     if len(out["parts"]) != target_shards:
         raise ResizeError(
             f"split produced {len(out['parts'])} partitions, expected "
@@ -102,15 +107,5 @@ def clone_index(src_dir: str, dst_dir: str) -> dict:
     """_clone API (ResizeType.CLONE, TransportResizeAction): a new index
     with the SAME shard count — shrink's copy step without the merge.
     Source untouched; follower markers dropped; target must not exist."""
-    from elasticsearch_ray.index.ccr import FOLLOW_MARKER
-
-    if os.path.exists(dst_dir):
-        raise ResizeError(f"resize target {dst_dir!r} already exists")
-    tmp = dst_dir + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    shutil.copytree(src_dir, tmp)
-    marker = os.path.join(tmp, FOLLOW_MARKER)
-    if os.path.exists(marker):
-        os.remove(marker)
-    os.replace(tmp, dst_dir)
+    os.replace(_copy_index(src_dir, dst_dir), dst_dir)
     return _meta(dst_dir)

@@ -18,8 +18,10 @@ parts/part=NNNNN/
                      analog of InternalEngine.commitIndexWriter user data,
                      InternalEngine.java:2585-2602)
 
-index_meta.json at the index root records the spec + per-part lineage +
-global stats (N, sum_dl) once every partition completed.
+The manifest and the index-level files (the part list with the spec and
+global stats, sidecar records, frozen and admin flags) are committed state:
+``index/state.py`` alone reads and writes them; this module owns the
+segment data files.
 """
 
 from __future__ import annotations
@@ -106,9 +108,9 @@ def atomic_write_json(path: str, obj) -> None:
     os.replace(tmp, path)
 
 
-def atomic_write_table(tbl: pa.Table, path: str) -> None:
+def atomic_write_table(tbl: pa.Table, path: str, **write_options) -> None:
     tmp = path + ".tmp"
-    pq.write_table(tbl, tmp)
+    pq.write_table(tbl, tmp, **write_options)
     os.replace(tmp, path)
 
 
@@ -119,31 +121,20 @@ def atomic_write_bytes(data: bytes, path: str) -> None:
     os.replace(tmp, path)
 
 
-def manifest_path(index_dir: str, part: int) -> str:
-    return os.path.join(part_dir(index_dir, part), "manifest.json")
-
-
-def read_manifest(index_dir: str, part: int) -> dict | None:
-    p = manifest_path(index_dir, part)
-    try:
-        with open(p) as f:
-            m = json.load(f)
-    except FileNotFoundError:  # never built, or a rebuild replacing the dir
-        return None
-    if m.get("format") != FORMAT_VERSION:
-        return None  # stale layout → partition rebuilds
-    return m
-
-
 class SegmentReader:
     """Warm reader over one partition's segment — term dict + norms cached in
     memory, postings.bin memory-mapped (the 'warm query scorer' actor state,
-    SURVEY §3.2)."""
+    SURVEY §3.2). With ``stamp`` (a ``state.Snapshot`` part's) the reader
+    opens that commit of the partition or raises ``StaleCommitError``."""
 
-    def __init__(self, pdir: str):
+    def __init__(self, pdir: str, stamp: tuple | None = None):
+        from elasticsearch_ray.index.state import StaleCommitError, load_manifest
+
         self.dir = pdir
-        with open(os.path.join(pdir, "manifest.json")) as f:
-            self.manifest = json.load(f)
+        self.manifest, self.stamp = load_manifest(pdir)
+        if self.manifest is None or (stamp is not None and self.stamp != stamp):
+            raise StaleCommitError(f"{pdir} no longer holds the commit this reader was "
+                                   "pinned to: it was rewritten or merged away")
         t = pq.read_table(os.path.join(pdir, "terms.parquet"))
         self._terms = t["term"]
         self.df = t["df"].to_numpy()

@@ -27,6 +27,8 @@ import os
 import shutil
 import time
 
+from elasticsearch_ray.index import state
+
 _RESERVED = {"blobs"}
 
 # repositories-metering-api analog (x-pack repositories-metering-api
@@ -273,7 +275,7 @@ def mount_snapshot(repo_dir: str, name: str, dtype: str = "float64"):
     if not os.path.exists(view):
         os.makedirs(os.path.dirname(view), exist_ok=True)
         _materialize(repo_dir, name, view)
-    if not os.path.exists(os.path.join(view, "index_meta.json")):
+    if not state.exists(view):
         raise FileNotFoundError(f"snapshot {name!r} holds no index")
     from elasticsearch_ray.search.engine import QueryEngine
 
@@ -362,7 +364,6 @@ def recover_part_from_snapshot(index_dir: str, part: int, repo_dir: str,
     The snapshot's index_meta spec must equal the live index's spec
     (the reference's shard-allocation compatibility check)."""
     from elasticsearch_ray.index.admin import check_write
-    from elasticsearch_ray.index.segments import atomic_write_json
 
     check_write(index_dir)
     if name is None:
@@ -381,15 +382,11 @@ def recover_part_from_snapshot(index_dir: str, part: int, repo_dir: str,
         with open(os.path.join(blobs, info["hash"])) as f:
             return json.load(f)
 
-    live_meta = os.path.join(index_dir, "index_meta.json")
-    if os.path.exists(live_meta):
-        with open(live_meta) as f:
-            live_spec = json.load(f).get("spec")
-        snap_spec = _blob_json("index_meta.json").get("spec")
-        if snap_spec != live_spec:
-            raise ValueError(
-                "snapshot spec differs from the live index spec — "
-                "cannot recover a shard across incompatible mappings")
+    if state.exists(index_dir) and \
+            _blob_json(state.META).get("spec") != state.snapshot(index_dir).spec:
+        raise ValueError(
+            "snapshot spec differs from the live index spec — "
+            "cannot recover a shard across incompatible mappings")
     prefix = os.path.join("parts", f"part={part:05d}") + os.sep
     entries = {rel: info for rel, info in man["file_map"].items()
                if rel.startswith(prefix)}
@@ -408,11 +405,6 @@ def recover_part_from_snapshot(index_dir: str, part: int, repo_dir: str,
         copied += int(info["size"])
     shutil.rmtree(part_dir, ignore_errors=True)
     os.replace(tmp, part_dir)
-    mpath = os.path.join(part_dir, "manifest.json")
-    with open(mpath) as f:
-        pman = json.load(f)
-    pman["restored"] = True
-    pman["restored_from"] = name
-    atomic_write_json(mpath, pman)
+    state.amend_part(index_dir, part, restored=True, restored_from=name)
     return {"part": part, "snapshot": name, "bytes": copied,
             "files": len(entries)}

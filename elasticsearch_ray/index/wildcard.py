@@ -49,7 +49,6 @@ candidates against the pattern, which is never less exact.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 
@@ -59,7 +58,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
-from elasticsearch_ray.index.segments import atomic_write_json, part_dir
+from elasticsearch_ray.index import state
+from elasticsearch_ray.index.segments import atomic_write_table, part_dir
 
 NGRAM = 3
 MAX_APPROX_CLAUSES = 10  # WildcardFieldMapper.java:91
@@ -110,17 +110,6 @@ def dv_path(index_dir: str, part: int, field: str) -> str:
                         f"wildcarddv-{field}.parquet")
 
 
-def _parts_meta(index_dir: str) -> tuple[list[int], np.ndarray, int]:
-    with open(os.path.join(index_dir, "index_meta.json")) as f:
-        meta = json.load(f)
-    parts, bases, acc = [], [], 0
-    for p in meta["parts"]:
-        parts.append(int(p["part"]))
-        bases.append(acc)
-        acc += int(p["n_docs"])
-    return parts, np.asarray(bases, dtype=np.int64), acc
-
-
 def _write_part(index_dir: str, field: str, part: int,
                 values: list[str]) -> int:
     grams, owners = [], []
@@ -133,15 +122,9 @@ def _write_part(index_dir: str, field: str, part: int,
     order = np.lexsort((o, g))
     tbl = pa.table({"gram": pa.array(g[order]),
                     "local": pa.array(o[order])})
-    path = sidecar_path(index_dir, part, field)
-    tmp = path + ".tmp"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, path)
-    dvp = dv_path(index_dir, part, field)
-    tmp = dvp + ".tmp"
-    pq.write_table(pa.table({"value": pa.array(values, pa.string())}),
-                   tmp, row_group_size=8192)
-    os.replace(tmp, dvp)
+    atomic_write_table(tbl, sidecar_path(index_dir, part, field))
+    atomic_write_table(pa.table({"value": pa.array(values, pa.string())}),
+                       dv_path(index_dir, part, field), row_group_size=8192)
     return len(values)
 
 
@@ -165,7 +148,8 @@ def build_wildcard_field(index_dir: str, field: str,
     DataFrame covering every doc (small-side path, mirrors
     ``build_rank_features``).
     """
-    parts, bases, n_docs = _parts_meta(index_dir)
+    snap = state.snapshot(index_dir)
+    parts, n_docs = snap.part_ids, snap.n_docs
     if (column is None) == (values is None):
         raise ValueError("pass exactly one of column= / values=")
     if column is not None:
@@ -179,15 +163,11 @@ def build_wildcard_field(index_dir: str, field: str,
         if len(d) != n_docs or len(np.unique(d)) != n_docs:
             raise ValueError("values must cover every doc exactly once")
         order = np.argsort(d, kind="stable")
-        d, v = d[order], v[order]
-        totals = []
-        for idx, part in enumerate(parts):
-            lo = int(bases[idx])
-            hi = int(bases[idx + 1]) if idx + 1 < len(parts) else n_docs
-            totals.append(_write_part(index_dir, field, part,
-                                      list(v[lo:hi])))
-    atomic_write_json(os.path.join(index_dir, f"wildcard-{field}.json"),
-                      {"field": field, "n_docs": int(sum(totals))})
+        v = v[order]
+        totals = [_write_part(index_dir, field, p.part, list(v[p.base:p.base + p.n_docs]))
+                  for p in snap.parts]
+    state.commit_sidecar(index_dir, "wildcard", field,
+                         {"field": field, "n_docs": int(sum(totals))})
     return {"n_docs": int(sum(totals)), "parts": len(parts)}
 
 
@@ -493,13 +473,13 @@ _part_search_task = ray.remote(num_cpus=1)(_part_search)
 def _run_parts(index_dir: str, field: str, clauses: list,
                verify_regex: str | None,
                bounds: tuple | None = None) -> np.ndarray:
-    if not os.path.exists(os.path.join(index_dir, f"wildcard-{field}.json")):
+    snap = state.snapshot(index_dir)
+    if ("wildcard", field) not in snap.sidecars:
         raise FileNotFoundError(
             f"no wildcard sidecar for field {field!r} in {index_dir}")
-    parts, bases, _n = _parts_meta(index_dir)
-    refs = [_part_search_task.remote(index_dir, field, p, int(bases[i]),
+    refs = [_part_search_task.remote(index_dir, field, p.part, p.base,
                                      clauses, verify_regex, bounds)
-            for i, p in enumerate(parts)]
+            for p in snap.parts]
     out = [r for r in ray.get(refs) if len(r)]
     return np.sort(np.concatenate(out)) if out else np.empty(0, np.int64)
 
@@ -555,15 +535,3 @@ def range_field_search(index_dir: str, field: str, gte=None, gt=None,
     return _run_parts(index_dir, field, clauses, None,
                       bounds=(gte, gt, lte, lt))
 
-
-def wildcard_sidecar_complete(index_dir: str, field: str) -> bool:
-    """True iff the root manifest AND every partition's gram + doc-value
-    sidecars exist — part rebuilds wipe part dirs, so callers deciding
-    whether to (re)build must check this, not the root manifest alone."""
-    if not os.path.exists(os.path.join(index_dir,
-                                       f"wildcard-{field}.json")):
-        return False
-    parts, _bases, _n = _parts_meta(index_dir)
-    return all(os.path.exists(sidecar_path(index_dir, p, field))
-               and os.path.exists(dv_path(index_dir, p, field))
-               for p in parts)

@@ -34,10 +34,11 @@ nothing opens segments, matching the reference's cheap admin endpoints.
 from __future__ import annotations
 
 import glob
-import json
 import os
 
 import pandas as pd
+
+from elasticsearch_ray.index import state
 
 _SEGMENT_FILES = ("terms.parquet", "postings.bin", "docs.parquet",
                   "manifest.json")
@@ -60,19 +61,14 @@ def _part_dirs(index_dir: str) -> list[str]:
 
 def index_health(index_dir: str) -> dict:
     """Per-index health: active vs unassigned partition count."""
-    with open(os.path.join(index_dir, "index_meta.json")) as f:
-        meta = json.load(f)
-    expected = len(meta["parts"])
+    snap = state.snapshot(index_dir)
+    expected = len(snap.parts)
     active = 0
     for d in _part_dirs(index_dir):
         if all(os.path.exists(os.path.join(d, f))
                for f in _SEGMENT_FILES):
             active += 1
-    fz = os.path.join(index_dir, "frozen.json")
-    frozen = False
-    if os.path.exists(fz):
-        with open(fz) as f:
-            frozen = bool(json.load(f).get("frozen"))
+    frozen = snap.frozen
     if active == expected:
         status = "yellow" if frozen else "green"
     elif active > 0:
@@ -84,7 +80,7 @@ def index_health(index_dir: str) -> dict:
         "number_of_shards": expected,
         "active_shards": active,
         "unassigned_shards": expected - active,
-        "n_docs": meta["n_docs"],
+        "n_docs": snap.n_docs,
         "frozen": frozen,
     }
 
@@ -208,14 +204,9 @@ def deprecation_info(indices: dict[str, str]) -> dict:
     index_issues: dict[str, list] = {}
     for name, d in indices.items():
         issues = []
-        with open(os.path.join(d, "index_meta.json")) as f:
-            spec = json.load(f).get("spec", {})
-        _fz = os.path.join(d, "frozen.json")
-        _is_frozen = False
-        if os.path.exists(_fz):
-            with open(_fz) as f2:
-                _is_frozen = bool(json.load(f2).get("frozen"))
-        if _is_frozen:
+        snap = state.snapshot(d)
+        spec = snap.meta.get("spec", {})
+        if snap.frozen:
             issues.append({
                 "level": "warning",
                 "message": "frozen indices are deprecated",

@@ -78,8 +78,8 @@ import numpy as np
 import pyarrow as pa
 
 from elasticsearch_ray.analysis.analyzers import get_analyzer
-from elasticsearch_ray.index.segments import (SegmentReader, bloom_might_contain,
-                                              manifest_path, part_dir, read_manifest,
+from elasticsearch_ray.index import state
+from elasticsearch_ray.index.segments import (SegmentReader, bloom_might_contain, part_dir,
                                               read_term_bloom)
 from elasticsearch_ray.index.spec import FIELD_SEP, field_of_term, fkey
 from elasticsearch_ray.search.bm25 import (
@@ -197,15 +197,16 @@ def _rank_within(vals) -> np.ndarray:
 
 
 class PartitionSearcher:
-    """Evaluates a query tree over one partition's segment."""
+    """Evaluates a query tree over one partition's segment, under the spec
+    of the index commit the segment belongs to."""
 
-    def __init__(self, reader: SegmentReader, part: int, default_analyzer: str,
-                 params: BM25Params, dtype: str = "float32",
-                 runtime_fields: dict | None = None):
+    def __init__(self, reader: SegmentReader, part: int, spec: dict,
+                 dtype: str = "float32", runtime_fields: dict | None = None):
         self.r = reader
         self.part = part
-        self.analyzer_name = default_analyzer
-        self.params = params
+        self.spec = spec
+        self.analyzer_name = spec["analyzer"]
+        self.params = BM25Params(k1=spec["k1"], b=spec["b"])
         self.dtype = dtype
         self.runtime_fields = runtime_fields or {}
         self._doc_cols: dict[str, np.ndarray] = {}
@@ -592,7 +593,7 @@ class PartitionSearcher:
                 common = common[np.isin(common, docs, assume_unique=True)]
             if len(common) == 0:
                 return np.empty(0, np.int64), np.empty(0, np.int64)
-        spec = self._index_spec()
+        spec = self.spec
         fld = field_of_term(terms[0])
         if fld is None:
             if spec.get("use_html", True):
@@ -637,20 +638,6 @@ class PartitionSearcher:
                 out_docs.append(local)
                 out_freqs.append(matches)
         return np.asarray(out_docs, np.int64), np.asarray(out_freqs, np.int64)
-
-    def _index_spec(self) -> dict:
-        """The owning index's spec (index_meta.json one level above the
-        partition dir) — loaded lazily so actor-side searchers pay the read
-        only on the first source-confirmed query."""
-        spec = getattr(self, "_spec_cache", None)
-        if spec is None:
-            # part dir = <index>/parts/part-NNNN (segments.part_dir)
-            index_dir = os.path.dirname(
-                os.path.dirname(self.r.dir.rstrip(os.sep)))
-            with open(os.path.join(index_dir, "index_meta.json")) as f:
-                spec = json.load(f)["spec"]
-            self._spec_cache = spec
-        return spec
 
     def _ordered_spans(self, terms: list[str], slop: int):
         """Enumerate ordered span_near matches: (start_keys, end_keys) with
@@ -1811,7 +1798,7 @@ class QueryEngine:
                     compile_expression(_src)
         self.runtime_fields = dict(runtime_fields or {})
         self.index_dir = index_dir
-        self.__dict__.update(self._commit_state())
+        self.__dict__.update(self._commit_state(state.snapshot(index_dir)))
         self.dtype = dtype
         self.parallel = parallel
         self._searchers: dict[int, PartitionSearcher] = {}
@@ -1843,11 +1830,7 @@ class QueryEngine:
         self._overlap = False
         # x-pack frozen-indices: persisted flag → transient readers +
         # single-at-a-time searches (engine.freeze/unfreeze)
-        self.frozen = False
-        _fz = os.path.join(index_dir, "frozen.json")
-        if os.path.exists(_fz):
-            with open(_fz) as f:
-                self.frozen = bool(json.load(f).get("frozen"))
+        self.frozen = self.snap.frozen
         self._frozen_lock = threading.Lock()
         # _field_usage/stats API (rest/action/admin/indices/
         # RestFieldUsageStatsAction, shards/FieldUsageStats.java):
@@ -1858,41 +1841,37 @@ class QueryEngine:
         if parallel == "ray":
             self._init_actors(num_coordinators)
 
-    def _commit_state(self) -> dict:
-        """The engine attributes that follow the index's current commit:
-        ``index_meta.json`` and what derives from it, plus each partition's
+    @staticmethod
+    def _commit_state(snap: "state.Snapshot") -> dict:
+        """The engine attributes that follow one commit of the index: the
+        snapshot and what derives from it, including each partition's
         manifest stamp (``reopen`` compares stamps to find changed
-        partitions)."""
-        with open(os.path.join(self.index_dir, "index_meta.json")) as f:
-            meta = json.load(f)
-        spec = meta["spec"]
-        parts = [p["part"] for p in meta["parts"]]
+        partitions; readers open only the stamped commit)."""
+        meta, spec = snap.meta, snap.spec
         return {
+            "snap": snap,
             "meta": meta,
             "spec": spec,
             "params": BM25Params(k1=spec["k1"], b=spec["b"]),
             "similarity": spec.get("similarity", "BM25"),
             "analyzer_name": spec["analyzer"],
-            "parts": parts,
+            "parts": snap.part_ids,
             "n_docs": meta["n_docs"],
             "avgdl": meta["sum_dl"] / max(meta["n_docs"], 1),
             "sum_dl_fields": meta.get("sum_dl_fields") or {},
-            "_stamps": {p: _manifest_stamp(self.index_dir, p) for p in parts},
+            "_stamps": snap.stamps,
         }
 
     # -- local backend --
     def _searcher(self, part: int) -> PartitionSearcher:
+        """The partition's searcher on this engine's commit; opening it
+        raises ``state.StaleCommitError`` when the partition was rewritten
+        or merged away since."""
         s = self._searchers.get(part)
         if s is None:
-            s = PartitionSearcher(
-                SegmentReader(part_dir(self.index_dir, part)),
-                part,
-                self.analyzer_name,
-                self.params,
-                self.dtype,
-                runtime_fields=self.runtime_fields,
-            )
-            self._searchers[part] = s
+            s = self._searchers[part] = PartitionSearcher(
+                SegmentReader(part_dir(self.index_dir, part), self._stamps.get(part)),
+                part, self.spec, self.dtype, runtime_fields=self.runtime_fields)
         return s
 
     # -- ray actor backend --
@@ -1907,8 +1886,8 @@ class QueryEngine:
         self._finalizer.atexit = False  # process exit ends the actors anyway
         self.__dict__.update(self._open_view(vars(self)))
 
-    def _open_view(self, state: dict) -> dict:
-        """Open a new view of commit ``state`` (``_commit_state``) on the
+    def _open_view(self, commit: dict) -> dict:
+        """Open a new view of ``commit`` (``_commit_state``) on the
         leased actors; returns the engine attributes that address it. Each
         searcher actor gets one blocking ``reopen`` for its partition group,
         so no call under the new view key can overtake it on the threaded
@@ -1925,7 +1904,7 @@ class QueryEngine:
         SUM over partitions and must see every partition exactly once."""
         import ray
 
-        parts, stamps = state["parts"], state["_stamps"]
+        parts, stamps = commit["parts"], commit["_stamps"]
         R = self._num_replicas
         cpus = int(ray.cluster_resources().get("CPU", 4))
         n_total = self._num_actors or max(1, min(len(parts) * R, cpus))
@@ -1937,10 +1916,8 @@ class QueryEngine:
         searchers, coords = _POOL.actors(R * len(groups), self._num_coordinators)
         pools = [searchers[r * len(groups):(r + 1) * len(groups)] for r in range(R)]
         key = self._lease.new_key()
-        params_kb = (state["params"].k1, state["params"].b)
         ray.get([a.reopen.remote(key, self.index_dir, {p: stamps[p] for p in g},
-                                 state["analyzer_name"], params_kb, self.dtype,
-                                 self.runtime_fields)
+                                 commit["spec"], self.dtype, self.runtime_fields)
                  for pool in pools for a, g in zip(pool, groups)])
         if coords:
             ray.get([c.reopen.remote(key, self.index_dir, self.dtype, pools[i % R],
@@ -1961,8 +1938,8 @@ class QueryEngine:
 
     def reopen(self) -> dict:
         """Near-real-time refresh (the reference reopens its readers in place,
-        ``IndexSettings.java:252``): re-read ``index_meta.json``, reopen only
-        the partitions whose manifest stamp changed, drop removed ones and
+        ``IndexSettings.java:252``): take a new ``state.snapshot``, reopen
+        only the partitions whose manifest stamp changed, drop removed ones and
         keep the readers of the rest, on the driver and on the leased
         actors (one blocking ``reopen`` per actor, under a new view key).
         Then swap the engine's commit state, view key and actor pools in
@@ -1971,18 +1948,18 @@ class QueryEngine:
         previous view stays open on the actors until the next reopen or
         close, so such a search also takes its top-k from the actor readers
         it started with. Returns the partition counts."""
-        state = self._commit_state()
-        old, new = self._stamps, state["_stamps"]
-        keep = {p for p in state["parts"] if old.get(p) == new[p]}
-        state.update(
+        commit = self._commit_state(state.snapshot(self.index_dir))
+        old, new = self._stamps, commit["_stamps"]
+        keep = {p for p in commit["parts"] if old.get(p) == new[p]}
+        commit.update(
             _searchers={p: s for p, s in self._searchers.items() if p in keep},
             _blooms={p: b for p, b in self._blooms.items() if p in keep},
             _df_cache={}, _ttf_cache={}, _scorer_cache={}, _vocab_total=None)
         lease = self._lease
         pooled = lease is not None and not lease.released
         if pooled:
-            state.update(self._open_view(state))
-        self.__dict__.update(state)
+            commit.update(self._open_view(commit))
+        self.__dict__.update(commit)
         if pooled:
             _POOL.forget(lease.retire(), wait=True)
         return {"parts": len(new), "reopened": len(new) - len(keep),
@@ -2001,37 +1978,28 @@ class QueryEngine:
         shallow copy of its attributes. ``reopen`` swaps in new commit state
         (parts, readers, blooms, DFS caches, actor view) and never mutates
         the old dicts, so the copy's prepare, can_match, DFS, top-k and fetch
-        (``_gather``) all read one commit however long the search takes. A
-        reader it opens lazily goes to that commit's dict but reads the
-        partition directory, which a merge that lands meanwhile may have
-        removed; readers, Bloom filters and rank sidecars already open are
-        safe. Counters and caches shared by reference (placements,
-        round-robin counters, field usage, the frozen-index lock) keep
-        counting for the engine."""
-        snap = object.__new__(type(self))
-        snap.__dict__.update(self.__dict__)
-        return snap
+        (``_gather``) all read one commit (``snap``) however long the search
+        takes. A Bloom filter it loads lazily takes its size from that
+        commit's manifest, and a reader it opens lazily opens that commit's
+        segment or raises ``state.StaleCommitError`` when a merge that
+        landed meanwhile rewrote or removed the partition (serving the old
+        segment needs its files kept past the merge). Counters and caches
+        shared by reference (placements, round-robin counters, field usage,
+        the frozen-index lock) keep counting for the engine."""
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__)
+        return copy
 
     def stats(self) -> pa.Table:
         """_stats/_segments analog: per-partition docs, terms, postings bytes,
         sum_dl, merged-chunk counts and postings re-encoded by the merge —
         straight from the commit manifests."""
-        rows = []
-        for p in self.parts:
-            m = self._searcher(p).r.manifest
-            rows.append(
-                {
-                    "part": p,
-                    "n_docs": m["n_docs"],
-                    "n_terms": m["n_terms"],
-                    "postings_bytes": m["postings_bytes"],
-                    "sum_dl": m["sum_dl"],
-                    "runs_merged": m.get("runs_merged", 0),
-                    "multi_chunk_terms": m.get("multi_chunk_terms", 0),
-                    "reencoded_postings": m.get("reencoded_postings", 0),
-                }
-            )
-        return pa.Table.from_pylist(rows)
+        return pa.Table.from_pylist([
+            {"part": ps.part,
+             **{k: ps.manifest[k] for k in ("n_docs", "n_terms", "postings_bytes", "sum_dl")},
+             **{k: ps.manifest.get(k, 0)
+                for k in ("runs_merged", "multi_chunk_terms", "reencoded_postings")}}
+            for ps in self.snap.parts])
 
     def close(self):
         """Release this engine's views and its lease on the actor pool (the
@@ -2235,23 +2203,21 @@ class QueryEngine:
         Out-of-range ids raise a clear ValueError instead of mapping into
         a bogus local row of the last partition (which surfaced as an
         opaque Arrow take IndexError downstream — ADVICE r4)."""
-        bases = []
-        acc = 0
-        for p in self.meta["parts"]:
-            bases.append(acc)
-            acc += p["n_docs"]
-        if doc_id < 0 or doc_id >= acc:
-            raise ValueError(f"doc_id {doc_id} outside [0, {acc})")
-        i = int(np.searchsorted(bases, doc_id, side="right") - 1)
-        return self.meta["parts"][i]["part"], int(doc_id - bases[i])
+        parts = self.snap.parts
+        n = parts[-1].base + parts[-1].n_docs if parts else 0
+        if doc_id < 0 or doc_id >= n:
+            raise ValueError(f"doc_id {doc_id} outside [0, {n})")
+        i = int(np.searchsorted([p.base for p in parts], doc_id, side="right") - 1)
+        return parts[i].part, int(doc_id - parts[i].base)
 
     def _bloom(self, part: int):
         """Per-partition term Bloom filter, loaded from the segment dir
-        WITHOUT opening the segment (can_match pre-filter state)."""
+        WITHOUT opening the segment (can_match pre-filter state). Its size
+        comes from this engine's commit: a filter a merge rewrote since
+        fails the length check and reads as absent (always match)."""
         b = self._blooms.get(part)
         if b is None:
-            m = read_manifest(self.index_dir, part) or {}
-            bits = m.get("bloom_bits")
+            bits = (self.snap.part(part).manifest or {}).get("bloom_bits")
             data = read_term_bloom(part_dir(self.index_dir, part), bits) if bits else None
             b = (data, bits)
             self._blooms[part] = b
@@ -2474,7 +2440,7 @@ class QueryEngine:
         dedicated single-thread ``search_throttled`` pool). The per-term
         Bloom can_match metadata stays resident: frozen indices lean on
         the can_match phase to skip untouched shards cheaply. The flag
-        persists next to the index (``frozen.json``).
+        persists with the index (``state.commit_frozen``).
 
         Scope: ``search()`` and ``count()`` honor the frozen contract;
         auxiliary read paths (suggesters, terms_enum, completion,
@@ -2485,18 +2451,12 @@ class QueryEngine:
                 "freeze() applies to the task/local backend; pooled searcher "
                 "views ARE warm state — close() the engine to release them "
                 "instead")
-        from elasticsearch_ray.index.segments import atomic_write_json
-
-        atomic_write_json(os.path.join(self.index_dir, "frozen.json"),
-                          {"frozen": True})
+        state.commit_frozen(self.index_dir, True)
         self.frozen = True
         self._release_transient()
 
     def unfreeze(self) -> None:
-        from elasticsearch_ray.index.segments import atomic_write_json
-
-        atomic_write_json(os.path.join(self.index_dir, "frozen.json"),
-                          {"frozen": False})
+        state.commit_frozen(self.index_dir, False)
         self.frozen = False
 
     def _release_transient(self) -> None:
@@ -2795,9 +2755,9 @@ class QueryEngine:
         # unknown ids (outside this index's own partitions) become
         # found=false rows with null fields — the reference's per-doc
         # MultiGetItemResponse shape — instead of an opaque Arrow IndexError
-        # (ADVICE r4). The partitions, not ``n_docs``, bound the ids: a
-        # MultiIndexEngine member's ``n_docs`` is the combined count.
-        n_own = sum(p["n_docs"] for p in self.meta["parts"])
+        # (ADVICE r4). The snapshot's own count, not ``n_docs``, bounds the
+        # ids: a MultiIndexEngine member's ``n_docs`` is the combined count.
+        n_own = self.snap.n_docs
         known = np.array([0 <= d < n_own for d in ids], bool)
         located = np.array([self._locate(d) for d, ok in zip(ids, known) if ok],
                            np.int64).reshape(-1, 2)
@@ -2826,16 +2786,16 @@ class QueryEngine:
         segment metadata straight from manifests + on-disk file sizes —
         no segment is opened."""
         out = []
-        for p in self.parts:
-            pdir = part_dir(self.index_dir, p)
-            m = read_manifest(self.index_dir, p) or {}
+        for ps in self.snap.parts:
+            pdir = part_dir(self.index_dir, ps.part)
+            m = ps.manifest or {}
             files = {}
             for f in sorted(os.listdir(pdir)):
                 fp = os.path.join(pdir, f)
                 if os.path.isfile(fp):
                     files[f] = os.path.getsize(fp)
             out.append({
-                "partition": p,
+                "partition": ps.part,
                 "n_docs": m.get("n_docs"),
                 "sum_dl": m.get("sum_dl"),
                 "format": m.get("format"),
@@ -2852,14 +2812,13 @@ class QueryEngine:
         search would skip before running it."""
         matching = None if q is None else set(self._candidate_parts(self._prepare(q)))
         shards = []
-        for p in self.parts:
-            m = read_manifest(self.index_dir, p) or {}
+        for ps in self.snap.parts:
             shards.append({
                 "index": os.path.basename(self.index_dir),
-                "shard": p,
+                "shard": ps.part,
                 "state": "STARTED",
-                "n_docs": m.get("n_docs"),
-                "can_match": True if matching is None else p in matching,
+                "n_docs": (ps.manifest or {}).get("n_docs"),
+                "can_match": True if matching is None else ps.part in matching,
             })
         skipped = 0 if matching is None else len(self.parts) - len(matching)
         return {"total": len(self.parts),
@@ -2926,7 +2885,7 @@ class QueryEngine:
         for f, an in (self.spec.get("field_analyzers") or {}).items():
             caps[f] = {"type": "text", "searchable": True,
                        "aggregatable": False, "analyzer": an}
-        p0 = self.meta["parts"][0]["part"]
+        p0 = self.parts[0]
         schema = _pq.read_schema(
             os.path.join(part_dir(self.index_dir, p0), "docs.parquet"))
         for name, typ in zip(schema.names, schema.types):
@@ -3559,8 +3518,7 @@ class QueryEngine:
         q = self._prepare(q)
         cfg.update(fn=fn, q=q, scorers=self._scorers_cached(q), index_dir=self.index_dir,
                    stamps={p: self._stamps.get(p) for p in self.parts},
-                   reader=(self.analyzer_name, (self.params.k1, self.params.b), self.dtype,
-                           self.runtime_fields))
+                   reader=(self.spec, self.dtype, self.runtime_fields))
         ds = ray.data.from_items([{"part": int(p)} for p in self.parts],
                                  override_num_blocks=len(self.parts))
         return ds.map_batches(_all_hits_fn, fn_args=(cfg,), batch_format="pyarrow",
@@ -3762,16 +3720,15 @@ _TASK_SEARCHERS: dict = {}
 def _all_hits_fn(batch: pa.Table, cfg: dict) -> pa.Table:
     """One task of ``QueryEngine._all_hits_ds``: for each partition of the
     batch, all hits of the (prepared) query, passed to ``cfg["fn"]``."""
-    analyzer, params_kb, dtype, runtime_fields = cfg["reader"]
+    spec, dtype, runtime_fields = cfg["reader"]
     out = []
     for part in batch["part"].to_pylist():
-        key = (cfg["index_dir"], part, analyzer, params_kb, dtype,
-               json.dumps(runtime_fields, sort_keys=True))
+        key = (cfg["index_dir"], part, json.dumps(cfg["reader"], sort_keys=True))
         stamp, s = _TASK_SEARCHERS.get(key, (None, None))
         if s is None or stamp != cfg["stamps"][part]:
-            s = PartitionSearcher(SegmentReader(part_dir(cfg["index_dir"], part)), part,
-                                  analyzer, BM25Params(*params_kb), dtype,
-                                  runtime_fields=runtime_fields)
+            s = PartitionSearcher(SegmentReader(part_dir(cfg["index_dir"], part),
+                                                cfg["stamps"][part]),
+                                  part, spec, dtype, runtime_fields=runtime_fields)
             _TASK_SEARCHERS[key] = (cfg["stamps"][part], s)
         docs, scores = s._eval_scoring(cfg["q"], cfg["scorers"], k=None, mode="exhaustive")
         out.append(cfg["fn"](s, _as_np(docs), np.asarray(scores, np.float64), cfg))
@@ -3823,23 +3780,12 @@ def _sigtext_hits(s: PartitionSearcher, docs, scores, cfg: dict) -> pa.Table:
                      "df": pa.array(list(counts.values()), pa.int64())})
 
 
-def _manifest_stamp(index_dir: str, part: int):
-    """Identity of a partition's current commit: (inode, mtime_ns, size) of
-    its manifest.json, which every segment write replaces last (None while
-    the partition is being rewritten)."""
-    try:
-        st = os.stat(manifest_path(index_dir, part))
-    except FileNotFoundError:
-        return None
-    return st.st_ino, st.st_mtime_ns, st.st_size
-
-
 class SearcherActor:
     """Warm searcher process of the actor pool, shared by every ray-backed
     engine of the driver. Holds one view per (engine, reopen): view key →
     {part: PartitionSearcher}. Views share readers: a partition is opened
-    once per (index dir, manifest stamp, analyzer, params, dtype, runtime
-    fields) and freed when the last view holding it is released."""
+    once per (index dir, manifest stamp, spec, dtype, runtime fields) and
+    freed when the last view holding it is released."""
 
     def __init__(self):
         import threading
@@ -3848,21 +3794,18 @@ class SearcherActor:
         self.readers: dict = {}
         self._lock = threading.Lock()  # reopen/release only, never call
 
-    def reopen(self, key, index_dir, stamps, analyzer_name, params_kb, dtype,
-               runtime_fields=None):
+    def reopen(self, key, index_dir, stamps, spec, dtype, runtime_fields=None):
         """Open view ``key`` over the partitions of ``stamps`` ({part:
         manifest stamp}), reusing every open reader whose stamp matches."""
-        params = BM25Params(*params_kb)
-        cfg = (index_dir, analyzer_name, tuple(params_kb), dtype,
-               json.dumps(runtime_fields or {}, sort_keys=True))
+        cfg = (index_dir, json.dumps([spec, dtype, runtime_fields or {}], sort_keys=True))
         with self._lock:
             view = {}
             for p, stamp in stamps.items():
                 s = self.readers.get((cfg, p, stamp))
                 if s is None:
                     s = self.readers[(cfg, p, stamp)] = PartitionSearcher(
-                        SegmentReader(part_dir(index_dir, p)), p, analyzer_name, params,
-                        dtype, runtime_fields=runtime_fields)
+                        SegmentReader(part_dir(index_dir, p), stamp), p, spec, dtype,
+                        runtime_fields=runtime_fields)
                 view[p] = s
             self.views[key] = view
 

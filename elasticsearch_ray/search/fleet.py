@@ -29,30 +29,17 @@ every poll, so checkpoints advance as incremental appends commit.
 
 from __future__ import annotations
 
-import os
 import time
 
-from elasticsearch_ray.index.segments import read_manifest
+from elasticsearch_ray.index import state
 
 NO_OPS_PERFORMED = -1
 
 
-def _part_ids(index_dir: str) -> list[int]:
-    import json
-
-    meta_path = os.path.join(index_dir, "index_meta.json")
-    with open(meta_path) as f:
-        meta = json.load(f)
-    return [p["part"] for p in meta["parts"]]
-
-
 def current_checkpoints(index_dir: str) -> list[int]:
     """Per-shard global checkpoint = last committed seq_no (n_docs - 1)."""
-    out = []
-    for part in _part_ids(index_dir):
-        m = read_manifest(index_dir, part)
-        out.append(int(m["n_docs"]) - 1 if m else NO_OPS_PERFORMED)
-    return out
+    return [int(p.manifest["n_docs"]) - 1 if p.manifest else NO_OPS_PERFORMED
+            for p in state.snapshot(index_dir).parts]
 
 
 def global_checkpoints(index_dir: str,
@@ -74,8 +61,7 @@ def global_checkpoints(index_dir: str,
 
     deadline = time.monotonic() + timeout
 
-    meta_path = os.path.join(index_dir, "index_meta.json")
-    while not os.path.exists(meta_path):
+    while not state.exists(index_dir):
         if not wait_for_index:
             raise FileNotFoundError(f"no such index [{index_dir}]")
         if time.monotonic() >= deadline:
@@ -84,7 +70,7 @@ def global_checkpoints(index_dir: str,
                 f"[timeout={timeout}s, index={index_dir}]")
         time.sleep(poll_interval)
 
-    n_shards = len(_part_ids(index_dir))
+    n_shards = len(state.snapshot(index_dir).parts)
     if wait_for_advance and n_shards != 1:
         raise ValueError(
             "wait_for_advance only supports indices with one shard. "

@@ -136,18 +136,16 @@ def build_semantic_text_index(ds: Dataset, index_dir: str,
        weighted_tokens over the sidecar + max-over-chunks.
 
     Build, staging and sidecar are all resumable (spec-fingerprinted
-    build; sidecar guarded by ``sidecar_complete``). Returns the
+    build; sidecar guarded by ``Snapshot.sidecar_complete``). Returns the
     QueryEngine over the chunk index."""
     import os
 
     import ray.data as rd
 
+    from elasticsearch_ray.index import state
     from elasticsearch_ray.index.build import build_index
-    from elasticsearch_ray.index.rank_features import (
-        build_rank_features,
-        sidecar_complete,
-    )
-    from elasticsearch_ray.index.segments import read_manifest
+    from elasticsearch_ray.index.rank_features import build_rank_features
+    from elasticsearch_ray.index.segments import part_dir
     from elasticsearch_ray.index.spec import IndexSpec
     from elasticsearch_ray.ops.chunking import chunk_documents
     from elasticsearch_ray.search.engine import QueryEngine
@@ -207,18 +205,11 @@ def build_semantic_text_index(ds: Dataset, index_dir: str,
     spec = IndexSpec(use_html=False, text_column="chunk",
                      doc_columns=("url", "parent_id", "chunk_ix",
                                   "chunk"))
-    meta = build_index(stage, index_dir, spec)
-    if not sidecar_complete(index_dir, field):
-        items = []
-        for part in range(int(meta["num_parts"])):
-            man = read_manifest(index_dir, part)
-            from elasticsearch_ray.index.segments import part_dir
-
-            items.append({
-                "path": os.path.join(part_dir(index_dir, part),
-                                     "docs.parquet"),
-                "base": int(man["base_doc_id"]),
-            })
+    build_index(stage, index_dir, spec)
+    snap = state.snapshot(index_dir)
+    if not snap.sidecar_complete("rankfeat", field):
+        items = [{"path": os.path.join(part_dir(index_dir, p.part), "docs.parquet"),
+                  "base": p.base} for p in snap.parts]
 
         def part_feats(df: pd.DataFrame) -> pd.DataFrame:
             import pyarrow.parquet as pq

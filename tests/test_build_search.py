@@ -265,7 +265,8 @@ def test_deterministic_segments(built_index, ray_session, tmp_path_factory):
 
 def test_resume_skips_complete_parts(built_index, ray_session):
     from elasticsearch_ray.index.build import build_index
-    from elasticsearch_ray.index.segments import manifest_path, part_dir
+    from elasticsearch_ray.index.segments import part_dir
+    from elasticsearch_ray.index.state import manifest_path
 
     corpus, idx, meta = built_index
     # invalidate part 1 only; hash ALL parts first so the rebuild can be

@@ -138,7 +138,7 @@ def test_manifest_removed_mid_read_reads_as_uncommitted(tmp_path, monkeypatch):
     """A rebuild replaces a partition dir while global_checkpoints polls
     it: a manifest that passes an existence check and is gone by the open
     reads as "not committed yet", not as an error."""
-    from elasticsearch_ray.index import segments
+    from elasticsearch_ray.index import state
 
-    monkeypatch.setattr(segments.os.path, "exists", lambda _p: True)
-    assert segments.read_manifest(str(tmp_path), 0) is None
+    monkeypatch.setattr(state.os.path, "exists", lambda _p: True)
+    assert state.read_manifest(str(tmp_path), 0) is None

@@ -247,13 +247,13 @@ def test_sidecar_complete_detects_orphaned_manifest(rf_engine):
     """A part rebuild wipes per-part sidecars but can leave the root
     manifest behind (round-5 regression: spec-field additions orphaned
     rankfeat-tags.json): completeness must check every part's file."""
-    import os
     import shutil
 
-    from elasticsearch_ray.index.rank_features import (
-        sidecar_complete,
-        sidecar_path,
-    )
+    from elasticsearch_ray.index import state
+    from elasticsearch_ray.index.rank_features import sidecar_path
+
+    def sidecar_complete(index_dir, field):
+        return state.snapshot(index_dir).sidecar_complete("rankfeat", field)
 
     eng, _wa, _wb = rf_engine
     assert sidecar_complete(eng.index_dir, "tags")
