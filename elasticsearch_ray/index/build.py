@@ -19,7 +19,7 @@ Pipeline (SURVEY §3.1, with an explicit map-side combine):
     → sort(part, term, salt, first_doc)      # the term-keyed shuffle
     → map_batches(RouteChunks): stream chunk rows into per-partition run
       files (sorted within each run)
-    → per-partition MergeParts task: the segment-merge kernel
+    → per-partition merge (``_merge_fn``): the segment-merge kernel
       (index.merge.write_segment) k-way merges the run files in bounded
       batches (single-chunk blobs pass through; each step's multi-chunk
       terms re-encode canonically in one bulk call), concatenates doc runs
@@ -34,23 +34,21 @@ distinct sub-keys to split a hot term's chunk run across reducers (equal
 keys cannot be split otherwise). Partition size itself is bounded by
 ``files_per_partition``, which caps any reducer's merge work.
 
-Two executors run these same stage objects (``_build_runs_and_merge``):
-
-  * Ray Data — the pipeline above as tokenize tasks, a distributed sort,
-    route tasks and one merge task per partition;
-  * inline — when Ray Data would give the pipeline ONE lane (a one-CPU
-    cluster, or todo shards that fit one tokenize batch, which is also one
-    todo partition), the calling process runs TokenizeShard → Arrow
-    ``sort_by(part, term, salt, first_doc)`` → RouteChunks per tokenize
-    batch, then MergeParts per partition. One lane gains nothing from the
-    executor, which would only add task dispatch and its polling loop (the
-    reference likewise flushes a refresh's segment inside the shard's own
-    process). The inline path holds one tokenize batch's chunk table at a
-    time — what one Ray Data tokenize task holds, and less than the Ray Data
-    sort, which materializes the whole table — so it needs no byte bound.
-    Its run files split differently, but ``write_segment`` re-encodes
-    multi-chunk terms canonically, so both executors write byte-identical
-    segment files (tested).
+Placement follows ``index.lanes``'s one lane rule
+(``_build_runs_and_merge``): the per-partition merges go through
+``lanes.run``, and the run-file pass runs through Ray Data (tokenize tasks,
+a distributed sort, route tasks) unless its tokenize blocks are ONE lane
+wide (a one-CPU cluster, or todo shards that fit one tokenize batch): then
+the calling process runs the same stage objects inline, TokenizeShard →
+Arrow ``sort_by(part, term, salt, first_doc)`` → RouteChunks per tokenize
+batch. One lane gains nothing from the executor, which would only add task
+dispatch and its polling loop (the reference likewise flushes a refresh's
+segment inside the shard's own process). The inline pass holds one tokenize
+batch's chunk table at a time — what one Ray Data tokenize task holds, and
+less than the Ray Data sort, which materializes the whole table — so it
+needs no byte bound. Its run files split differently, but ``write_segment``
+re-encodes multi-chunk terms canonically, so both executors write byte-
+identical segment files (tested).
 
 Resumability: a partition whose committed manifest has the planned lineage
 is skipped entirely on re-build (``state.resume``); incomplete partitions
@@ -76,12 +74,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-import ray
 import ray.data as rd
 
 from elasticsearch_ray.analysis.analyzers import get_analyzer
 from elasticsearch_ray.analysis.html_strip import strip_html
-from elasticsearch_ray.index import state
+from elasticsearch_ray.index import lanes, state
 from elasticsearch_ray.index.norms import int_to_byte4
 from elasticsearch_ray.index.merge import run_source, write_segment
 from elasticsearch_ray.index.postings import encode_many
@@ -422,30 +419,22 @@ def _lineage(shards: list[dict], spec_fp: str) -> dict:
             "spec_fp": spec_fp}
 
 
-class MergeParts:
-    """Per-partition merge stage: the partition's run files and doc runs go
-    through the segment-merge kernel (``index.merge.write_segment``)."""
-
-    def __init__(self, index_dir: str, spec_dict: dict):
-        self.index_dir = index_dir
-        self.spec = IndexSpec.from_dict(spec_dict)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = []
-        for row in batch.to_pylist():
-            pdir = part_dir(self.index_dir, int(row["part"]))
-            ddir = os.path.join(pdir, "docruns")
-            docruns = sorted(os.listdir(ddir)) if os.path.isdir(ddir) else []
-            shards, with_pos = row["shards"], self.spec.store_positions
-            lineage = {**_lineage(shards, spec_fingerprint(self.spec)),
-                       "base_doc_id": int(shards[0]["part_base"])}
-            m = write_segment(self.index_dir, int(row["part"]),
-                              [run_source(p, with_pos) for p in row["run_paths"]],
-                              [os.path.join(ddir, f) for f in docruns], with_pos, lineage,
-                              drop=(os.path.join(pdir, "runs"), ddir))
-            out.append({"part": m["part"], "n_docs": m["n_docs"], "sum_dl": m["sum_dl"],
-                        "n_terms": m["n_terms"]})
-        return pa.Table.from_pylist(out)
+def _merge_fn(index_dir: str, spec_dict: dict, part: int, run_paths: list[str],
+              shards: list[dict]) -> float:
+    """Merge one partition's run files and doc runs into its segment
+    (``index.merge.write_segment``); returns the merge's wall seconds."""
+    t0 = time.perf_counter()
+    pdir = part_dir(index_dir, part)
+    ddir = os.path.join(pdir, "docruns")
+    docruns = sorted(os.listdir(ddir)) if os.path.isdir(ddir) else []
+    spec = IndexSpec.from_dict(spec_dict)
+    with_pos = spec.store_positions
+    lineage = {**_lineage(shards, spec_fingerprint(spec)),
+               "base_doc_id": int(shards[0]["part_base"])}
+    write_segment(index_dir, part, [run_source(p, with_pos) for p in run_paths],
+                  [os.path.join(ddir, f) for f in docruns], with_pos, lineage,
+                  drop=(os.path.join(pdir, "runs"), ddir))
+    return time.perf_counter() - t0
 
 
 # Worker-process-level stage cache: map_batches with a plain FUNCTION runs as
@@ -453,16 +442,16 @@ class MergeParts:
 # or ramp-up — while the module-level cache still amortizes stage state
 # (compiled analyzers) across every task that lands on the same worker. The
 # stage classes above are what both executors run: the Ray Data pipeline
-# reaches them through this cache, the inline build constructs them once per
+# reaches them through this cache, the inline pass constructs them once per
 # build in the calling process.
 _STAGE_CACHE: dict = {}
 
 # Stage reports of the most recent build_index call in this process, empty
 # when it built nothing (every partition resumed): ``executor`` ("ray_data"
-# or "inline"), and ``chunks`` (tokenize/sort/route) and ``merge`` in Ray
-# Data's ``Dataset.stats()`` text (the inline build writes the same shape) —
-# the review feedstock for BASELINE.md and the benchmark's traced build
-# layers.
+# or "inline"), ``chunks`` (tokenize/sort/route) in Ray Data's
+# ``Dataset.stats()`` text (the inline pass writes the same shape) and
+# ``merge`` in that shape, its wall time summed over the partitions — the
+# review feedstock for BASELINE.md and the benchmark's traced build layers.
 LAST_BUILD_STATS: dict = {}
 
 
@@ -483,10 +472,6 @@ def _tokenize_fn(batch, index_dir, spec_dict, head_terms):
 
 def _route_fn(batch, index_dir, spec_dict):
     return _cached_stage(RouteChunks, index_dir, spec_dict)(batch)
-
-
-def _merge_fn(batch, index_dir, spec_dict):
-    return _cached_stage(MergeParts, index_dir, spec_dict)(batch)
 
 
 def _stage_sorted_corpus(corpus_dir: str, staged_dir: str, spec: IndexSpec,
@@ -527,12 +512,12 @@ def _stage_sorted_corpus(corpus_dir: str, staged_dir: str, spec: IndexSpec,
 
 def _build_runs_and_merge(index_dir, spec, spec_dict, shards, by_part,
                           todo_parts, concurrency):
-    """Execute the tokenize → sort → route run-file pass and the
-    per-partition merge for the given todo partitions, inline when the
-    pipeline would be one lane wide, otherwise through Ray Data."""
+    """Run the tokenize → sort → route run-file pass over the todo
+    partitions, inline when it is one lane wide, otherwise through Ray Data;
+    then merge each partition through ``lanes.run``."""
     todo_shards = [s for s in shards if s["part"] in set(todo_parts)]
     head = frozenset(sketch_head_terms(todo_shards, spec))
-    ncpu = concurrency or max(1, int(ray.cluster_resources().get("CPU", 4)))
+    ncpu = concurrency or lanes.cpus()
     # Task granularity: a few input files per tokenize task keeps task
     # count ≈ 2×cpus (amortizes per-task overhead, leaves room for work
     # stealing) and yields right-sized blocks for the sort — all-to-all
@@ -540,31 +525,30 @@ def _build_runs_and_merge(index_dir, spec, spec_dict, shards, by_part,
     tok_bs = max(1, min(spec.files_per_partition,
                         (len(todo_shards) + 2 * ncpu - 1) // (2 * ncpu)))
     n_blocks = (len(todo_shards) + tok_bs - 1) // tok_bs
-    if ncpu == 1 or n_blocks == 1:
-        _build_inline(index_dir, spec_dict, todo_shards, by_part, todo_parts, head, tok_bs)
-    else:
-        _build_ray_data(index_dir, spec_dict, todo_shards, by_part, todo_parts, head, tok_bs,
-                        n_blocks)
+    inline = lanes.width(n_blocks, ncpu) <= 1
+    run_rows, chunks = (_runs_inline(index_dir, spec_dict, todo_shards, head, tok_bs) if inline
+                        else _runs_ray_data(index_dir, spec_dict, todo_shards, head, tok_bs,
+                                            n_blocks))
+    jobs = [(index_dir, spec_dict, p, [r["run_path"] for r in run_rows if r["part"] == p],
+             by_part[p]) for p in todo_parts]
+    merge_s = sum(lanes.run(_merge_fn, jobs, ncpu))
+    LAST_BUILD_STATS.update(executor="inline" if inline else "ray_data", chunks=chunks,
+                            merge=_report([(f"MapBatches({_merge_fn.__name__})", merge_s, [])]))
 
 
-def _merge_items(runs_by_part: dict, by_part: dict) -> list[dict]:
-    return [{"part": p, "run_paths": runs, "shards": by_part[p]}
-            for p, runs in runs_by_part.items()]
-
-
-def _build_inline(index_dir, spec_dict, todo_shards, by_part, todo_parts, head, tok_bs):
-    """The one-lane build: the Ray Data pipeline's stage objects called in
-    this process. Each batch of ``tok_bs`` shards is tokenized, sorted and
-    routed to its own run files before the next is read, so the process
-    holds one tokenize task's chunk table at a time; then each partition
-    merges. Run files split differently than after Ray Data's global sort,
-    which ``write_segment``'s canonical re-encode makes invisible in the
-    segment bytes."""
+def _runs_inline(index_dir, spec_dict, todo_shards, head, tok_bs):
+    """The one-lane run-file pass: the Ray Data pipeline's stage objects
+    called in this process. Each batch of ``tok_bs`` shards is tokenized,
+    sorted and routed to its own run files before the next is read, so the
+    process holds one tokenize task's chunk table at a time. Run files split
+    differently than after Ray Data's global sort, which ``write_segment``'s
+    canonical re-encode makes invisible in the segment bytes. Returns the
+    run rows and the stage report."""
     tok = TokenizeShard(index_dir, spec_dict, head)
     route = RouteChunks(index_dir, spec_dict)
     wall = {"tokenize": 0.0, "sort": 0.0, "route": 0.0}
     rows = nbytes = 0
-    runs_by_part: dict[int, list[str]] = {p: [] for p in todo_parts}
+    run_rows = []
     for i in range(0, len(todo_shards), tok_bs):
         t0 = time.perf_counter()
         chunks = tok(pa.Table.from_pylist(todo_shards[i:i + tok_bs]))
@@ -572,44 +556,33 @@ def _build_inline(index_dir, spec_dict, todo_shards, by_part, todo_parts, head, 
         rows, nbytes = rows + chunks.num_rows, nbytes + chunks.nbytes
         chunks = chunks.sort_by([(c, "ascending") for c in SORT_KEY])
         t2 = time.perf_counter()
-        runs = route(chunks)
-        t3 = time.perf_counter()
-        for p, path in zip(runs["part"].to_pylist(), runs["run_path"].to_pylist()):
-            runs_by_part[p].append(path)
+        run_rows += route(chunks).to_pylist()
         wall["tokenize"] += t1 - t0
         wall["sort"] += t2 - t1
-        wall["route"] += t3 - t2
-    t0 = time.perf_counter()
-    MergeParts(index_dir, spec_dict)(pa.Table.from_pylist(_merge_items(runs_by_part, by_part)))
-    merge_s = time.perf_counter() - t0
-    LAST_BUILD_STATS.update(
-        executor="inline",
-        chunks=_inline_report([
-            (f"MapBatches({_tokenize_fn.__name__})", wall["tokenize"],
-             [f"* Output num rows per block: {rows} total",
-              f"* Output size bytes per block: {nbytes} total"]),
-            ("Sort", wall["sort"], []),
-            (f"MapBatches({_route_fn.__name__})", wall["route"], []),
-        ]),
-        merge=_inline_report([(f"MapBatches({_merge_fn.__name__})", merge_s, [])]))
+        wall["route"] += time.perf_counter() - t2
+    return run_rows, _report([
+        (f"MapBatches({_tokenize_fn.__name__})", wall["tokenize"],
+         [f"* Output num rows per block: {rows} total",
+          f"* Output size bytes per block: {nbytes} total"]),
+        ("Sort", wall["sort"], []),
+        (f"MapBatches({_route_fn.__name__})", wall["route"], []),
+    ])
 
 
-def _inline_report(ops: list) -> str:
-    """Operator stats of an inline build in ``Dataset.stats()``'s shape: an
-    ``Operator N name:`` header per stage, its wall time as ``Remote wall
-    time: … total`` and any further lines, so one parser reads both
-    executors' reports."""
+def _report(ops: list) -> str:
+    """Operator stats in ``Dataset.stats()``'s shape, for stages run outside
+    Ray Data: an ``Operator N name:`` header per stage, its wall time as
+    ``Remote wall time: … total`` and any further lines, so one parser reads
+    every build report."""
     lines = []
     for i, (name, secs, extra) in enumerate(ops):
-        lines += [f"Operator {i} {name}: run inline in the calling process",
-                  f"* Remote wall time: {secs:.6f}s total", *extra]
+        lines += [f"Operator {i} {name}:", f"* Remote wall time: {secs:.6f}s total", *extra]
     return "\n".join(lines)
 
 
-def _build_ray_data(index_dir, spec_dict, todo_shards, by_part, todo_parts, head, tok_bs,
-                    n_blocks):
-    """The streaming build: tokenize tasks → Ray Data sort → route tasks,
-    then one merge task per partition."""
+def _runs_ray_data(index_dir, spec_dict, todo_shards, head, tok_bs, n_blocks):
+    """The streaming run-file pass: tokenize tasks → Ray Data sort → route
+    tasks. Returns the run rows and Ray Data's stats."""
     import functools
 
     from ray.data import DataContext
@@ -642,22 +615,10 @@ def _build_ray_data(index_dir, spec_dict, todo_shards, by_part, todo_parts, head
                 num_cpus=1,
             )
         )
-        run_rows = chunks.take_all()
-        runs_by_part: dict[int, list[str]] = {p: [] for p in todo_parts}
-        for r in run_rows:
-            runs_by_part[int(r["part"])].append(r["run_path"])
-        merge_items = _merge_items(runs_by_part, by_part)
-        merged = rd.from_items(merge_items, override_num_blocks=len(merge_items)).map_batches(
-            functools.partial(_merge_fn, index_dir=index_dir, spec_dict=spec_dict),
-            batch_size=1,
-            batch_format="pyarrow",
-            num_cpus=1,
-        )
-        merged.take_all()
+        return chunks.take_all(), chunks.stats()
     finally:
         if prev_reserve is not None:
             ctx.op_resource_reservation_enabled = prev_reserve
-    LAST_BUILD_STATS.update(executor="ray_data", chunks=chunks.stats(), merge=merged.stats())
 
 
 def build_index(

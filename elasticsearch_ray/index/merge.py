@@ -15,7 +15,7 @@ re-encode canonically through ``postings.reencode_many`` in calls of at
 most ``postings.MAX_POSTINGS_PER_CALL`` postings (sized from the df column),
 and positions concatenate in (term, first_doc) = doc order. The manifest
 records ``multi_chunk_terms`` and ``reencoded_postings``. Build
-(``MergeParts``), tiered/force merge (``merge_group``) and shrink all call
+(``build._merge_fn``), tiered/force merge (``merge_group``) and shrink all call
 it, so a segment's bytes do not depend on how it was produced.
 
 Tiered policy: the reference's merge layer (``MergePolicyConfig.java:104-112``:
@@ -23,9 +23,10 @@ floor 2 MB, ≤10 merges at once, 10 segments per tier, 5 GB max merged
 segment; force-merge ``InternalEngine.java:2106-2126``). A segment IS a
 partition (contiguous global doc-id range), so a merge combines ADJACENT
 partitions: local ids shift by base offset and global doc order, hence the
-(score, part, doc) tie-break, is kept. Merges run as parallel Ray tasks,
-one per group; merged segments score-identically to unmerged ones and are
-byte-identical to a fresh build of the same files (tested)."""
+(score, part, doc) tie-break, is kept. ``index.lanes`` places the groups
+(in the calling process on one lane, else one Ray task each); merged segments
+score-identically to unmerged ones and are byte-identical to a fresh build
+of the same files (tested)."""
 
 from __future__ import annotations
 
@@ -39,9 +40,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-import ray
-
-from elasticsearch_ray.index import state
+from elasticsearch_ray.index import lanes, state
 from elasticsearch_ray.index.postings import call_ranges, reencode_many
 from elasticsearch_ray.index.segments import (
     FORMAT_VERSION,
@@ -440,26 +439,16 @@ def merge_group(index_dir: str, group: list[int]) -> dict:
     return manifest
 
 
-@ray.remote
-def _merge_group_task(index_dir: str, group: list[int]) -> dict:
-    return merge_group(index_dir, group)
-
-
-def commit_merges(index_dir: str, merged: list[dict]) -> dict:
-    """Commit the index's part list after merges: each merged manifest
-    replaces the parts it was merged from."""
+def merge_groups(index_dir: str, groups: list[list[int]]) -> dict:
+    """Merge each group (``lanes.run``), then commit the part list, each
+    merged manifest replacing the parts it was merged from; the index meta."""
+    merged = lanes.run(merge_group, [(index_dir, g) for g in groups])
     snap = state.snapshot(index_dir)
+    if not merged:
+        return snap.meta
     replaced = {p for m in merged for p in m["merged_from"][1:]}
     return state.commit_parts(index_dir, [p for p in snap.part_ids if p not in replaced],
                               snap.spec)
-
-
-def _merge_groups(index_dir: str, snap, groups: list[list[int]]) -> dict:
-    """Merge each group in its own Ray task, then commit; the index meta."""
-    if not groups:
-        return snap.meta
-    return commit_merges(index_dir, ray.get([_merge_group_task.remote(index_dir, g)
-                                             for g in groups]))
 
 
 def tiered_merge(index_dir: str) -> dict:
@@ -468,12 +457,11 @@ def tiered_merge(index_dir: str) -> dict:
     sizes = [{"part": p, "bytes": os.path.getsize(os.path.join(part_dir(index_dir, p),
                                                                "postings.bin"))}
              for p in sorted(snap.part_ids)]
-    return _merge_groups(index_dir, snap, plan_tiered_merges(sizes))
+    return merge_groups(index_dir, plan_tiered_merges(sizes))
 
 
 def force_merge(index_dir: str, max_segments: int = 1) -> dict:
     """forceMerge(maxNumSegments): merge adjacent partitions down to ≤ N."""
-    snap = state.snapshot(index_dir)
-    parts = sorted(snap.part_ids)
+    parts = sorted(state.snapshot(index_dir).part_ids)
     groups = np.array_split(np.array(parts), max_segments) if len(parts) > max_segments else []
-    return _merge_groups(index_dir, snap, [g.tolist() for g in groups if len(g) > 1])
+    return merge_groups(index_dir, [g.tolist() for g in groups if len(g) > 1])

@@ -34,7 +34,6 @@ import os
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from elasticsearch_ray.index import state
 from elasticsearch_ray.index.segments import atomic_write_table, part_dir
@@ -157,7 +156,7 @@ def feature_stats(index_dir: str, field: str, feature: str) -> tuple[int, int]:
     """Global (sum_freq, doc_freq) of one feature — the inputs of Lucene's
     ``FeatureField.computePivotFeatureValue`` (pivot = decode(sumFreq/df));
     reads only the small sidecar files."""
-    return feature_stats_bulk(index_dir, field, [feature])[0][str(feature)]
+    return feature_stats_bulk(state.snapshot(index_dir), field, [feature])[0][str(feature)]
 
 
 def field_freq_stats(index_dir: str, field: str) -> tuple[int, int]:
@@ -168,26 +167,26 @@ def field_freq_stats(index_dir: str, field: str) -> tuple[int, int]:
     frequency). Frequency here is DOC freq: the FeatureField ``freq``
     lane stores the ENCODED WEIGHT, so summing it would conflate weight
     magnitude with how often a token occurs."""
-    return feature_stats_bulk(index_dir, field, ())[1:]
+    return feature_stats_bulk(state.snapshot(index_dir), field, ())[1:]
 
 
-def feature_stats_bulk(index_dir: str, field: str,
+def feature_stats_bulk(snap: state.Snapshot, field: str,
                        features) -> tuple[dict, int, int]:
-    """ONE pass over each partition's sidecar: {feature: (sum_freq,
-    doc_freq)} for the requested feature set PLUS the field totals
-    (total_doc_freq, n_unique_features). An N-token pruned sparse_vector
-    query needs all of these — N+1 separate sweeps repeated per query
-    was the review-flagged shape (r5 #7)."""
+    """ONE pass over each partition's sidecar of commit ``snap``: {feature:
+    (sum_freq, doc_freq)} for the requested feature set PLUS the field
+    totals (total_doc_freq, n_unique_features). An N-token pruned
+    sparse_vector query needs all of these — N+1 separate sweeps repeated
+    per query was the review-flagged shape (r5 #7)."""
     want = pa.array(sorted(set(map(str, features))), pa.string())
     sums = np.zeros(len(want), np.int64)
     dfs = np.zeros(len(want), np.int64)
     total = 0
     uniq: set = set()
-    for part in state.snapshot(index_dir).part_ids:
-        path = sidecar_path(index_dir, part, field)
-        if not os.path.exists(path):
+    for p in snap.parts:
+        path = sidecar_path(snap.index_dir, p.part, field)
+        t = state.read_committed(*os.path.split(path), p.stamp, columns=["feature", "freq"])
+        if t is None:
             raise FileNotFoundError(f"rank_features sidecar missing: {path}")
-        t = pq.read_table(path, columns=["feature", "freq"])
         feats = t["feature"].cast(pa.string())
         total += len(t)
         uniq.update(pc.unique(feats).to_pylist())

@@ -55,7 +55,7 @@ def _copy_index(src_dir: str, dst_dir: str) -> str:
 
 
 def shrink_index(src_dir: str, dst_dir: str, target_shards: int) -> dict:
-    from elasticsearch_ray.index.merge import commit_merges, merge_group
+    from elasticsearch_ray.index.merge import merge_groups
 
     parts = state.snapshot(src_dir).part_ids
     n = len(parts)
@@ -67,9 +67,7 @@ def shrink_index(src_dir: str, dst_dir: str, target_shards: int) -> dict:
     tmp = _copy_index(src_dir, dst_dir)
     groups = [g.tolist() for g in np.array_split(np.array(parts), target_shards)
               if len(g) > 1]
-    merged = [merge_group(tmp, g) for g in groups]
-    if merged:
-        commit_merges(tmp, merged)
+    merge_groups(tmp, groups)
     os.replace(tmp, dst_dir)
     return _meta(dst_dir)
 

@@ -22,6 +22,10 @@ import dataclasses
 import json
 import os
 import shutil
+import time
+
+import pyarrow as pa
+import pyarrow.parquet as pq
 
 from elasticsearch_ray.index.segments import FORMAT_VERSION, atomic_write_json, part_dir
 
@@ -119,6 +123,20 @@ def read_manifest(index_dir: str, part: int) -> dict | None:
     return load_manifest(part_dir(index_dir, part))[0]
 
 
+def read_committed(pdir: str, name: str, stamp: tuple | None, **read) -> pa.Table | None:
+    """Sidecar ``name`` of the segment in ``pdir`` at commit ``stamp`` (None
+    when absent), else ``StaleCommitError``. Read first, stamp checked after:
+    a rewrite retracts the manifest before it touches a file."""
+    try:
+        t = pq.read_table(os.path.join(pdir, name), **read)
+    except FileNotFoundError:
+        t = None
+    if stamp is None or load_manifest(pdir)[1] != stamp:
+        raise StaleCommitError(f"{pdir} no longer holds the commit this reader was "
+                               "pinned to: it was rewritten or merged away")
+    return t
+
+
 def _committed(index_dir: str, part: int) -> dict:
     m = read_manifest(index_dir, part)
     if m is None:
@@ -202,7 +220,13 @@ def resume(index_dir: str, wanted: dict[int, dict]) -> list[int]:
 
 def commit_parts(index_dir: str, parts: list[int], spec: dict) -> dict:
     """Commit ``parts`` (each committed by its manifest) as the index's
-    ordered part list, with their global stats; returns the meta."""
+    ordered part list, with their global stats; returns the meta. The first
+    commit stamps ``created_unix`` (the ILM age); later ones carry it, or
+    the mtime of a meta written before it was recorded."""
+    path = os.path.join(index_dir, META)
+    prev = _read_json(path)
+    created = time.time() if prev is None else prev.get("created_unix",
+                                                        os.path.getmtime(path))
     manifests = [_committed(index_dir, p) for p in parts]
     sum_dl_fields: dict[str, int] = {}
     for m in manifests:
@@ -216,8 +240,9 @@ def commit_parts(index_dir: str, parts: list[int], spec: dict) -> dict:
         "sum_dl_fields": sum_dl_fields,
         "parts": [{"part": m["part"], "n_docs": m["n_docs"], "input_path": m["input_path"]}
                   for m in manifests],
+        "created_unix": created,
     }
-    atomic_write_json(os.path.join(index_dir, META), meta)
+    atomic_write_json(path, meta)
     return meta
 
 

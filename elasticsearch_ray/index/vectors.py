@@ -28,11 +28,11 @@ map_groups graph build, one part per group, atomic manifest-last writes)
 and is RESUMABLE: parts with a valid manifest are filtered out of the
 shuffle entirely, so a restarted build streams only pending partitions.
 
-Queries run on warm workers: per-part Ray tasks rehydrate the graph from
-memmaps via a process-level cache keyed on (part dir, manifest mtime) —
-the second query touches no parquet and builds nothing. The driver merges
-k·P candidate rows. Scale-out = more partitions, exactly like postings
-segments (index/segments.py).
+Queries run warm: per-part searches (placed by ``index.lanes``) rehydrate
+the graph from memmaps via a process-level cache keyed on (part dir,
+manifest mtime) — the second query touches no parquet and builds nothing.
+The driver merges k·P candidate rows. Scale-out = more partitions, exactly
+like postings segments (index/segments.py).
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ import pyarrow.parquet as pq
 import ray
 from ray.data import Dataset
 
+from elasticsearch_ray.index import lanes
 from elasticsearch_ray.index.segments import atomic_write_json, atomic_write_table
 from elasticsearch_ray.ops.ann import _batch_matrix, _normalize
 from elasticsearch_ray.ops.hnsw import HNSWGraph
@@ -669,8 +670,8 @@ class VPartSearcher:
 
 
 # process-level cache: (pdir, manifest mtime) → VPartSearcher. Lives in
-# each Ray worker process, so repeated queries rehydrate NOTHING — the
-# warm-actor analog of index/build.py's _STAGE_CACHE.
+# each process that runs searches, so repeated queries rehydrate NOTHING —
+# the warm-actor analog of index/build.py's _STAGE_CACHE.
 _VPART_CACHE: dict[tuple, VPartSearcher] = {}
 
 
@@ -718,13 +719,12 @@ def _batch_topk(s: VPartSearcher, qids, qn, k: int, ef: int,
                          "cosine": out_sim})
 
 
-@ray.remote
 def _search_part(pdir: str, qids: list, qn: np.ndarray, k: int, ef: int,
                  brute: bool, flt=None, int8: bool = False,
                  int8_oversample: float = 3.0, binary: bool = False,
                  binary_oversample: float = 8.0):
-    """Runs on a warm worker whose _VPART_CACHE holds the memmapped graph
-    across calls."""
+    """Runs where ``lanes.run`` places it, whose _VPART_CACHE holds the
+    memmapped graph across calls."""
     return _batch_topk(_cached_searcher(pdir), qids, qn, k, ef, brute, flt,
                        int8, int8_oversample, binary, binary_oversample)
 
@@ -748,13 +748,13 @@ class VPartSearcherActor:
 
 
 class VectorIndexReader:
-    """Query-side handle: fans per-partition searches out as Ray tasks
-    (k·P-row results), merges on the driver. No vector-table streaming,
-    no graph construction — that all happened at build time.
-    ``use_actors=True`` pins one warm searcher actor per partition (the
-    serving mode: repeated queries always hit the same memmapped graph);
-    the default stateless-task mode needs no lifecycle management and
-    relies on per-worker caches."""
+    """Query-side handle: one search per partition (k·P-row results),
+    merged on the driver. No vector-table streaming, no graph construction
+    — that all happened at build time. ``use_actors=True`` pins one warm
+    searcher actor per partition (the serving mode: repeated queries always
+    hit the same memmapped graph); the default stateless mode needs no
+    lifecycle management, places searches by ``index.lanes`` and relies on
+    per-process caches."""
 
     def __init__(self, index_dir: str, use_actors: bool = False):
         self.dir = index_dir
@@ -813,22 +813,14 @@ class VectorIndexReader:
                 f"{'binary' if binary else 'int8'} serving unavailable")
         qn = _normalize(np.asarray(query_matrix, np.float64))
         qids = list(query_ids)
+        args = (qids, qn, k, ef_search, brute, flt, int8, int8_oversample, binary,
+                binary_oversample)
+        parts = [p["part"] for p in self.meta["parts"] if p["n"] > 0]
         if self._use_actors:
-            futs = [
-                self._actor(p["part"]).search_batch.remote(
-                    qids, qn, k, ef_search, brute, flt, int8,
-                    int8_oversample, binary, binary_oversample)
-                for p in self.meta["parts"] if p["n"] > 0
-            ]
+            got = ray.get([self._actor(p).search_batch.remote(*args) for p in parts])
         else:
-            futs = [
-                _search_part.remote(vpart_dir(self.dir, p["part"]), qids, qn,
-                                    k, ef_search, brute, flt, int8,
-                                    int8_oversample, binary,
-                                    binary_oversample)
-                for p in self.meta["parts"] if p["n"] > 0
-            ]
-        partial = pd.concat(ray.get(futs), ignore_index=True) if futs else \
+            got = lanes.run(_search_part, [(vpart_dir(self.dir, p), *args) for p in parts])
+        partial = pd.concat(got, ignore_index=True) if got else \
             pd.DataFrame({"query_id": [], "neighbor_id": [], "cosine": []})
         out = (
             partial.sort_values(["query_id", "cosine", "neighbor_id"],

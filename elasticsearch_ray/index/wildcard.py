@@ -26,7 +26,7 @@ from the pattern.
 
 Ray-Data shape
 --------------
-Build is one Ray task per existing index partition (NO shuffle): each task
+Build is one job per existing index partition (NO shuffle): each job
 reads its own partition's ``docs.parquet`` column (or its slice of a supplied
 (doc_id, value) table), computes deduped 3-gram keys vectorized (codepoints
 via ``utf-32-le`` views, grams packed into ONE uint64: 21 bits per codepoint,
@@ -34,12 +34,12 @@ so gram-prefix queries are contiguous key ranges), and writes two atomic
 per-partition sidecars: ``wildcard-<field>.parquet`` (gram:uint64,
 local:int32, sorted) — the postings analog — and ``wildcarddv-<field>.parquet``
 (the original values in local-docid order, small row groups) — the binary
-doc-values analog. Serving is a Ray task per partition against a warm
+doc-values analog. Serving is one job per partition against a warm
 module-level cache (the ``_VPART_CACHE`` model of ``index/vectors.py``):
 searchsorted gram ranges → rarest-first sorted intersection → candidate rows
-fetched with row-group pushdown → vectorized regex confirmation. Scale story:
-the scan side touches only gram-key ranges (never values) and the expensive
-confirm pass reads exactly the candidate row groups.
+fetched with row-group pushdown → vectorized regex confirmation; ``index.lanes``
+places both. Scale story: the scan side touches only gram-key ranges (never
+values) and the expensive confirm pass reads exactly the candidate row groups.
 
 Deliberate divergence (documented): the reference returns an *unverified*
 ``DocValuesFieldExistsQuery`` for patterns with no concrete grams but a
@@ -56,9 +56,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-import ray
 
-from elasticsearch_ray.index import state
+from elasticsearch_ray.index import lanes, state
 from elasticsearch_ray.index.segments import atomic_write_table, part_dir
 
 NGRAM = 3
@@ -128,9 +127,7 @@ def _write_part(index_dir: str, field: str, part: int,
     return len(values)
 
 
-@ray.remote
-def _build_part_task(index_dir: str, field: str, part: int,
-                     column: str) -> int:
+def _build_part(index_dir: str, field: str, part: int, column: str) -> int:
     t = pq.read_table(os.path.join(part_dir(index_dir, part), "docs.parquet"),
                       columns=[column])
     return _write_part(index_dir, field, part,
@@ -143,7 +140,7 @@ def build_wildcard_field(index_dir: str, field: str,
     """Build the per-partition wildcard sidecars for ``field``.
 
     ``column`` — a column already carried in each partition's docs.parquet
-    (the scale path: one Ray task per partition, zero shuffle).
+    (the scale path: one ``lanes.run`` job per partition, zero shuffle).
     ``values`` — alternatively a (doc_id, value) pyarrow Table / pandas
     DataFrame covering every doc (small-side path, mirrors
     ``build_rank_features``).
@@ -153,8 +150,7 @@ def build_wildcard_field(index_dir: str, field: str,
     if (column is None) == (values is None):
         raise ValueError("pass exactly one of column= / values=")
     if column is not None:
-        totals = ray.get([_build_part_task.remote(index_dir, field, p, column)
-                          for p in parts])
+        totals = lanes.run(_build_part, [(index_dir, field, p, column) for p in parts])
     else:
         tbl = values if isinstance(values, pa.Table) else \
             pa.Table.from_pandas(values, preserve_index=False)
@@ -467,9 +463,6 @@ def _part_search(index_dir: str, field: str, part: int, base: int,
     return cand[keep] + base
 
 
-_part_search_task = ray.remote(num_cpus=1)(_part_search)
-
-
 def _run_parts(index_dir: str, field: str, clauses: list,
                verify_regex: str | None,
                bounds: tuple | None = None) -> np.ndarray:
@@ -477,10 +470,9 @@ def _run_parts(index_dir: str, field: str, clauses: list,
     if ("wildcard", field) not in snap.sidecars:
         raise FileNotFoundError(
             f"no wildcard sidecar for field {field!r} in {index_dir}")
-    refs = [_part_search_task.remote(index_dir, field, p.part, p.base,
-                                     clauses, verify_regex, bounds)
-            for p in snap.parts]
-    out = [r for r in ray.get(refs) if len(r)]
+    out = [r for r in lanes.run(_part_search, [(index_dir, field, p.part, p.base, clauses,
+                                                verify_regex, bounds) for p in snap.parts])
+           if len(r)]
     return np.sort(np.concatenate(out)) if out else np.empty(0, np.int64)
 
 

@@ -8,7 +8,7 @@
   frozen").
 - ``cluster_stats`` — ``admin/cluster/stats/ClusterStatsResponse.java``:
   aggregate index/shard/doc/store-byte counts + the node roll-up from
-  ``ray.nodes()``/``ray.cluster_resources()``.
+  Ray's node table (``ray.nodes()``).
 - ``nodes_info`` / ``nodes_stats`` — ``admin/cluster/node/info|stats``:
   one row per Ray node (the node IS the data node analog), cpu/memory
   resources, alive flag, object-store capacity.

@@ -78,7 +78,7 @@ import numpy as np
 import pyarrow as pa
 
 from elasticsearch_ray.analysis.analyzers import get_analyzer
-from elasticsearch_ray.index import state
+from elasticsearch_ray.index import lanes, state
 from elasticsearch_ray.index.segments import (SegmentReader, bloom_might_contain, part_dir,
                                               read_term_bloom)
 from elasticsearch_ray.index.spec import FIELD_SEP, field_of_term, fkey
@@ -234,22 +234,20 @@ class PartitionSearcher:
 
     def _rank_sidecar(self, field: str):
         """Lazy per-field rank_features sidecar (RankFeaturesFieldMapper /
-        FeatureField postings analog): {feature: (locals int64, decoded
-        float64 values)}; None when the field was never built here."""
+        FeatureField postings analog) of the reader's commit: {feature:
+        (locals int64, decoded float64 values)}; None when the field was
+        never built here (``state.StaleCommitError`` after a rewrite)."""
         cache = getattr(self, "_rankfeat", None)
         if cache is None:
             cache = self._rankfeat = {}
         if field in cache:
             return cache[field]
-        import pyarrow.parquet as pq
-
         from elasticsearch_ray.index.rank_features import decode_feature
 
-        path = os.path.join(self.r.dir, f"rankfeat-{field}.parquet")
-        if not os.path.exists(path):
+        t = state.read_committed(self.r.dir, f"rankfeat-{field}.parquet", self.r.stamp)
+        if t is None:
             cache[field] = None
             return None
-        t = pq.read_table(path)
         feats = t["feature"].to_numpy(zero_copy_only=False)
         locals_ = t["local"].to_numpy(zero_copy_only=False).astype(np.int64)
         vals = decode_feature(
@@ -1906,7 +1904,7 @@ class QueryEngine:
 
         parts, stamps = commit["parts"], commit["_stamps"]
         R = self._num_replicas
-        cpus = int(ray.cluster_resources().get("CPU", 4))
+        cpus = lanes.cpus()
         n_total = self._num_actors or max(1, min(len(parts) * R, cpus))
         per_pool = max(1, min(n_total // R, len(parts)))
         groups: list[list[int]] = [[] for _ in range(per_pool)]
@@ -1954,7 +1952,8 @@ class QueryEngine:
         commit.update(
             _searchers={p: s for p, s in self._searchers.items() if p in keep},
             _blooms={p: b for p, b in self._blooms.items() if p in keep},
-            _df_cache={}, _ttf_cache={}, _scorer_cache={}, _vocab_total=None)
+            _df_cache={}, _ttf_cache={}, _scorer_cache={}, _vocab_total=None,
+            _rankfeat_stats_cache={})
         lease = self._lease
         pooled = lease is not None and not lease.released
         if pooled:
@@ -2066,11 +2065,11 @@ class QueryEngine:
                     "field.feature (explicit pivot required for doc columns)")
             from elasticsearch_ray.index.rank_features import (
                 decode_feature,
-                feature_stats,
+                feature_stats_bulk,
             )
 
             head, feat = q.field.split(".", 1)
-            sum_freq, df = feature_stats(self.index_dir, head, feat)
+            sum_freq, df = feature_stats_bulk(self.snap, head, [feat])[0][feat]
             pivot = (float(decode_feature(
                 np.array([sum_freq // df], dtype=np.uint32))[0])
                 if df else 1.0)
@@ -2107,8 +2106,7 @@ class QueryEngine:
                            if (q.field, t) not in cache]
                 if missing or fkey not in cache:
                     bulk, total, nuniq = feature_stats_bulk(
-                        self.index_dir, q.field,
-                        [t for t, _w in toks])
+                        self.snap, q.field, [t for t, _w in toks])
                     cache[fkey] = (total, nuniq)
                     for t, sf_df in bulk.items():
                         cache[(q.field, t)] = sf_df

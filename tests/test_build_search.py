@@ -379,12 +379,9 @@ def _build_in_process(corpus, idx, spec, rows_per_run=40):
     route = build.RouteChunks(idx, sd)
     runs = pa.concat_tables([route(chunks.slice(i, rows_per_run))
                              for i in range(0, len(chunks), rows_per_run)]).to_pylist()
-    items = []
     for part in sorted({s["part"] for s in shards}):
-        items.append({"part": part,
-                      "run_paths": [r["run_path"] for r in runs if r["part"] == part],
-                      "shards": [s for s in shards if s["part"] == part]})
-    build.MergeParts(idx, sd)(pa.Table.from_pylist(items))
+        build._merge_fn(idx, sd, part, [r["run_path"] for r in runs if r["part"] == part],
+                        [s for s in shards if s["part"] == part])
 
 
 def test_streaming_merge_identical_output(built_index, ray_session, tmp_path_factory,

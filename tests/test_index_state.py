@@ -204,3 +204,80 @@ def test_noop_build_reports_no_build_stats(ray_session, tmp_path):
     build.build_index(str(tmp_path / "corpus"), idx, SPEC, concurrency=2,
                       file_pattern="docs*.parquet")
     assert build.LAST_BUILD_STATS == {}
+
+
+def test_creation_time_survives_refresh_noop_build_and_merge(tmp_path, monkeypatch):
+    """``commit_parts`` stamps ``created_unix`` at the index's first commit
+    and carries it forward, so neither an append-and-refresh build, a no-op
+    build nor a merge moves the index's ILM age; a meta written before the
+    stamp existed keeps the age of its file's mtime."""
+    import shutil
+    import types
+
+    from elasticsearch_ray.index.build import build_index
+    from elasticsearch_ray.index.ilm import index_creation_time
+    from elasticsearch_ray.index.merge import tiered_merge
+
+    src = tmp_path / "src"
+    src.mkdir()
+    t = pq.read_table(f"{SF_DIR}/documents.parquet")
+    for i in range(3):
+        pq.write_table(t.slice(100 * i, 100), str(src / f"docs{i}.parquet"))
+    later = tmp_path / "later"
+    later.mkdir()
+    shutil.move(str(src / "docs2.parquet"), str(later / "docs2.parquet"))
+    idx = str(tmp_path / "index")
+    build_index(str(src), idx, SPEC, concurrency=1)
+    t0 = index_creation_time(idx)
+
+    import time as _time
+    monkeypatch.setattr(state, "time", types.SimpleNamespace(
+        time=lambda: _time.time() + 10**6), raising=False)
+    shutil.move(str(later / "docs2.parquet"), str(src / "docs2.parquet"))
+    build_index(str(src), idx, SPEC, concurrency=1)  # append + refresh
+    assert len(state.snapshot(idx).parts) == 3 and index_creation_time(idx) == t0
+    build_index(str(src), idx, SPEC, concurrency=1)  # no-op
+    assert index_creation_time(idx) == t0
+    tiered_merge(idx)
+    assert len(state.snapshot(idx).parts) == 1 and index_creation_time(idx) == t0
+    assert state.snapshot(idx).meta["created_unix"] == t0
+
+    meta_path = os.path.join(idx, state.META)
+    old = {k: v for k, v in _load(meta_path).items() if k != "created_unix"}
+    with open(meta_path, "w") as f:
+        json.dump(old, f, indent=1)
+    os.utime(meta_path, (t0 - 3600, t0 - 3600))
+    assert index_creation_time(idx) == t0 - 3600
+    build_index(str(tmp_path / "src"), idx, SPEC, concurrency=1)
+    assert state.snapshot(idx).meta["created_unix"] == t0 - 3600
+
+
+@pytest.mark.parametrize("read", ["sidecar", "auto_pivot", "pruning"])
+def test_pinned_rank_feature_search_across_a_merge_names_the_stale_commit(
+        sidecar_index, tmp_path, read):
+    """A search pinned before a merge reads rank_features sidecars and
+    their feature statistics (rank_feature auto-pivot, sparse_vector
+    pruning) from its own commit: after the merge it raises the
+    stale-commit error instead of scoring the merged slot's locals against
+    its old readers."""
+    import shutil
+
+    from elasticsearch_ray.index.merge import force_merge
+    from elasticsearch_ray.search.engine import QueryEngine
+    from elasticsearch_ray.search.query import SparseVectorQuery
+
+    q = {"sidecar": RankFeatureQuery(field="tags.f_b", pivot=1.0),
+         "auto_pivot": RankFeatureQuery(field="tags.f_b"),
+         "pruning": SparseVectorQuery(field="tags", tokens=(("f_a", 1.0), ("f_b", 1.0)),
+                                      prune=True)}[read]
+    idx = str(tmp_path / "index")
+    shutil.copytree(sidecar_index[0], idx)
+    eng = QueryEngine(idx, dtype="float64")
+    for p in eng.parts:  # as a search over every partition would
+        eng._searcher(p)
+    held = eng._pinned()
+    force_merge(idx, 1)
+    with pytest.raises(state.StaleCommitError):
+        held.search(q, k=10, fetch=("doc_id",))
+    eng.reopen()
+    assert eng.count(RankFeatureQuery(field="tags.f_b")) == sidecar_index[1]["f_b"][0]
