@@ -4745,7 +4745,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def esql_sample(sf):
         # SAMPLE (deterministic md5-band row sampling keyed on the
-        # leading column): exact DuckDB band twin.
+        # whole row's text): exact DuckDB band twin.
         from elasticsearch_ray.search.esql import esql
 
         out = esql("""
@@ -8870,7 +8870,13 @@ def oracle_sql() -> dict[str, str]:
             SELECT event_type, count(*)::BIGINT AS n,
                    round(sum(value), 4) AS total
             FROM events
-            WHERE ('0x' || substr(md5(':' || CAST(event_id AS VARCHAR)),
+            WHERE ('0x' || substr(md5(':' || concat_ws(chr(31),
+                       coalesce(CAST(event_id AS VARCHAR), ''),
+                       coalesce(strftime(ts, '%Y-%m-%d %H:%M:%S.%f'), ''),
+                       coalesce(CAST(user_id AS VARCHAR), ''),
+                       coalesce(event_type, ''),
+                       coalesce(printf('%.17g', value), ''),
+                       coalesce(props, ''))),
                    1, 8))::BIGINT % 10000 < 3000
             GROUP BY event_type ORDER BY event_type
         """,

@@ -131,10 +131,16 @@ def read_committed(pdir: str, name: str, stamp: tuple | None, **read) -> pa.Tabl
         t = pq.read_table(os.path.join(pdir, name), **read)
     except FileNotFoundError:
         t = None
+    check_stamp(pdir, stamp)
+    return t
+
+
+def check_stamp(pdir: str, stamp: tuple | None) -> None:
+    """``StaleCommitError`` unless the segment in ``pdir`` still holds commit
+    ``stamp``. Call it after reading the segment's files."""
     if stamp is None or load_manifest(pdir)[1] != stamp:
         raise StaleCommitError(f"{pdir} no longer holds the commit this reader was "
                                "pinned to: it was rewritten or merged away")
-    return t
 
 
 def _committed(index_dir: str, part: int) -> dict:

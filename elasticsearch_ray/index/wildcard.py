@@ -428,9 +428,20 @@ def _fetch_values(dvp: str, rows: np.ndarray, n_docs: int) -> pd.Series:
     return tbl["value"].to_pandas().iloc[local].reset_index(drop=True)
 
 
-def _part_search(index_dir: str, field: str, part: int, base: int,
+def _part_search(index_dir: str, field: str, part: int, base: int, stamp: tuple | None,
                  clauses: list, verify_regex: str | None,
                  bounds: tuple | None = None) -> np.ndarray:
+    """Global ids of the part's matches, read from the part's commit
+    ``stamp`` (a snapshot's): ``state.StaleCommitError`` when a merge or
+    rewrite replaced that commit since."""
+    try:
+        return _part_matches(index_dir, field, part, clauses, verify_regex, bounds) + base
+    finally:  # read first, stamp checked after (``state.read_committed``)
+        state.check_stamp(part_dir(index_dir, part), stamp)
+
+
+def _part_matches(index_dir: str, field: str, part: int, clauses: list,
+                  verify_regex: str | None, bounds: tuple | None) -> np.ndarray:
     sp = sidecar_path(index_dir, part, field)
     grams, locals_ = _cached_postings(sp)
     pf_meta = pq.ParquetFile(dv_path(index_dir, part, field)).metadata
@@ -460,7 +471,7 @@ def _part_search(index_dir: str, field: str, part: int, base: int,
         if lt is not None:
             m &= pv < lt
         keep[present] = m
-    return cand[keep] + base
+    return cand[keep]
 
 
 def _run_parts(index_dir: str, field: str, clauses: list,
@@ -470,8 +481,9 @@ def _run_parts(index_dir: str, field: str, clauses: list,
     if ("wildcard", field) not in snap.sidecars:
         raise FileNotFoundError(
             f"no wildcard sidecar for field {field!r} in {index_dir}")
-    out = [r for r in lanes.run(_part_search, [(index_dir, field, p.part, p.base, clauses,
-                                                verify_regex, bounds) for p in snap.parts])
+    out = [r for r in lanes.run(_part_search, [(index_dir, field, p.part, p.base, p.stamp,
+                                                clauses, verify_regex, bounds)
+                                               for p in snap.parts])
            if len(r)]
     return np.sort(np.concatenate(out)) if out else np.empty(0, np.int64)
 

@@ -136,6 +136,7 @@ from elasticsearch_ray.search.query import (
 )
 from elasticsearch_ray.search.topk import (
     TermCursor,
+    accumulate_dense,
     bmw_topk,
     combine_sum,
     exhaustive_disjunction,
@@ -194,6 +195,70 @@ def _rank_within(vals) -> np.ndarray:
     import pandas as pd
 
     return pd.Series(vals).groupby(vals, dropna=False, sort=False).cumcount().to_numpy()
+
+
+class SegmentSpace:
+    """The doc space of one process's scoring pass (``PartitionSearcher.
+    topk``): the segments of one commit that the process holds (the
+    driver: every part of its engine's commit; a searcher actor: its share
+    of a view) laid end to end in part-id order, so local doc i of part p
+    is space doc ``base[p] + i``, and (score desc, space doc asc) is the
+    merge order (score desc, part asc, local asc). The driver's bases are
+    the snapshot's ``PartState.base``. A segment a pass does not visit is an
+    empty gap. Each field's norms over the whole space are filled in once
+    per segment, on its first pass (1 B per doc)."""
+
+    def __init__(self, n_docs: dict):
+        self.parts = np.array(sorted(n_docs), np.int64)
+        sizes = np.array([n_docs[p] for p in self.parts.tolist()], np.int64)
+        self.bases = np.cumsum(sizes) - sizes
+        self.base = dict(zip(self.parts.tolist(), self.bases.tolist()))
+        self.n_docs = int(sizes.sum())
+        self._norms: dict = {}  # field → (norm bytes of the space, parts filled in)
+
+    def norms(self, field: str | None, segs) -> np.ndarray:
+        """``field``'s norm bytes (the default field's for None) over the
+        space, filled in for the searchers ``segs``."""
+        got = self._norms.get(field)
+        if got is None:
+            dt = segs[0].r.norms_for(field).dtype
+            got = self._norms.setdefault(field, (np.zeros(self.n_docs, dt), set()))
+        arr, done = got
+        for s in segs:
+            if s.part not in done:
+                b = self.base[s.part]
+                arr[b:b + s.r.n_docs] = s.r.norms_for(field)
+                done.add(s.part)
+        return arr
+
+    def locate(self, docs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Space docs → (parts, locals)."""
+        i = np.searchsorted(self.bases, docs, side="right") - 1
+        return self.parts[i], docs - self.bases[i]
+
+    def hits(self, searchers, q, scorers, k: int, mode: str):
+        """One scoring pass over ``searchers`` (this process's candidate
+        segments) → top-k (parts, locals, scores) in merge order."""
+        if not searchers:
+            return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
+        segs = sorted(searchers, key=lambda s: s.part)
+        docs, scores = segs[0].topk(q, scorers, k, mode, segs[1:], self)
+        return (*self.locate(docs), scores)
+
+
+def _pass_table(results, k: int, min_score: float | None = None) -> pa.Table:
+    """The hits (rank, score, part, local) of the processes' top-k passes
+    ``[(parts, locals, scores)]`` (``SegmentSpace.hits``), cut at
+    ``min_score``. One pass is already in merge order; the passes of a
+    fan-out are merged by ``_merge_hits``."""
+    if min_score is not None:
+        results = [(p[s >= min_score], d[s >= min_score], s[s >= min_score])
+                   for p, d, s in results]
+    parts, locs, scores = (np.concatenate(c) for c in zip(*results))
+    hits = pa.table({"score": np.asarray(scores, np.float64), "part": parts, "local": locs})
+    if len(results) > 1:
+        return _merge_hits(hits, k)
+    return hits.add_column(0, "rank", pa.array(np.arange(1, len(hits) + 1, dtype=np.int64)))
 
 
 class PartitionSearcher:
@@ -792,27 +857,15 @@ class PartitionSearcher:
             nl = c.norms if c.norms is not None else r.norms
             return d, np.asarray(c.scorer.score(t, nl[d]), dtype=dtype)
         if isinstance(q, (TermsQuery, MatchQuery)):
-            if isinstance(q, TermsQuery):
-                terms, op, msm = list(q.terms), "or", 1
-            else:
-                an = get_analyzer(q.analyzer or self.analyzer_name)
-                terms = [fkey(q.field, t) for t in an(q.text)[0]]
-                op = q.operator
-                msm = _min_should_match(q.minimum_should_match, len(terms))
+            terms, min_match = self._term_plan(q)
             if not terms:
                 if isinstance(q, MatchQuery) and q.zero_terms_query == "all":
                     docs = np.arange(r.n_docs, dtype=np.int64)
                     return docs, np.full(r.n_docs, 1.0, dtype=dtype)
                 return np.empty(0, np.int64), np.empty(0, dtype)
             cursors = [c for t in terms if (c := self._cursor(t, scorers)) is not None]
-            if op == "and":
-                if len(cursors) < len(terms):
-                    return np.empty(0, np.int64), np.empty(0, dtype)
-                min_match = len(terms)
-            else:
-                min_match = max(1, msm)
-                if len(cursors) < min_match:
-                    return np.empty(0, np.int64), np.empty(0, dtype)
+            if len(cursors) < min_match:
+                return np.empty(0, np.int64), np.empty(0, dtype)
             if k is not None and mode == "bmw":
                 return bmw_topk(cursors, r.norms, k, r.n_docs, dtype, min_match=min_match)
             docs, scores = exhaustive_disjunction(cursors, r.norms, dtype, min_match=min_match)
@@ -1016,8 +1069,6 @@ class PartitionSearcher:
                     s_arrays.append(float(w) * vals)
             if not d_arrays:
                 return np.empty(0, np.int64), np.empty(0, dtype)
-            from elasticsearch_ray.search.topk import accumulate_dense
-
             docs, scores = accumulate_dense(
                 d_arrays, s_arrays, 0, r.n_docs, np.float64, 1)
             return docs, (scores * q.boost).astype(dtype)
@@ -1091,8 +1142,6 @@ class PartitionSearcher:
             if not d_arrays:
                 return np.empty(0, np.int64), np.empty(0, dtype)
             min_match = n_present if q.operator == "and" else 1
-            from elasticsearch_ray.search.topk import accumulate_dense
-
             return accumulate_dense(d_arrays, s_arrays, 0, r.n_docs, dtype, min_match)
         if isinstance(q, SpanNearQuery):
             docs, freqs = self._span_docs(list(q.clauses), q.slop, q.in_order)
@@ -1337,16 +1386,80 @@ class PartitionSearcher:
             base_docs, base_scores = base_docs[keep], base_scores[keep]
         return base_docs, (base_scores * q.boost).astype(dtype)
 
-    def topk(self, q: Query, scorers, k: int, mode: str = "bmw"):
-        """Per-partition top-k by (score desc, doc asc): the score-ordered
-        collector of every search whose options need no full candidate set."""
-        return topk_select(*self._eval_scoring(q, scorers, k=k, mode=mode), k)
+    def _term_plan(self, q) -> tuple[list[str], int]:
+        """(terms, min_match) of a TermQuery, TermsQuery or MatchQuery: the
+        field-keyed terms it scores, in order, and how many of them a doc
+        must match (all of them for operator AND). No terms when a match
+        query analyzes to none."""
+        if isinstance(q, TermQuery):
+            return [fkey(q.field, q.term)], 1
+        if isinstance(q, TermsQuery):
+            return list(q.terms), 1
+        an = get_analyzer(q.analyzer or self.analyzer_name)
+        terms = [fkey(q.field, t) for t in an(q.text)[0]]
+        if q.operator == "and":
+            return terms, len(terms)
+        return terms, max(1, _min_should_match(q.minimum_should_match, len(terms)))
+
+    def topk(self, q: Query, scorers, k: int, mode: str = "bmw", others=(),
+             space: "SegmentSpace | None" = None):
+        """Top-k by (score desc, doc asc) in one scoring pass: the
+        score-ordered collector of every search whose options need no full
+        candidate set. Alone (no ``others``, no ``space``) it scores this
+        segment in local docs: the profiler's and async search's
+        per-partition calls. With ``space``, the ``SegmentSpace`` of this
+        segment and ``others`` (the process's other candidate segments), it
+        scores all of them in one pass, in space docs: a term-scored query
+        (term, terms, match) through one spanning ``TermCursor`` per term
+        and one kernel call, so BMW's θ carries across segments; any other
+        query per segment, shifted into the space; then one
+        ``topk_select``. A one-segment pass reads its blobs in place, as
+        alone. perfbench times the query phase's scoring by wrapping this
+        method by name."""
+        if others and isinstance(q, (TermQuery, TermsQuery, MatchQuery)):
+            terms, min_match = self._term_plan(q)
+            if terms:
+                return self._topk_spanning([self, *others], space, terms, min_match,
+                                           scorers, k, mode)
+        base = space.base if space is not None else {self.part: 0}
+        segs = [self, *others]
+        docs, scores = zip(*(s._eval_scoring(q, scorers, k=k, mode=mode) for s in segs))
+        return topk_select(np.concatenate([d + base[s.part] for d, s in zip(docs, segs)]),
+                           np.concatenate(scores), k)
+
+    def _topk_spanning(self, segs, space, terms, min_match, scorers, k, mode):
+        """``topk`` of ``terms`` (``min_match`` of them per doc) over the
+        segments ``segs`` (ascending part order) of ``space``."""
+        dtype = np.float32 if self.dtype == "float32" else np.float64
+        rows = [s.r.lookup(terms) for s in segs]
+        cursors = []
+        for j, t in enumerate(terms):
+            held = [(s, int(r[j])) for s, r in zip(segs, rows) if r[j] >= 0]
+            if held:
+                fld = field_of_term(t)
+                on = [s for s, _i in held]
+                cursors.append(TermCursor.spanning(
+                    [s.r.blob(i) for s, i in held], [space.base[s.part] for s in on],
+                    scorers[t], space.norms(fld, on) if fld is not None else None))
+        if len(cursors) < min_match:
+            return np.empty(0, np.int64), np.empty(0, dtype)
+        norms = space.norms(None, segs)
+        if mode == "bmw":
+            return bmw_topk(cursors, norms, k, space.n_docs, dtype, min_match=min_match)
+        return topk_select(*exhaustive_disjunction(cursors, norms, dtype, min_match), k)
 
     def window_scores(self, q: Query, scorers, window: dict) -> np.ndarray:
         """Rescore pass over this partition's rows of the rescore window
         (``window`` = {part: locals}): ``q``'s score at each local, NaN where
-        ``q`` does not match. Only window-sized arrays leave the partition."""
+        ``q`` does not match. Only window-sized arrays leave the partition. A
+        term-scored ``q`` (term, terms, match) decodes only the posting
+        blocks whose [first_doc, last_doc] holds a window local; any other
+        query runs exhaustively over the partition."""
         locs = window[self.part]
+        if isinstance(q, (TermQuery, TermsQuery, MatchQuery)):
+            terms, min_match = self._term_plan(q)
+            if terms:
+                return self._window_term_scores(terms, min_match, scorers, locs)
         docs, scores = self._eval_scoring(q, scorers, None, "exhaustive")
         out = np.full(len(locs), np.nan)
         if len(docs):
@@ -1354,6 +1467,34 @@ class PartitionSearcher:
             hit = docs[i] == locs
             out[hit] = np.asarray(scores, np.float64)[i[hit]]
         return out
+
+    def _window_term_scores(self, terms, min_match, scorers, locs) -> np.ndarray:
+        """``window_scores`` of ``terms`` (``min_match`` of them per doc):
+        the exhaustive scores at ``locs``, from the blocks that hold them."""
+        dtype = np.float32 if self.dtype == "float32" else np.float64
+        u = np.unique(locs)
+        cursors = [c for t in terms if (c := self._cursor(t, scorers)) is not None]
+        if len(cursors) < min_match:
+            cursors = []
+        d_arrays, s_arrays = [], []
+        for c in cursors:
+            h = c.headers
+            b = np.minimum(np.searchsorted(h["last_doc"], u), len(h) - 1)
+            blocks = np.unique(b[(h["first_doc"][b] <= u) & (u <= h["last_doc"][b])])
+            runs = np.split(blocks, np.flatnonzero(np.diff(blocks) != 1) + 1)
+            got = [c.block_range(int(r[0]), int(r[-1]) + 1) for r in runs if len(r)]
+            if not got:
+                continue
+            d, t = (np.concatenate(a) for a in zip(*got))
+            m = np.isin(d, u)
+            nl = c.norms if c.norms is not None else self.r.norms
+            d_arrays.append(np.searchsorted(u, d[m]))
+            s_arrays.append(c.scorer.score(t[m], nl[d[m]]))
+        vals = np.full(len(u), np.nan)
+        if d_arrays:
+            at, sc = accumulate_dense(d_arrays, s_arrays, 0, len(u), dtype, min_match)
+            vals[at] = sc
+        return vals[np.searchsorted(u, locs)]
 
     def count(self, q: Query, scorers) -> int:
         """Matching-doc count (the _count API ships ints, never doc ids)."""
@@ -1858,6 +1999,7 @@ class QueryEngine:
             "avgdl": meta["sum_dl"] / max(meta["n_docs"], 1),
             "sum_dl_fields": meta.get("sum_dl_fields") or {},
             "_stamps": snap.stamps,
+            "_space": SegmentSpace({p.part: p.n_docs for p in snap.parts}),
         }
 
     # -- local backend --
@@ -2246,7 +2388,10 @@ class QueryEngine:
         """``PartitionSearcher.<method>(*args)`` on each of ``parts``
         (default: all) → ``[(part, result), ...]``: a driver loop over the
         cached local searchers, or ONE ray.get over an actor pool (view
-        key, actor calls). Each call ships one request tuple: Ray serializes
+        key, actor calls). ``topk`` instead runs one scoring pass per
+        process over its share of ``parts`` (``SegmentSpace.hits``) →
+        ``[(parts, locals, scores), ...]``, one entry per process: the
+        driver, or each actor. Each call ships one request tuple: Ray serializes
         every positional argument on its own, measured at ≈50 µs per
         argument of a searcher call on one pinned CPU (raw, host factor
         ≈2). ``pool`` defaults to pool 0 (every partition
@@ -2256,6 +2401,8 @@ class QueryEngine:
         parts = self.parts if parts is None else parts
         pool = self._actors if pool is None else pool
         if not pool:
+            if method == "topk":
+                return [self._space.hits([self._searcher(p) for p in parts], *args)]
             return [(p, getattr(self._searcher(p), method)(*args)) for p in parts]
         import ray
 
@@ -2576,13 +2723,18 @@ class QueryEngine:
     def _query_phase(self, q: Query, k: int, mode: str, opts: dict) -> pa.Table:
         """The query phase of every search, run by this engine (the driver,
         or a coordinator's inner engine): DFS scorers → can_match → ONE
-        fan-out of a partition collector, placed by ``_place`` (this
-        engine's own readers, or the searcher actors) → one merge
-        (``_merge_hits``) → optional rescore of the top window. Hits without
-        fetch. ``topk`` (BMW) collects when the options (``opts``, as built
-        by ``coordinator_request``) need no full candidate set — none, or only
-        min_score and rescore; ``extended_candidates`` collects for sort,
-        search_after, collapse, post_filter and terminate_after."""
+        fan-out of a collector, placed by ``_place`` (this engine's own
+        readers, or the searcher actors) → one merge → optional rescore of
+        the top window. Hits without fetch. ``topk`` (BMW) collects when the
+        options (``opts``, as built by ``coordinator_request``) need no full
+        candidate set — none, or only min_score and rescore: one scoring
+        pass per process over all of its candidate partitions
+        (``SegmentSpace.hits``), whose top-k is already in merge order, so a
+        search placed on this engine's readers sorts nothing more and the
+        passes of a fan-out meet in one ``_merge_hits`` (``_pass_table``).
+        ``extended_candidates`` collects per partition for sort,
+        search_after, collapse, post_filter and terminate_after, merged by
+        ``_merge_hits``."""
         scorers = self._scorers_cached(q)
         parts = self._candidate_parts(q)
         pool = self._place(parts)
@@ -2590,10 +2742,7 @@ class QueryEngine:
         n = k if rescore is None else max(k, rescore[1])
         if opts.keys() <= {"min_score", "rescore"}:
             results = self._fanout("topk", q, scorers, n, mode, parts=parts, pool=pool)
-            if "min_score" in opts:
-                ms = opts["min_score"]
-                results = [(p, (d[s >= ms], s[s >= ms])) for p, (d, s) in results]
-            hits = _merge_hits(_hits_table(results), n)
+            hits = _pass_table(results, n, opts.get("min_score"))
         else:
             sort = opts.get("sort") or [("_score", "desc")]
             copts = {**opts, "sort": sort}
@@ -2646,7 +2795,9 @@ class QueryEngine:
     def _place(self, parts):
         """Where one search's collector (and rescore pass) over candidate
         ``parts`` runs: the actor pool to fan out to, or the empty pool
-        ``()`` for this engine's own readers (which the DFS just opened). P
+        ``()`` for this engine's own readers (which the DFS just opened).
+        Either way each process scores its candidate partitions in one
+        top-k pass (``_fanout``). P
         is the number of actors that hold candidate partitions, capped by
         the cluster's CPUs. At P ≤ 1 a fan-out buys no parallelism, only the actor round trip: on one
         pinned CPU (4 partitions of perfbench's Zipf pages, 1200 distinct
@@ -3788,7 +3939,7 @@ class SearcherActor:
     def __init__(self):
         import threading
 
-        self.views: dict = {}
+        self.views: dict = {}  # view key → ({part: searcher}, their SegmentSpace)
         self.readers: dict = {}
         self._lock = threading.Lock()  # reopen/release only, never call
 
@@ -3805,31 +3956,37 @@ class SearcherActor:
                         SegmentReader(part_dir(index_dir, p), stamp), p, spec, dtype,
                         runtime_fields=runtime_fields)
                 view[p] = s
-            self.views[key] = view
+            self.views[key] = view, SegmentSpace({p: s.r.n_docs for p, s in view.items()})
 
     def release(self, keys):
         """Drop views ``keys`` and every reader no remaining view holds."""
         with self._lock:
             for k in keys:
                 self.views.pop(k, None)
-            live = {id(s) for v in self.views.values() for s in v.values()}
+            live = {id(s) for v, _sp in self.views.values() for s in v.values()}
             self.readers = {rk: s for rk, s in self.readers.items() if id(s) in live}
 
     def held(self) -> dict:
         """{view key: [(index_dir, part), ...]} of the open views."""
         with self._lock:
-            return {k: [(s.r.dir, p) for p, s in v.items()] for k, v in self.views.items()}
+            return {k: [(s.r.dir, p) for p, s in v.items()] for k, (v, _sp) in self.views.items()}
 
     def call(self, req):
         """``[(part, PartitionSearcher.<method>(*args)), ...]`` over the
         requested partitions of the view, for ``req`` = (view key, method,
-        parts, args) (QueryEngine._fanout reduces)."""
+        parts, args) (QueryEngine._fanout reduces). ``topk`` is one scoring
+        pass over this actor's share of the partitions instead
+        (``SegmentSpace.hits``): ``[(parts, locals, scores)]``, its top-k in
+        merge order."""
         key, method, parts, args = req
-        view = self.views.get(key)
-        if view is None:
+        got = self.views.get(key)
+        if got is None:
             raise LookupError(f"searcher view {key} was released: its engine closed, "
                               "or reopened twice while this call was in flight")
+        view, space = got
         wanted = set(parts)
+        if method == "topk":
+            return [space.hits([s for p, s in view.items() if p in wanted], *args)]
         return [(p, getattr(s, method)(*args)) for p, s in view.items() if p in wanted]
 
 

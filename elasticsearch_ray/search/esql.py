@@ -28,7 +28,8 @@ Supported pipeline::
     | LOOKUP JOIN idx ON field     -> broadcast left join against a
                                       lookup-mode index
     | SAMPLE p [seed]              -> deterministic md5-band row
-                                      sampling (streaming)
+                                      sampling by the whole row's
+                                      text (streaming)
     | CHANGE_POINT v [ON k] [AS t, p]
                                    -> change-point cascade over the
                                       (≤1000-value) series; annotates
@@ -82,6 +83,26 @@ _SOFT_COMMANDS = {
     "RERANK", "COMPLETION",
 }
 
+
+def _row_text(df: pd.DataFrame) -> pd.Series:
+    """Each row of ``df`` as the text SAMPLE hashes: its values in column
+    order joined by U+001F, a float as ``%.17g``, a timestamp as
+    ``%Y-%m-%d %H:%M:%S.%f``, a null as "", any other value as ``str``.
+    Both formats are the same in every batch (an int column that a batch
+    with nulls turns into floats prints alike) and in SQL (DuckDB's
+    ``printf('%.17g', x)`` and ``strftime``)."""
+    rows = None
+    for c in df.columns:
+        col = df[c]
+        if pd.api.types.is_float_dtype(col):
+            text = pd.Series(np.char.mod("%.17g", col.to_numpy(np.float64, na_value=np.nan)), index=df.index)
+        elif pd.api.types.is_datetime64_any_dtype(col):
+            text = col.dt.strftime("%Y-%m-%d %H:%M:%S.%f")
+        else:
+            text = col.astype(str)
+        text = text.where(col.notna(), "")
+        rows = text if rows is None else rows + "\x1f" + text
+    return rows
 
 def _is_word(tok, word: str) -> bool:
     """True when ``tok`` is the given soft keyword (kw or bare name)."""
@@ -1008,12 +1029,11 @@ def esql(query: str, tables, enrich_policies: dict | None = None):
             # SAMPLE <probability> [<seed>] — row sampling. The
             # reference samples with an unseeded per-row RNG; this is
             # the reproducible equivalent: keep a row iff
-            # md5(seed:leading-column) mod 10000 < p*10000, a pure
-            # function of the row key (stable under repartition and
-            # re-runs, exactly SQL-twin-able — same band rule as
-            # ops.llm_prep.hash_split). The leading schema column is
-            # the sampling key; put the id first (or KEEP it first)
-            # for unbiased sampling.
+            # md5(seed:row) mod 10000 < p*10000, a pure function of the
+            # whole row (stable under repartition and re-runs, exactly
+            # SQL-twin-able — same band rule as ops.llm_prep.hash_split).
+            # The row's text is ``_row_text``: rows that share some
+            # column's value still sample independently.
             import hashlib
 
             if not rest or rest[0][0] != "number":
@@ -1027,12 +1047,11 @@ def esql(query: str, tables, enrich_policies: dict | None = None):
             cut = int(round(p * 10000))
 
             def sample(df, _s=seed, _cut=cut):
-                key = df.columns[0]
-                ids = df[key].astype(str)
+                rows = _row_text(df)
                 bands = np.fromiter(
-                    (int(hashlib.md5((_s + ":" + i).encode())
-                         .hexdigest()[:8], 16) % 10000 for i in ids),
-                    np.int64, len(ids))
+                    (int(hashlib.md5((_s + ":" + r).encode())
+                         .hexdigest()[:8], 16) % 10000 for r in rows),
+                    np.int64, len(rows))
                 return df[bands < _cut]
             ds = ds.map_batches(sample, batch_format="pandas")
         elif v0 == "CHANGE_POINT":

@@ -6,7 +6,11 @@ Profiler (``server/.../search/profile/ProfileResult.java``,
 timing — rewrite, weight creation (the stats/scorer phase), can_match
 pruning, per-partition scoring (one entry per shard, like the reference's
 per-shard ProfileShardResult), merge, fetch. It keeps its own
-per-partition loop (for the per-shard timings) but passes the same gate
+per-partition loop (for the per-shard timings): each partition is a
+one-segment top-k pass (``PartitionSearcher.topk`` alone, in local docs),
+where a search scores all of a process's candidate partitions in one pass
+(``SegmentSpace.hits``) — the same hits, since BMW is exact either way.
+It passes the same gate
 as a search (``QueryEngine._read_gate``: a closed or read-blocked index
 refuses it), runs on a snapshot of the engine (``_pinned``) and reuses the
 engine's query preparation (``_prepare``), candidate selection

@@ -1,4 +1,12 @@
-"""Per-partition vectorized scoring kernels: exhaustive and Block-Max-WAND.
+"""Vectorized scoring kernels over one doc space: exhaustive and Block-Max-WAND.
+
+A doc space is one segment's local docs, or several segments of one process
+laid end to end in part order (``search.engine.SegmentSpace``): one scoring
+pass over every candidate segment of a search. A ``TermCursor`` reads one
+term's postings in that space: a segment's blob as it is on disk, or, via
+``TermCursor.spanning``, the term's blobs of several segments joined once,
+their headers shifted by each segment's base, decoded through
+``decode_many``'s block table. The kernels take any cursor alike.
 
 The BMW variant here is impact-ordered ("score-at-a-time") rather than
 Lucene's document-at-a-time pointer machine — the public Block-Max WAND
@@ -13,6 +21,13 @@ the inner work stays in numpy kernels:
      threshold θ exceeds the next window's bound, every remaining window is
      pruned — no posting bytes of theirs are ever decoded.
 
+Over a multi-segment space the windows straddle segment boundaries and θ
+carries from one segment to the next, as the reference's one collector per
+shard carries its minimum competitive score across segments; a segment the
+pass does not visit is an empty gap whose windows hold no term, so they are
+never scored. A space of one window has nothing to prune, so it is scored
+directly.
+
 Equality with the exhaustive scorer (including float32 narrowing and the
 (score desc, doc asc) tie-break) is property-tested.
 """
@@ -25,6 +40,8 @@ from elasticsearch_ray.index.postings import (
     _payload_offsets,
     decode_blocks_range,
     decode_postings,
+    decode_table,
+    header_table,
     read_headers,
 )
 
@@ -65,12 +82,13 @@ def topk_select(docs: np.ndarray, scores: np.ndarray, k: int):
 
 
 class TermCursor:
-    """One query term's postings inside one partition. ``norms`` optionally
+    """One query term's postings in one doc space. ``norms`` optionally
     carries the term's FIELD-specific norm bytes (multi-field indexes score
     each field against its own doc lengths); kernels fall back to the
-    passed-in default-field norms when unset."""
+    passed-in default-field norms when unset. A one-segment cursor reads its
+    blob in place; a spanning one (``spanning``) decodes through ``table``."""
 
-    __slots__ = ("blob", "headers", "offsets", "scorer", "norms")
+    __slots__ = ("blob", "headers", "offsets", "scorer", "norms", "table")
 
     def __init__(self, blob, scorer, norms=None):
         self.blob = blob
@@ -78,11 +96,37 @@ class TermCursor:
         self.offsets = _payload_offsets(self.headers) if len(self.headers) else None
         self.scorer = scorer
         self.norms = norms
+        self.table = None
+
+    @classmethod
+    def spanning(cls, blobs, bases, scorer, norms=None) -> "TermCursor":
+        """The term's blobs of several segments as one cursor: segment i's
+        docs sit at ``bases[i]`` (ascending). Copies the headers (shifted)
+        once, and the bytes (joined) when there is more than one blob."""
+        heads = [read_headers(b) for b in blobs]
+        nb = np.fromiter(map(len, heads), np.int64, len(heads))
+        h = np.concatenate(heads)
+        shift = np.repeat(np.asarray(bases, np.uint32), nb)
+        h["first_doc"] += shift
+        h["last_doc"] += shift
+        sizes = np.fromiter(map(len, blobs), np.int64, len(blobs))
+        c = cls.__new__(cls)
+        c.blob = np.frombuffer(blobs[0] if len(blobs) == 1 else b"".join(blobs), np.uint8)
+        c.headers = h
+        c.offsets = None
+        c.scorer = scorer
+        c.norms = norms
+        c.table = header_table(h, nb, np.cumsum(sizes) - sizes)
+        return c
 
     def decode_all(self):
+        if self.table is not None:
+            return decode_table(self.blob, self.table, 0, len(self.headers))
         return decode_postings(self.blob)
 
     def block_range(self, b0: int, b1: int):
+        if self.table is not None:
+            return decode_table(self.blob, self.table, b0, b1)
         return decode_blocks_range(self.blob, self.headers, self.offsets, b0, b1)
 
     def block_max_scores(self) -> np.ndarray:
@@ -130,6 +174,40 @@ def exhaustive_disjunction(cursors, norms, dtype=np.float32, min_match: int = 1)
     return accumulate_dense(d_arrays, s_arrays, 0, len(norms), dtype, min_match)
 
 
+def _score_window(cursors, norms, wstart: int, wend: int, length: int, dtype,
+                  min_match: int):
+    """Exhaustive union-sum of the docs in window [wstart, wend) → (docs,
+    scores), or None when no doc there can qualify (a full conjunction with
+    a term absent from the window)."""
+    d_arrays, s_arrays = [], []
+    full_conj = min_match >= len(cursors)
+    for c in cursors:
+        h = c.headers
+        if len(h) == 0:
+            if full_conj:
+                return None
+            continue
+        # candidate blocks: sorted disjoint ranges intersecting the window
+        b0 = int(np.searchsorted(h["last_doc"], wstart, side="left"))
+        b1 = int(np.searchsorted(h["first_doc"], wend, side="left"))
+        if b1 <= b0:
+            if full_conj:  # conjunction: one absent term kills the window
+                return None
+            continue
+        d, t = c.block_range(b0, b1)  # bulk vectorized decode
+        m = (d >= wstart) & (d < wend)
+        if m.any():
+            dm = d[m]
+            nl = c.norms if c.norms is not None else norms
+            d_arrays.append(dm)
+            s_arrays.append(c.scorer.score(t[m], nl[dm]))
+        elif full_conj:
+            return None
+    if not d_arrays:
+        return None
+    return accumulate_dense(d_arrays, s_arrays, wstart, length, dtype, min_match)
+
+
 def bmw_topk(cursors, norms, k: int, n_docs: int, dtype=np.float32, window: int = 4096,
              min_match: int = 1, stats: dict | None = None):
     """Block-max pruned top-k disjunction; returns (docs, scores) of ≤k hits,
@@ -139,8 +217,19 @@ def bmw_topk(cursors, norms, k: int, n_docs: int, dtype=np.float32, window: int 
     if stats is not None:
         stats["windows_total"] = (n_docs + window - 1) // window if n_docs else 0
         stats["windows_scored"] = 0
+    empty = np.empty(0, np.int64), np.empty(0, dtype)
     if not cursors or n_docs == 0:
-        return np.empty(0, np.int64), np.empty(0, dtype)
+        return empty
+    need = max(min_match, 1)
+    if n_docs <= window:
+        # one window: θ is -inf when it is reached, so no bound could prune
+        # it; only fewer than min_match present terms skip it, as below
+        if sum(len(c.headers) > 0 for c in cursors) < need:
+            return empty
+        if stats is not None:
+            stats["windows_scored"] = 1
+        got = _score_window(cursors, norms, 0, window, n_docs, dtype, min_match)
+        return empty if got is None else topk_select(*got, k)
     n_windows = (n_docs + window - 1) // window
     wstarts = np.arange(n_windows, dtype=np.int64) * window
     wends = wstarts + window
@@ -165,63 +254,31 @@ def bmw_topk(cursors, norms, k: int, n_docs: int, dtype=np.float32, window: int 
         boundary = np.where(hi - 1 >= lo, sigma[last_blk], 0.0)
         ub += np.maximum(red, boundary)
         present += (lo < hi).astype(np.int32)
-    if min_match > 1:
-        # conjunction-aware bound: a window lacking blocks from >= min_match
-        # distinct terms cannot produce a qualifying doc — prune before any
-        # decode. Result-identical: accumulate_dense would emit nothing there.
-        ub[present < min_match] = 0.0
     ub *= 1.0 + 1e-6  # guard float32-narrowing overshoot
+    # conjunction-aware bound: a window lacking blocks from >= min_match
+    # distinct terms (for min_match 1: any term) cannot produce a qualifying
+    # doc — prune before any decode. Result-identical: accumulate_dense
+    # would emit nothing there. A window whose bound is 0 (a similarity
+    # that clamps scores at 0) still holds hits of score 0.
+    ub[present < need] = -np.inf
 
     order = np.argsort(-ub, kind="stable")
-    top_docs = np.empty(0, np.int64)
-    top_scores = np.empty(0, dtype)
+    top_docs, top_scores = empty
     theta = -np.inf
     for w in order:
-        if ub[w] <= 0:
+        if ub[w] == -np.inf:
             break
         if len(top_docs) >= k and ub[w] < theta:
             break  # every remaining window has a smaller bound — pruned
-        wstart, wend = w * window, (w + 1) * window
+        wstart = int(w) * window
         if stats is not None:
             stats["windows_scored"] += 1
-        d_arrays, s_arrays = [], []
-        full_conj = min_match >= len(cursors)
-        dead = False
-        for c in cursors:
-            h = c.headers
-            if len(h) == 0:
-                if full_conj:
-                    dead = True
-                    break
-                continue
-            # candidate blocks: sorted disjoint ranges intersecting the window
-            b0 = int(np.searchsorted(h["last_doc"], wstart, side="left"))
-            b1 = int(np.searchsorted(h["first_doc"], wend, side="left"))
-            if b1 <= b0:
-                if full_conj:  # conjunction: one absent term kills the window
-                    dead = True
-                    break
-                continue
-            d, t = c.block_range(b0, b1)  # bulk vectorized decode
-            m = (d >= wstart) & (d < wend)
-            if m.any():
-                dm = d[m]
-                nl = c.norms if c.norms is not None else norms
-                d_arrays.append(dm)
-                s_arrays.append(c.scorer.score(t[m], nl[dm]))
-            elif full_conj:
-                dead = True
-                break
-        if dead or not d_arrays:
+        got = _score_window(cursors, norms, wstart, wstart + window,
+                            min(window, n_docs - wstart), dtype, min_match)
+        if got is None or len(got[0]) == 0:
             continue
-        docs, scores = accumulate_dense(
-            d_arrays, s_arrays, wstart, min(window, n_docs - wstart), dtype, min_match
-        )
-        if len(docs) == 0:
-            continue
-        all_d = np.concatenate([top_docs, docs])
-        all_s = np.concatenate([top_scores, scores])
-        top_docs, top_scores = topk_select(all_d, all_s, k)
+        top_docs, top_scores = topk_select(np.concatenate([top_docs, got[0]]),
+                                           np.concatenate([top_scores, got[1]]), k)
         if len(top_docs) >= k:
             theta = float(top_scores[-1])
     return top_docs, top_scores

@@ -107,3 +107,193 @@ def test_bmw_conjunction_window_pruning():
     # rare range spans 2000 docs ≈ 1-2 windows (+1 straddling block slack)
     assert stats["windows_scored"] <= 3, stats
     assert stats["windows_total"] == (n_docs + 4095) // 4096
+
+
+def _cursors_of(n_docs, seed, densities, dtype="float32"):
+    """One cursor per density (share of docs holding the term), with the
+    shared norms; a density of 0 gives an empty cursor."""
+    rng = np.random.default_rng(seed)
+    norms = int_to_byte4(rng.integers(5, 120, n_docs))
+    cursors = []
+    for p in densities:
+        docs = np.flatnonzero(rng.random(n_docs) < p)
+        tfs = rng.integers(1, 5, len(docs))
+        sc = BM25Scorer(df=max(len(docs), 1), doc_count=n_docs, avgdl=60.0, dtype=dtype)
+        cursors.append(TermCursor(encode_postings(docs, tfs, norms[docs]), sc))
+    return norms, cursors
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("densities", [(0.4, 0.05, 0.2), (0.4, 0.0, 0.2), (0.0,), (0.3,)])
+@pytest.mark.parametrize("min_match", [1, 2, "all"])
+def test_bmw_one_window_scores_directly(dtype, densities, min_match):
+    """A doc space of one window (n_docs ≤ window) skips the bound set-up
+    and scores that window directly: bit-equal to exhaustive and to the
+    windowed loop over the same docs (a smaller window), including the
+    min_match cut, an empty cursor and a dead full conjunction."""
+    n_docs = 3000
+    mm = len(densities) if min_match == "all" else min_match
+    norms, cursors = _cursors_of(n_docs, 11, densities, "float32" if dtype == np.float32 else "float64")
+    e = topk_select(*exhaustive_disjunction(cursors, norms, dtype, min_match=mm), 10)
+    stats: dict = {}
+    one = bmw_topk(cursors, norms, 10, n_docs, dtype, min_match=mm, stats=stats)
+    loop = bmw_topk(cursors, norms, 10, n_docs, dtype, window=512, min_match=mm)
+    for got in (one, loop):
+        assert np.array_equal(got[0], e[0])
+        assert got[1].dtype == e[1].dtype and np.array_equal(got[1], e[1])
+    alive = sum(d > 0 for d in densities) >= mm
+    assert stats == {"windows_total": 1, "windows_scored": int(alive)}
+    if not alive:
+        assert len(one[0]) == 0
+
+
+def test_bmw_scores_windows_whose_bound_is_zero():
+    """A similarity that clamps scores at 0 (LMDirichlet) bounds a window
+    at 0; its docs still hit, at score 0, when fewer than k docs score
+    higher — as in the exhaustive scorer, in one window and across many."""
+    from elasticsearch_ray.search.bm25 import LMDirichletScorer
+
+    n_docs = 20_000
+    rng = np.random.default_rng(3)
+    norms = int_to_byte4(rng.integers(400, 900, n_docs))
+    held = rng.random(n_docs) < 0.3
+    sc = LMDirichletScorer(ttf=10**7, total_tokens=10**7)  # every score clamps to 0
+    for n in (4000, n_docs):
+        docs = np.flatnonzero(held[:n])
+        cursors = [TermCursor(encode_postings(docs, np.ones(len(docs), np.int64), norms[docs]),
+                              sc)]
+        e = topk_select(*exhaustive_disjunction(cursors, norms[:n]), 10)
+        got = bmw_topk(cursors, norms[:n], 10, n)
+        assert len(e[0]) == 10 and not e[1].any()
+        assert np.array_equal(got[0], e[0]) and np.array_equal(got[1], e[1])
+
+
+# ---- one scoring pass over several segments (SegmentSpace) ----
+
+_SEG_SIZES = (4500, 5300, 4700)  # > one window each; boundaries fall mid-window
+
+
+@pytest.fixture(scope="module")
+def seg_index(tmp_path_factory):
+    """Three segments of more than 4096 docs over a Zipf vocabulary. "hot"
+    (with t1 and t2) sits in 40 docs of segment 1 only, "warm" in segments
+    0 and 2 only, so a pass holds a term in some of its segments."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from elasticsearch_ray.index.build import build_index
+    from elasticsearch_ray.index.spec import IndexSpec
+
+    root = tmp_path_factory.mktemp("segs")
+    corpus = root / "corpus"
+    corpus.mkdir()
+    rng = np.random.default_rng(8)
+    p = 1.0 / np.arange(1, 301) ** 1.1
+    p /= p.sum()
+    start = 0
+    for seg, n in enumerate(_SEG_SIZES):
+        texts = []
+        for i in range(n):
+            words = [f"t{w}" for w in rng.choice(300, rng.integers(4, 30), p=p)]
+            if seg == 1 and 100 <= i < 140:
+                words += ["hot"] * int(rng.integers(2, 5)) + ["t1", "t2"]
+            if seg != 1 and rng.random() < 0.2:
+                words.append("warm")
+            texts.append(" ".join(words))
+        pq.write_table(pa.table({
+            "doc_id": pa.array(np.arange(start, start + n), pa.int64()),
+            "text": pa.array(texts),
+            "lang": pa.array(["en"] * n),
+        }), str(corpus / f"seg{seg}.parquet"))
+        start += n
+    idx = str(root / "index")
+    build_index(str(corpus), idx, IndexSpec(use_html=False, text_column="text",
+                                            files_per_partition=1),
+                concurrency=1, file_pattern="seg*.parquet")
+    return idx
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("text,opts", [
+    ("hot t1 t5", {}),
+    ("hot t1 t2 t9", {"minimum_should_match": "2"}),
+    ("hot t1 t2", {"operator": "and"}),
+    ("warm t3 t40", {}),
+    ("warm t2", {"operator": "and"}),
+])
+def test_one_pass_over_segments(seg_index, monkeypatch, dtype, text, opts):
+    """One BMW pass over every candidate segment == the exhaustive pass ==
+    per-partition top-k merged by ``_merge_hits``, bit for bit, over all the
+    segments and over subsets with a pruned partition's gap; θ carries
+    across segments, so the pass scores fewer windows than it has."""
+    from elasticsearch_ray.search import engine as engine_mod
+    from elasticsearch_ray.search.engine import QueryEngine, _hits_table, _merge_hits
+    from elasticsearch_ray.search.query import MatchQuery
+
+    eng = QueryEngine(seg_index, dtype=dtype)
+    assert eng.parts == [0, 1, 2]
+    assert [s.r.n_docs for s in map(eng._searcher, eng.parts)] == list(_SEG_SIZES)
+    assert eng._space.base == {p.part: p.base for p in eng.snap.parts}
+    runs = []
+
+    def counted(*a, **kw):
+        stats = {}
+        out = bmw_topk(*a, **kw, stats=stats)
+        runs.append(stats)
+        return out
+
+    monkeypatch.setattr(engine_mod, "bmw_topk", counted)
+    q = eng._prepare(MatchQuery(text, **opts))
+    scorers = eng._scorers_cached(q)
+    for parts in ([0, 1, 2], [0, 2], [1, 2]):
+        segs = [eng._searcher(p) for p in parts]
+        runs.clear()
+        bmw = eng._space.hits(segs, q, scorers, 10, "bmw")
+        assert len(runs) <= 1  # one kernel call over the whole pass, if any
+        exh = eng._space.hits(segs, q, scorers, 10, "exhaustive")
+        merged = _merge_hits(_hits_table([(s.part, s.topk(q, scorers, 10)) for s in segs]), 10)
+        want = (merged["part"].to_numpy(), merged["local"].to_numpy(),
+                merged["score"].to_numpy())
+        assert len(want[0]) == 10 or parts != [0, 1, 2]
+        for got in (bmw, exh):
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert got[2].dtype == np.dtype(dtype)
+            assert np.array_equal(np.asarray(got[2], np.float64), want[2])
+        if "hot" in text and 1 in parts:
+            assert runs[0]["windows_total"] == 4 if parts == [0, 1, 2] else 3
+            assert runs[0]["windows_scored"] < runs[0]["windows_total"], runs
+
+
+@pytest.mark.parametrize("text,opts", [("t0", {}), ("t0 t1 hot", {}),
+                                       ("t0 t1 t4", {"minimum_should_match": "2"}),
+                                       ("t0 t1", {"operator": "and"})])
+def test_rescore_window_decodes_only_its_blocks(seg_index, monkeypatch, text, opts):
+    """``window_scores`` of a term-scored query decodes only the blocks that
+    hold a window local — far fewer than the terms' posting lists — and
+    gives each local the exhaustive score (NaN where it does not match)."""
+    from elasticsearch_ray.search.engine import QueryEngine
+    from elasticsearch_ray.search.query import MatchQuery
+
+    eng = QueryEngine(seg_index)
+    q = eng._prepare(MatchQuery(text, **opts))
+    scorers = eng._scorers_cached(q)
+    s = eng._searcher(1)
+    locs = np.array([5, 120, 130, 2047, 4000, 5299, 120], np.int64)
+    docs, scores = s._eval_scoring(q, scorers, None, "exhaustive")
+    i = np.minimum(np.searchsorted(docs, locs), len(docs) - 1)
+    want = np.where(docs[i] == locs, np.asarray(scores, np.float64)[i], np.nan)
+    total = sum(len(c.headers) for t in s._term_plan(q)[0]
+                if (c := s._cursor(t, scorers)) is not None)
+    decoded = [0]
+    orig = TermCursor.block_range
+
+    def counted(self, b0, b1):
+        decoded[0] += b1 - b0
+        return orig(self, b0, b1)
+
+    monkeypatch.setattr(TermCursor, "block_range", counted)
+    monkeypatch.setattr(TermCursor, "decode_all", None)
+    got = s.window_scores(q, scorers, {1: locs})
+    assert np.array_equal(got, want, equal_nan=True)
+    assert not np.isnan(got).all()
+    assert 0 < decoded[0] <= 6 * len(s._term_plan(q)[0]) < total, (decoded, total)

@@ -294,6 +294,13 @@ def test_lookup_join_multiple_matches_expand(ray_session, tables):
     assert int(out.loc[0, "n"]) == 2 * int(base.loc[0, "n"])
 
 
+# SAMPLE's row text in SQL: every column as text in schema order, joined
+# by U+001F, a float as %.17g, a null as ""
+_ROW_TEXT = "concat_ws(chr(31), " + ", ".join(
+    f"coalesce({e}, '')" for e in ("CAST(event_id AS VARCHAR)", "CAST(user_id AS VARCHAR)",
+                                   "event_type", "printf('%.17g', value)", "msg")) + ")"
+
+
 def test_sample_deterministic_band(ray_session, tables, frame):
     """SAMPLE: md5-band keep rule == the DuckDB twin, repartition- and
     rerun-stable."""
@@ -305,10 +312,9 @@ def test_sample_deterministic_band(ray_session, tables, frame):
     out1 = esql(q, tables).to_pandas()
     out2 = esql(q, tables).to_pandas()
     assert int(out1.loc[0, "n"]) == int(out2.loc[0, "n"])
-    want = duckdb.sql("""
+    want = duckdb.sql(f"""
         SELECT count(*) AS n, sum(value) AS total FROM frame
-        WHERE ('0x' || substr(md5(':' || CAST(event_id AS VARCHAR)),
-               1, 8))::BIGINT % 10000 < 2500
+        WHERE ('0x' || substr(md5(':' || {_ROW_TEXT}), 1, 8))::BIGINT % 10000 < 2500
     """).df()
     assert int(out1.loc[0, "n"]) == int(want.loc[0, "n"])
     assert np.isclose(float(out1.loc[0, "total"]), float(want.loc[0, "total"]))
@@ -319,6 +325,22 @@ def test_sample_deterministic_band(ray_session, tables, frame):
                 tables).to_pandas()["event_id"].tolist()
     assert ids0 != ids7
     assert 0 < int(out1.loc[0, "n"]) < len(frame)
+
+
+def test_sample_bands_by_whole_row(ray_session, frame):
+    """SAMPLE keys on the whole row: a constant leading column (every row
+    shares it) still samples about p of the rows, not all or none, and the
+    same seed keeps the same rows."""
+    import ray.data as rd
+
+    t = {"events": rd.from_pandas(frame.assign(event_id=0).rename(
+        columns={"event_id": "tenant"}).assign(id=np.arange(len(frame))))}
+    q = "FROM events | SAMPLE 0.25 3 | KEEP id | SORT id"
+    ids = esql(q, t).to_pandas()["id"].tolist()
+    assert 0.2 * len(frame) < len(ids) < 0.3 * len(frame)
+    assert esql(q, t).to_pandas()["id"].tolist() == ids
+    assert esql("FROM events | SAMPLE 0.25 4 | KEEP id | SORT id",
+                t).to_pandas()["id"].tolist() != ids
 
 
 def test_sample_validates(ray_session, tables):

@@ -233,3 +233,46 @@ def test_range_handles_null_values(ray_session, tmp_path_factory):
     assert range_field_search(idx, "url", gte="a").tolist() == [0, 2]
     assert range_field_search(idx, "url", gte="alpha",
                               lte="zeta").tolist() == [0, 2]
+
+
+def test_merge_between_snapshot_and_part_jobs_is_stale(tmp_path, monkeypatch):
+    """A merge that lands after the search took its snapshot and before the
+    part jobs read their sidecars: each job checks its part's snapshot
+    stamp after reading, so the search raises ``StaleCommitError`` instead
+    of adding the old bases to the merged slot's ids, or a bare
+    ``FileNotFoundError`` for a merged-away part."""
+    from types import SimpleNamespace
+
+    from elasticsearch_ray.index import lanes, state, wildcard
+    from elasticsearch_ray.index.build import build_index
+    from elasticsearch_ray.index.merge import force_merge
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for f in range(3):
+        ids = np.arange(4 * f, 4 * f + 4)
+        pq.write_table(pa.table({
+            "doc_id": pa.array(ids, pa.int64()),
+            "text": pa.array(["x y z"] * 4),
+            "lang": pa.array(["en"] * 4),
+            "url": pa.array([VALUES[i] for i in ids]),
+        }), str(corpus / f"docs{f}.parquet"))
+    idx = str(tmp_path / "index")
+    build_index(str(corpus), idx,
+                IndexSpec(use_html=False, text_column="text", doc_columns=("lang", "url"),
+                          files_per_partition=1),
+                concurrency=1, file_pattern="docs*.parquet")
+    build_wildcard_field(idx, "url", column="url")
+    assert len(state.snapshot(idx).parts) == 3
+    assert wildcard_field_search(idx, "url", "*.html").tolist() == _brute_wildcard("*.html")
+
+    def merge_first(fn, jobs, width=None):
+        force_merge(idx, 1)  # lands between _run_parts' snapshot and its jobs
+        return lanes.run(fn, jobs, width)
+
+    monkeypatch.setattr(wildcard, "lanes", SimpleNamespace(run=merge_first))
+    with pytest.raises(state.StaleCommitError):
+        wildcard_field_search(idx, "url", "*.html")
+    monkeypatch.undo()
+    assert len(state.snapshot(idx).parts) == 1
+    assert wildcard_field_search(idx, "url", "*.html").tolist() == _brute_wildcard("*.html")
