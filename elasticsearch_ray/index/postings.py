@@ -211,36 +211,20 @@ def _blocks(raw: np.ndarray, at: np.ndarray) -> dict:
     nb = _gather(raw, at, np.full(len(at), 4))
     nblk = int(nb.sum())
     b0 = np.cumsum(nb) - nb
-    hpos = np.repeat(at + 4 - 16 * b0, nb) + 16 * np.arange(nblk)
-    return _table(at, nb, _gather(raw, hpos, np.full(nblk, 2)), raw[hpos + 2], raw[hpos + 3],
-                  _gather(raw, hpos + 4, np.full(nblk, 4)))
-
-
-def header_table(headers: np.ndarray, n_blocks, at) -> dict:
-    """The block table ``_blocks`` reads from the bytes, built from headers
-    already read: ``headers`` holds the blobs' headers back to back (their
-    first_doc may be shifted into a wider doc space), ``n_blocks`` the
-    blocks of each blob and ``at`` each blob's byte offset in the joined
-    bytes that ``decode_table`` reads."""
-    return _table(at, n_blocks, headers["count"], headers["dwidth"], headers["twidth"],
-                  headers["first_doc"])
-
-
-def _table(at, nb, count, dw, tw, first) -> dict:
-    at = np.asarray(at, dtype=np.int64)
-    nb = np.asarray(nb, dtype=np.int64)
-    b0 = np.cumsum(nb) - nb
-    row = np.repeat(np.arange(len(nb)), nb)
-    count, dw, tw = (np.asarray(a, dtype=np.int64) for a in (count, dw, tw))
+    row = np.repeat(np.arange(len(at)), nb)
+    hpos = at[row] + 4 + 16 * (np.arange(nblk) - b0[row])
+    count = _gather(raw, hpos, np.full(nblk, 2))
+    dw = raw[hpos + 2].astype(np.int64)
+    tw = raw[hpos + 3].astype(np.int64)
     pcs = np.concatenate([[0], np.cumsum(count * (dw + tw))])
     return {
         "row": row, "nb": nb, "b0": b0, "count": count, "dw": dw, "tw": tw,
-        "first": np.asarray(first, dtype=np.int64),
+        "first": _gather(raw, hpos + 4, np.full(nblk, 4)),
         "ppos": at[row] + 4 + 16 * nb[row] + pcs[:-1] - pcs[b0][row],
     }
 
 
-def decode_table(raw: np.ndarray, t: dict, b0: int, b1: int) -> tuple[np.ndarray, np.ndarray]:
+def _decode(raw: np.ndarray, t: dict, b0: int, b1: int) -> tuple[np.ndarray, np.ndarray]:
     """Decode blocks [b0, b1) of block table ``t`` → (docs, tfs)."""
     count = t["count"][b0:b1]
     n = int(count.sum())
@@ -262,7 +246,7 @@ def decode_many(raw, at) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     blobs' postings back to back."""
     raw = np.asarray(raw, dtype=np.uint8)
     t = _blocks(raw, at)
-    docs, tfs = decode_table(raw, t, 0, len(t["count"]))
+    docs, tfs = _decode(raw, t, 0, len(t["count"]))
     return docs, tfs, np.bincount(t["row"], t["count"], minlength=len(t["nb"])).astype(np.int64)
 
 
@@ -290,7 +274,7 @@ def reencode_many(raw, at, group_starts, norm_lookups: list, lookup_of_group=Non
     parts = []
     for g0, g1 in call_ranges(np.diff(ccs[grp_blk])):
         b0, b1 = int(grp_blk[g0]), int(grp_blk[g1])
-        docs, tfs = decode_table(raw, t, b0, b1)
+        docs, tfs = _decode(raw, t, b0, b1)
         sizes = np.diff(ccs[grp_blk[g0:g1 + 1]])
         grp = np.repeat(np.arange(g0, g1), sizes)
         order = np.lexsort((docs, grp))

@@ -136,7 +136,6 @@ from elasticsearch_ray.search.query import (
 )
 from elasticsearch_ray.search.topk import (
     TermCursor,
-    accumulate_dense,
     bmw_topk,
     combine_sum,
     exhaustive_disjunction,
@@ -205,31 +204,13 @@ class SegmentSpace:
     is space doc ``base[p] + i``, and (score desc, space doc asc) is the
     merge order (score desc, part asc, local asc). The driver's bases are
     the snapshot's ``PartState.base``. A segment a pass does not visit is an
-    empty gap. Each field's norms over the whole space are filled in once
-    per segment, on its first pass (1 B per doc)."""
+    empty gap."""
 
     def __init__(self, n_docs: dict):
         self.parts = np.array(sorted(n_docs), np.int64)
         sizes = np.array([n_docs[p] for p in self.parts.tolist()], np.int64)
         self.bases = np.cumsum(sizes) - sizes
         self.base = dict(zip(self.parts.tolist(), self.bases.tolist()))
-        self.n_docs = int(sizes.sum())
-        self._norms: dict = {}  # field → (norm bytes of the space, parts filled in)
-
-    def norms(self, field: str | None, segs) -> np.ndarray:
-        """``field``'s norm bytes (the default field's for None) over the
-        space, filled in for the searchers ``segs``."""
-        got = self._norms.get(field)
-        if got is None:
-            dt = segs[0].r.norms_for(field).dtype
-            got = self._norms.setdefault(field, (np.zeros(self.n_docs, dt), set()))
-        arr, done = got
-        for s in segs:
-            if s.part not in done:
-                b = self.base[s.part]
-                arr[b:b + s.r.n_docs] = s.r.norms_for(field)
-                done.add(s.part)
-        return arr
 
     def locate(self, docs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Space docs → (parts, locals)."""
@@ -857,15 +838,27 @@ class PartitionSearcher:
             nl = c.norms if c.norms is not None else r.norms
             return d, np.asarray(c.scorer.score(t, nl[d]), dtype=dtype)
         if isinstance(q, (TermsQuery, MatchQuery)):
-            terms, min_match = self._term_plan(q)
+            if isinstance(q, TermsQuery):
+                terms, op, msm = list(q.terms), "or", 1
+            else:
+                an = get_analyzer(q.analyzer or self.analyzer_name)
+                terms = [fkey(q.field, t) for t in an(q.text)[0]]
+                op = q.operator
+                msm = _min_should_match(q.minimum_should_match, len(terms))
             if not terms:
                 if isinstance(q, MatchQuery) and q.zero_terms_query == "all":
                     docs = np.arange(r.n_docs, dtype=np.int64)
                     return docs, np.full(r.n_docs, 1.0, dtype=dtype)
                 return np.empty(0, np.int64), np.empty(0, dtype)
             cursors = [c for t in terms if (c := self._cursor(t, scorers)) is not None]
-            if len(cursors) < min_match:
-                return np.empty(0, np.int64), np.empty(0, dtype)
+            if op == "and":
+                if len(cursors) < len(terms):
+                    return np.empty(0, np.int64), np.empty(0, dtype)
+                min_match = len(terms)
+            else:
+                min_match = max(1, msm)
+                if len(cursors) < min_match:
+                    return np.empty(0, np.int64), np.empty(0, dtype)
             if k is not None and mode == "bmw":
                 return bmw_topk(cursors, r.norms, k, r.n_docs, dtype, min_match=min_match)
             docs, scores = exhaustive_disjunction(cursors, r.norms, dtype, min_match=min_match)
@@ -1069,6 +1062,8 @@ class PartitionSearcher:
                     s_arrays.append(float(w) * vals)
             if not d_arrays:
                 return np.empty(0, np.int64), np.empty(0, dtype)
+            from elasticsearch_ray.search.topk import accumulate_dense
+
             docs, scores = accumulate_dense(
                 d_arrays, s_arrays, 0, r.n_docs, np.float64, 1)
             return docs, (scores * q.boost).astype(dtype)
@@ -1142,6 +1137,8 @@ class PartitionSearcher:
             if not d_arrays:
                 return np.empty(0, np.int64), np.empty(0, dtype)
             min_match = n_present if q.operator == "and" else 1
+            from elasticsearch_ray.search.topk import accumulate_dense
+
             return accumulate_dense(d_arrays, s_arrays, 0, r.n_docs, dtype, min_match)
         if isinstance(q, SpanNearQuery):
             docs, freqs = self._span_docs(list(q.clauses), q.slop, q.in_order)
@@ -1386,21 +1383,6 @@ class PartitionSearcher:
             base_docs, base_scores = base_docs[keep], base_scores[keep]
         return base_docs, (base_scores * q.boost).astype(dtype)
 
-    def _term_plan(self, q) -> tuple[list[str], int]:
-        """(terms, min_match) of a TermQuery, TermsQuery or MatchQuery: the
-        field-keyed terms it scores, in order, and how many of them a doc
-        must match (all of them for operator AND). No terms when a match
-        query analyzes to none."""
-        if isinstance(q, TermQuery):
-            return [fkey(q.field, q.term)], 1
-        if isinstance(q, TermsQuery):
-            return list(q.terms), 1
-        an = get_analyzer(q.analyzer or self.analyzer_name)
-        terms = [fkey(q.field, t) for t in an(q.text)[0]]
-        if q.operator == "and":
-            return terms, len(terms)
-        return terms, max(1, _min_should_match(q.minimum_should_match, len(terms)))
-
     def topk(self, q: Query, scorers, k: int, mode: str = "bmw", others=(),
              space: "SegmentSpace | None" = None):
         """Top-k by (score desc, doc asc) in one scoring pass: the
@@ -1409,57 +1391,21 @@ class PartitionSearcher:
         segment in local docs: the profiler's and async search's
         per-partition calls. With ``space``, the ``SegmentSpace`` of this
         segment and ``others`` (the process's other candidate segments), it
-        scores all of them in one pass, in space docs: a term-scored query
-        (term, terms, match) through one spanning ``TermCursor`` per term
-        and one kernel call, so BMW's θ carries across segments; any other
-        query per segment, shifted into the space; then one
-        ``topk_select``. A one-segment pass reads its blobs in place, as
-        alone. perfbench times the query phase's scoring by wrapping this
-        method by name."""
-        if others and isinstance(q, (TermQuery, TermsQuery, MatchQuery)):
-            terms, min_match = self._term_plan(q)
-            if terms:
-                return self._topk_spanning([self, *others], space, terms, min_match,
-                                           scorers, k, mode)
+        scores each segment as alone (BMW per segment), shifts its hits
+        into space docs and makes one ``topk_select`` over all of them.
+        perfbench times the query phase's scoring by wrapping this method
+        by name."""
         base = space.base if space is not None else {self.part: 0}
         segs = [self, *others]
         docs, scores = zip(*(s._eval_scoring(q, scorers, k=k, mode=mode) for s in segs))
         return topk_select(np.concatenate([d + base[s.part] for d, s in zip(docs, segs)]),
                            np.concatenate(scores), k)
 
-    def _topk_spanning(self, segs, space, terms, min_match, scorers, k, mode):
-        """``topk`` of ``terms`` (``min_match`` of them per doc) over the
-        segments ``segs`` (ascending part order) of ``space``."""
-        dtype = np.float32 if self.dtype == "float32" else np.float64
-        rows = [s.r.lookup(terms) for s in segs]
-        cursors = []
-        for j, t in enumerate(terms):
-            held = [(s, int(r[j])) for s, r in zip(segs, rows) if r[j] >= 0]
-            if held:
-                fld = field_of_term(t)
-                on = [s for s, _i in held]
-                cursors.append(TermCursor.spanning(
-                    [s.r.blob(i) for s, i in held], [space.base[s.part] for s in on],
-                    scorers[t], space.norms(fld, on) if fld is not None else None))
-        if len(cursors) < min_match:
-            return np.empty(0, np.int64), np.empty(0, dtype)
-        norms = space.norms(None, segs)
-        if mode == "bmw":
-            return bmw_topk(cursors, norms, k, space.n_docs, dtype, min_match=min_match)
-        return topk_select(*exhaustive_disjunction(cursors, norms, dtype, min_match), k)
-
     def window_scores(self, q: Query, scorers, window: dict) -> np.ndarray:
         """Rescore pass over this partition's rows of the rescore window
         (``window`` = {part: locals}): ``q``'s score at each local, NaN where
-        ``q`` does not match. Only window-sized arrays leave the partition. A
-        term-scored ``q`` (term, terms, match) decodes only the posting
-        blocks whose [first_doc, last_doc] holds a window local; any other
-        query runs exhaustively over the partition."""
+        ``q`` does not match. Only window-sized arrays leave the partition."""
         locs = window[self.part]
-        if isinstance(q, (TermQuery, TermsQuery, MatchQuery)):
-            terms, min_match = self._term_plan(q)
-            if terms:
-                return self._window_term_scores(terms, min_match, scorers, locs)
         docs, scores = self._eval_scoring(q, scorers, None, "exhaustive")
         out = np.full(len(locs), np.nan)
         if len(docs):
@@ -1467,34 +1413,6 @@ class PartitionSearcher:
             hit = docs[i] == locs
             out[hit] = np.asarray(scores, np.float64)[i[hit]]
         return out
-
-    def _window_term_scores(self, terms, min_match, scorers, locs) -> np.ndarray:
-        """``window_scores`` of ``terms`` (``min_match`` of them per doc):
-        the exhaustive scores at ``locs``, from the blocks that hold them."""
-        dtype = np.float32 if self.dtype == "float32" else np.float64
-        u = np.unique(locs)
-        cursors = [c for t in terms if (c := self._cursor(t, scorers)) is not None]
-        if len(cursors) < min_match:
-            cursors = []
-        d_arrays, s_arrays = [], []
-        for c in cursors:
-            h = c.headers
-            b = np.minimum(np.searchsorted(h["last_doc"], u), len(h) - 1)
-            blocks = np.unique(b[(h["first_doc"][b] <= u) & (u <= h["last_doc"][b])])
-            runs = np.split(blocks, np.flatnonzero(np.diff(blocks) != 1) + 1)
-            got = [c.block_range(int(r[0]), int(r[-1]) + 1) for r in runs if len(r)]
-            if not got:
-                continue
-            d, t = (np.concatenate(a) for a in zip(*got))
-            m = np.isin(d, u)
-            nl = c.norms if c.norms is not None else self.r.norms
-            d_arrays.append(np.searchsorted(u, d[m]))
-            s_arrays.append(c.scorer.score(t[m], nl[d[m]]))
-        vals = np.full(len(u), np.nan)
-        if d_arrays:
-            at, sc = accumulate_dense(d_arrays, s_arrays, 0, len(u), dtype, min_match)
-            vals[at] = sc
-        return vals[np.searchsorted(u, locs)]
 
     def count(self, q: Query, scorers) -> int:
         """Matching-doc count (the _count API ships ints, never doc ids)."""

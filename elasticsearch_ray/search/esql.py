@@ -84,25 +84,30 @@ _SOFT_COMMANDS = {
 }
 
 
-def _row_text(df: pd.DataFrame) -> pd.Series:
-    """Each row of ``df`` as the text SAMPLE hashes: its values in column
-    order joined by U+001F, a float as ``%.17g``, a timestamp as
-    ``%Y-%m-%d %H:%M:%S.%f``, a null as "", any other value as ``str``.
-    Both formats are the same in every batch (an int column that a batch
-    with nulls turns into floats prints alike) and in SQL (DuckDB's
-    ``printf('%.17g', x)`` and ``strftime``)."""
-    rows = None
-    for c in df.columns:
-        col = df[c]
-        if pd.api.types.is_float_dtype(col):
-            text = pd.Series(np.char.mod("%.17g", col.to_numpy(np.float64, na_value=np.nan)), index=df.index)
-        elif pd.api.types.is_datetime64_any_dtype(col):
-            text = col.dt.strftime("%Y-%m-%d %H:%M:%S.%f")
+def _row_text(batch) -> list[str]:
+    """Each row of the Arrow ``batch`` as the text SAMPLE hashes: its values
+    in column order joined by U+001F, a float as ``%.17g``, a timestamp as
+    ``%Y-%m-%d %H:%M:%S.%f``, a list or struct as Python's ``str``, a null
+    (or NaN) as "", any other value as its Arrow string cast. The text follows the column's type, never the batch's
+    contents, so a row prints alike in every batch (an int64 column keeps
+    every digit, with or without nulls) and in SQL (DuckDB's ``CAST(x AS
+    VARCHAR)``, ``printf('%.17g', x)`` and ``strftime``)."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    cols = []
+    for col in batch.itercolumns():
+        if pa.types.is_floating(col.type):
+            text = pa.array(np.char.mod("%.17g", col.to_numpy(zero_copy_only=False)))
+        elif pa.types.is_timestamp(col.type):
+            text = pa.array(col.to_pandas().dt.strftime("%Y-%m-%d %H:%M:%S.%f"), pa.string())
+        elif pa.types.is_nested(col.type):  # no Arrow string cast: Python's text
+            text = pa.array([str(v) for v in col.to_pylist()], pa.string())
         else:
-            text = col.astype(str)
-        text = text.where(col.notna(), "")
-        rows = text if rows is None else rows + "\x1f" + text
-    return rows
+            text = pc.cast(col, pa.string())
+        cols.append(pc.if_else(pc.is_null(col, nan_is_null=True), "", text))
+    return pc.binary_join_element_wise(*cols, "\x1f").to_pylist()
+
 
 def _is_word(tok, word: str) -> bool:
     """True when ``tok`` is the given soft keyword (kw or bare name)."""
@@ -1046,14 +1051,14 @@ def esql(query: str, tables, enrich_policies: dict | None = None):
             seed = rest[1][1] if len(rest) == 2 else ""
             cut = int(round(p * 10000))
 
-            def sample(df, _s=seed, _cut=cut):
-                rows = _row_text(df)
+            def sample(batch, _s=seed, _cut=cut):
+                rows = _row_text(batch)
                 bands = np.fromiter(
                     (int(hashlib.md5((_s + ":" + r).encode())
                          .hexdigest()[:8], 16) % 10000 for r in rows),
                     np.int64, len(rows))
-                return df[bands < _cut]
-            ds = ds.map_batches(sample, batch_format="pandas")
+                return batch.filter(bands < _cut)
+            ds = ds.map_batches(sample, batch_format="pyarrow")
         elif v0 == "CHANGE_POINT":
             # CHANGE_POINT <value> [ON <key>] [AS <type>, <pvalue>]:
             # the change-point command — runs the full detection

@@ -1,12 +1,9 @@
-"""Vectorized scoring kernels over one doc space: exhaustive and Block-Max-WAND.
+"""Per-partition vectorized scoring kernels: exhaustive and Block-Max-WAND.
 
-A doc space is one segment's local docs, or several segments of one process
-laid end to end in part order (``search.engine.SegmentSpace``): one scoring
-pass over every candidate segment of a search. A ``TermCursor`` reads one
-term's postings in that space: a segment's blob as it is on disk, or, via
-``TermCursor.spanning``, the term's blobs of several segments joined once,
-their headers shifted by each segment's base, decoded through
-``decode_many``'s block table. The kernels take any cursor alike.
+A search's top-k pass over several partitions of one process
+(``search.engine.SegmentSpace``) calls these kernels once per partition,
+shifts each partition's hits into one doc space and makes one
+``topk_select`` there, which gives the (score desc, part, local) merge order.
 
 The BMW variant here is impact-ordered ("score-at-a-time") rather than
 Lucene's document-at-a-time pointer machine — the public Block-Max WAND
@@ -21,12 +18,7 @@ the inner work stays in numpy kernels:
      threshold θ exceeds the next window's bound, every remaining window is
      pruned — no posting bytes of theirs are ever decoded.
 
-Over a multi-segment space the windows straddle segment boundaries and θ
-carries from one segment to the next, as the reference's one collector per
-shard carries its minimum competitive score across segments; a segment the
-pass does not visit is an empty gap whose windows hold no term, so they are
-never scored. A space of one window has nothing to prune, so it is scored
-directly.
+A space of one window has nothing to prune, so it is scored directly.
 
 Equality with the exhaustive scorer (including float32 narrowing and the
 (score desc, doc asc) tie-break) is property-tested.
@@ -40,8 +32,6 @@ from elasticsearch_ray.index.postings import (
     _payload_offsets,
     decode_blocks_range,
     decode_postings,
-    decode_table,
-    header_table,
     read_headers,
 )
 
@@ -82,13 +72,12 @@ def topk_select(docs: np.ndarray, scores: np.ndarray, k: int):
 
 
 class TermCursor:
-    """One query term's postings in one doc space. ``norms`` optionally
+    """One query term's postings inside one partition. ``norms`` optionally
     carries the term's FIELD-specific norm bytes (multi-field indexes score
     each field against its own doc lengths); kernels fall back to the
-    passed-in default-field norms when unset. A one-segment cursor reads its
-    blob in place; a spanning one (``spanning``) decodes through ``table``."""
+    passed-in default-field norms when unset."""
 
-    __slots__ = ("blob", "headers", "offsets", "scorer", "norms", "table")
+    __slots__ = ("blob", "headers", "offsets", "scorer", "norms")
 
     def __init__(self, blob, scorer, norms=None):
         self.blob = blob
@@ -96,37 +85,11 @@ class TermCursor:
         self.offsets = _payload_offsets(self.headers) if len(self.headers) else None
         self.scorer = scorer
         self.norms = norms
-        self.table = None
-
-    @classmethod
-    def spanning(cls, blobs, bases, scorer, norms=None) -> "TermCursor":
-        """The term's blobs of several segments as one cursor: segment i's
-        docs sit at ``bases[i]`` (ascending). Copies the headers (shifted)
-        once, and the bytes (joined) when there is more than one blob."""
-        heads = [read_headers(b) for b in blobs]
-        nb = np.fromiter(map(len, heads), np.int64, len(heads))
-        h = np.concatenate(heads)
-        shift = np.repeat(np.asarray(bases, np.uint32), nb)
-        h["first_doc"] += shift
-        h["last_doc"] += shift
-        sizes = np.fromiter(map(len, blobs), np.int64, len(blobs))
-        c = cls.__new__(cls)
-        c.blob = np.frombuffer(blobs[0] if len(blobs) == 1 else b"".join(blobs), np.uint8)
-        c.headers = h
-        c.offsets = None
-        c.scorer = scorer
-        c.norms = norms
-        c.table = header_table(h, nb, np.cumsum(sizes) - sizes)
-        return c
 
     def decode_all(self):
-        if self.table is not None:
-            return decode_table(self.blob, self.table, 0, len(self.headers))
         return decode_postings(self.blob)
 
     def block_range(self, b0: int, b1: int):
-        if self.table is not None:
-            return decode_table(self.blob, self.table, b0, b1)
         return decode_blocks_range(self.blob, self.headers, self.offsets, b0, b1)
 
     def block_max_scores(self) -> np.ndarray:

@@ -424,41 +424,6 @@ def test_rescore_ships_only_its_window(zipf, backends, monkeypatch):
         assert [r["rank"] for r in got] == list(range(1, 11)), name
         assert shipped == [window], name
 
-    # the term-scored rescore pass decodes only the posting blocks that hold
-    # a window row (never the whole list), and gives each row the
-    # exhaustive pass's score
-    from elasticsearch_ray.search.topk import TermCursor
-
-    rq = local._prepare(rq)
-    scorers = local._scorers_cached(rq)
-    rows = {}
-    for r in top:
-        rows.setdefault(r["part"], []).append(r["local"])
-    rows = {p: np.array(locs, np.int64) for p, locs in rows.items()}
-    decoded = [0]
-
-    def block_range(orig):
-        def wrapper(self, b0, b1):
-            decoded[0] += b1 - b0
-            return orig(self, b0, b1)
-        return wrapper
-
-    for p, locs in rows.items():
-        s = local._searcher(p)
-        docs, scores = s._eval_scoring(rq, scorers, None, "exhaustive")
-        i = np.minimum(np.searchsorted(docs, locs), len(docs) - 1)
-        today = np.where(docs[i] == locs, np.asarray(scores, np.float64)[i], np.nan)
-        h = s._cursor(s._term_plan(rq)[0][0], scorers).headers
-        holding = {b for b in range(len(h))
-                   if ((h["first_doc"][b] <= locs) & (locs <= h["last_doc"][b])).any()}
-        decoded[0] = 0
-        with monkeypatch.context() as m:
-            m.setattr(TermCursor, "block_range", block_range(TermCursor.block_range))
-            m.setattr(TermCursor, "decode_all", None)
-            got = s.window_scores(rq, scorers, rows)
-        assert np.array_equal(got, today, equal_nan=True), p
-        assert decoded[0] == len(holding), p
-
 
 def test_merge_orders_large_ints_exactly():
     """A descending integer sort key keeps its order beyond 2**53, where

@@ -343,6 +343,31 @@ def test_sample_bands_by_whole_row(ray_session, frame):
                 t).to_pandas()["id"].tolist() != ids
 
 
+def test_sample_nullable_int64_above_2_53_is_batch_stable(ray_session):
+    """A nullable int64 column beyond 2**53 prints every digit whether or
+    not its batch holds a null, so the kept rows are the same however the
+    rows are split into batches, and are the rows whose exact text bands
+    under the cut (a list column prints as Python's text)."""
+    import hashlib
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    n = 400
+    big = [None if i % 7 == 0 and i < n // 2 else 2**60 + 2 * i + 1 for i in range(n)]
+    t = pa.table({"id": pa.array(range(n), pa.int64()), "big": pa.array(big, pa.int64()),
+                  "tags": pa.array([[i % 3, 7] for i in range(n)])})
+    q = "FROM events | SAMPLE 0.5 9 | KEEP id | SORT id"
+    split = {"events": rd.from_arrow([t.slice(0, n // 2), t.slice(n // 2)])}
+    whole = {"events": rd.from_arrow(t)}
+    want = [i for i, b in enumerate(big)
+            if int(hashlib.md5(f"9:{i}\x1f{'' if b is None else b}\x1f{[i % 3, 7]}".encode())
+                   .hexdigest()[:8], 16) % 10000 < 5000]
+    assert 0 < len(want) < n
+    for tables in (split, whole):
+        assert esql(q, tables).to_pandas()["id"].tolist() == want
+
+
 def test_sample_validates(ray_session, tables):
     with pytest.raises(EsqlError):
         esql("FROM events | SAMPLE 1.5", tables)
