@@ -2,10 +2,12 @@
 
 Pipeline (SURVEY §3.1, with an explicit map-side combine):
 
-  plan_partitions (driver, parquet metadata only)
-    · input files → shards; ``files_per_partition`` shards per partition
-      (contiguous global doc ranges — the shard/segment analog)
-    → from_items(shards) → map_batches(TokenizeShard, actor pool)
+  plan_partitions (driver, parquet metadata and the committed snapshot)
+    · input files → shards; keeps the longest prefix of committed parts
+      whose lineage is exactly the next files, fills its last part, then
+      ``files_per_partition`` shards per new partition (contiguous global
+      doc ranges — the shard/segment analog)
+    → from_items(uncovered shards) → map_batches(TokenizeShard, actor pool)
         · reads its file, html_strip, analyzer, SmallFloat norms
         · side-writes part=N/docruns/docs-<base>.parquet (lineage unit)
         · MAP-SIDE COMBINE: aggregates its docs' postings per term and emits
@@ -50,10 +52,21 @@ needs no byte bound. Its run files split differently, but ``write_segment``
 re-encodes multi-chunk terms canonically, so both executors write byte-
 identical segment files (tested).
 
-Resumability: a partition whose committed manifest has the planned lineage
-is skipped entirely on re-build (``state.resume``); incomplete partitions
-rebuild idempotently (atomic temp+rename, run files tracked by returned
-manifests, not directory listings).
+Resumability and refresh: a build tokenizes only the files no committed
+segment covers. The plan keeps every committed partition of the longest
+intact prefix (the same files in the same order, equal rows, bytes and spec
+fingerprint — a merged part's lineage is its inputs' concatenation), so an
+append after a ``tiered_merge`` leaves the merged part alone. A kept tail
+part that gains files is folded: ``_merge_fn`` merges its segment
+(``segment_source``) and docs.parquet with the new files' runs into the same
+slot, and ``write_segment``'s canonical re-encode makes its bytes those of a
+fresh build of all its files (tested). ``state.resume`` retracts a folded
+part and drops every other part of the plan whose manifest lacks its
+lineage, so a crashed fold re-plans that part from its files, and a
+changed, removed or earlier-sorting file re-plans from the first part that
+no longer matches. With no committed meta the plan is positional, and a
+crashed fresh build resumes part by part. Writes are atomic temp+rename;
+run files are tracked by returned manifests, not directory listings.
 
 Reference anchors: shard routing ``cluster/routing/IndexRouting.java:113``
 (contiguous ranges by default; murmur3 parity in index/routing),
@@ -80,7 +93,7 @@ from elasticsearch_ray.analysis.analyzers import get_analyzer
 from elasticsearch_ray.analysis.html_strip import strip_html
 from elasticsearch_ray.index import lanes, state
 from elasticsearch_ray.index.norms import int_to_byte4
-from elasticsearch_ray.index.merge import run_source, write_segment
+from elasticsearch_ray.index.merge import run_source, segment_source, write_segment
 from elasticsearch_ray.index.postings import encode_many
 from elasticsearch_ray.index.segments import (
     atomic_write_json,
@@ -109,12 +122,29 @@ def spec_fingerprint(spec: IndexSpec) -> str:
     ).hexdigest()[:16]
 
 
-def plan_partitions(corpus_dir: str, file_pattern: str, files_per_partition: int) -> list[dict]:
-    """Group input file shards into partitions of contiguous doc ranges."""
+def plan_partitions(corpus_dir: str, file_pattern: str, files_per_partition: int,
+                    committed: tuple = (), spec_fp: str | None = None) -> list[dict]:
+    """Group input file shards into partitions of contiguous doc ranges.
+
+    ``committed`` (a snapshot's parts, in part order) seeds the plan: the
+    longest prefix of them whose lineage under ``spec_fp`` is exactly that
+    of the next input files is kept, its shards marked ``covered``. The
+    files after it first fill the last kept part up to
+    ``files_per_partition`` files, then go into new parts numbered on from
+    it, ``files_per_partition`` at a time. With nothing kept, file i goes to
+    partition i // ``files_per_partition``."""
     shards = plan_shards(corpus_dir, file_pattern)
-    for i, s in enumerate(shards):
-        part = i // files_per_partition
-        s["part"] = part
+    i, part, room = 0, -1, 0
+    for p in committed:
+        n = len(p.manifest["input_path"]) if p.manifest else 0
+        if not 0 < n <= len(shards) - i or any(
+                p.manifest.get(k) != v for k, v in _lineage(shards[i:i + n], spec_fp).items()):
+            break
+        for s in shards[i:i + n]:
+            s.update(part=p.part, covered=True)
+        i, part, room = i + n, p.part, max(0, files_per_partition - n)
+    for j, s in enumerate(shards[i:]):
+        s["part"] = part if j < room else part + 1 + (j - room) // files_per_partition
     part_base: dict[int, int] = {}
     for s in shards:
         part_base.setdefault(s["part"], s["base"])
@@ -412,27 +442,34 @@ def _lineage(shards: list[dict], spec_fp: str) -> dict:
     """A partition's resume identity: input paths + rows + BYTES (a
     regenerated corpus with identical row counts must invalidate) + the
     analysis-relevant spec fingerprint (changing analyzer/fields/positions
-    must rebuild)."""
+    must rebuild) + its first doc id (a file that changed its row count
+    moves every later part's doc ids)."""
     return {"input_path": [s["path"] for s in shards],
             "input_rows": int(sum(s["rows"] for s in shards)),
             "input_bytes": int(sum(s.get("bytes", 0) for s in shards)),
-            "spec_fp": spec_fp}
+            "spec_fp": spec_fp,
+            "base_doc_id": int(shards[0]["base"])}
 
 
 def _merge_fn(index_dir: str, spec_dict: dict, part: int, run_paths: list[str],
               shards: list[dict]) -> float:
     """Merge one partition's run files and doc runs into its segment
-    (``index.merge.write_segment``); returns the merge's wall seconds."""
+    (``index.merge.write_segment``) — when its first shards are ``covered``
+    (a fold), into the segment already in its slot, which holds them;
+    returns the merge's wall seconds."""
     t0 = time.perf_counter()
     pdir = part_dir(index_dir, part)
     ddir = os.path.join(pdir, "docruns")
-    docruns = sorted(os.listdir(ddir)) if os.path.isdir(ddir) else []
+    docruns = [os.path.join(ddir, f)
+               for f in (sorted(os.listdir(ddir)) if os.path.isdir(ddir) else [])]
     spec = IndexSpec.from_dict(spec_dict)
     with_pos = spec.store_positions
-    lineage = {**_lineage(shards, spec_fingerprint(spec)),
-               "base_doc_id": int(shards[0]["part_base"])}
-    write_segment(index_dir, part, [run_source(p, with_pos) for p in run_paths],
-                  [os.path.join(ddir, f) for f in docruns], with_pos, lineage,
+    lineage = _lineage(shards, spec_fingerprint(spec))
+    sources = [run_source(p, with_pos) for p in run_paths]
+    if shards[0].get("covered"):
+        sources.insert(0, segment_source(pdir, 0, with_pos))
+        docruns.insert(0, os.path.join(pdir, "docs.parquet"))
+    write_segment(index_dir, part, sources, docruns, with_pos, lineage,
                   drop=(os.path.join(pdir, "runs"), ddir))
     return time.perf_counter() - t0
 
@@ -513,9 +550,10 @@ def _stage_sorted_corpus(corpus_dir: str, staged_dir: str, spec: IndexSpec,
 def _build_runs_and_merge(index_dir, spec, spec_dict, shards, by_part,
                           todo_parts, concurrency):
     """Run the tokenize → sort → route run-file pass over the todo
-    partitions, inline when it is one lane wide, otherwise through Ray Data;
-    then merge each partition through ``lanes.run``."""
-    todo_shards = [s for s in shards if s["part"] in set(todo_parts)]
+    partitions' shards that no committed segment covers, inline when it is
+    one lane wide, otherwise through Ray Data; then merge each partition
+    through ``lanes.run``."""
+    todo_shards = [s for s in shards if s["part"] in set(todo_parts) and not s.get("covered")]
     head = frozenset(sketch_head_terms(todo_shards, spec))
     ncpu = concurrency or lanes.cpus()
     # Task granularity: a few input files per tokenize task keeps task
@@ -659,13 +697,18 @@ def build_index(
             corpus_dir, os.path.join(index_dir, "sorted_corpus"), spec, file_pattern
         )
         file_pattern = "*.parquet"
-    shards = plan_partitions(corpus_dir, file_pattern, spec.files_per_partition)
+    spec_fp = spec_fingerprint(spec)
+    committed = state.snapshot(index_dir).parts if state.exists(index_dir) else ()
+    shards = plan_partitions(corpus_dir, file_pattern, spec.files_per_partition,
+                             committed, spec_fp)
     by_part: dict[int, list[dict]] = {}
     for s in shards:
         by_part.setdefault(s["part"], []).append(s)
-    spec_fp = spec_fingerprint(spec)
+    # a kept part that gained files: its new files fold into its segment
+    extend = {p for p, plist in by_part.items()
+              if plist[0].get("covered") and not plist[-1].get("covered")}
     todo_parts = state.resume(
-        index_dir, {part: _lineage(plist, spec_fp) for part, plist in by_part.items()})
+        index_dir, {part: _lineage(plist, spec_fp) for part, plist in by_part.items()}, extend)
     if todo_parts:
         _build_runs_and_merge(index_dir, spec, spec.to_dict(), shards, by_part,
                               todo_parts, concurrency)

@@ -15,8 +15,9 @@ re-encode canonically through ``postings.reencode_many`` in calls of at
 most ``postings.MAX_POSTINGS_PER_CALL`` postings (sized from the df column),
 and positions concatenate in (term, first_doc) = doc order. The manifest
 records ``multi_chunk_terms`` and ``reencoded_postings``. Build
-(``build._merge_fn``), tiered/force merge (``merge_group``) and shrink all call
-it, so a segment's bytes do not depend on how it was produced.
+(``build._merge_fn``, also when it folds a refresh's new files into the
+committed tail segment), tiered/force merge (``merge_group``) and shrink all
+call it, so a segment's bytes do not depend on how it was produced.
 
 Tiered policy: the reference's merge layer (``MergePolicyConfig.java:104-112``:
 floor 2 MB, ≤10 merges at once, 10 segments per tier, 5 GB max merged

@@ -12,12 +12,14 @@ Readers take ``snapshot(index_dir)``, an immutable ``Snapshot``; each part's
 stamp comes from ``fstat`` on the file its manifest was read from. Writers
 only commit, through the ``commit_*`` / ``retract_part`` / ``amend_part`` /
 ``resume`` functions below, which own two rules: a manifest of another
-``FORMAT_VERSION`` reads as absent (its part rebuilds), and a part rebuild
-drops every root sidecar record (the part's sidecar files go with it).
+``FORMAT_VERSION`` reads as absent (its part rebuilds), and a part rewrite —
+a rebuild, or a fold of new files into its segment — drops every root
+sidecar record (the part's sidecar files go with it).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -208,19 +210,30 @@ def amend_part(index_dir: str, part: int, **fields) -> None:
     commit_part(index_dir, part, {**_committed(index_dir, part), **fields})
 
 
-def resume(index_dir: str, wanted: dict[int, dict]) -> list[int]:
-    """The parts of a build's plan ({part: lineage}) to rebuild: those whose
-    committed manifest has another lineage. They are dropped now, and with
-    them every root sidecar record."""
-    todo = []
-    for part, lineage in sorted(wanted.items()):
-        m = read_manifest(index_dir, part)
-        if not (m and all(m.get(k) == v for k, v in lineage.items())):
+def resume(index_dir: str, wanted: dict[int, dict], extend=frozenset()) -> list[int]:
+    """The parts of a build's plan ({part: lineage}) to write: those whose
+    committed manifest has another lineage. If there are any, every root
+    sidecar record is dropped first. Then each is dropped, but an ``extend``
+    part (one whose new files the build folds into its committed segment)
+    keeps its segment files as the fold's source: it is retracted, and only
+    its sidecar files go. A part the index lists and the plan lacks is
+    dropped too."""
+    todo = [part for part, lineage in sorted(wanted.items())
+            if not ((m := read_manifest(index_dir, part))
+                    and all(m.get(k) == v for k, v in lineage.items()))]
+    records = _sidecar_records(index_dir) if todo else {}
+    for name in records:
+        os.remove(os.path.join(index_dir, name))
+    listed = [p["part"] for p in (_read_json(os.path.join(index_dir, META)) or {}).get("parts", ())]
+    for part in todo + [p for p in listed if p not in wanted]:
+        if part in extend:
+            retract_part(index_dir, part)
+            for kind, field in records.values():
+                for t in SIDECAR_FILES[kind]:
+                    with contextlib.suppress(FileNotFoundError):
+                        os.remove(os.path.join(part_dir(index_dir, part), t.format(field)))
+        else:
             shutil.rmtree(part_dir(index_dir, part), ignore_errors=True)
-            todo.append(part)
-    if todo:
-        for name in _sidecar_records(index_dir):
-            os.remove(os.path.join(index_dir, name))
     return todo
 
 

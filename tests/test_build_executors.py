@@ -40,30 +40,33 @@ def _segments(idx: str) -> tuple[dict, dict]:
 
 
 def test_inline_and_ray_data_builds_write_identical_segments(ray_session, tmp_path):
-    files = corpus_files(corpus_for_sf(SF_DIR, multiplier=1, num_files=4))
+    files = corpus_files(corpus_for_sf(SF_DIR, multiplier=1, num_files=5))
     src = tmp_path / "src"
     src.mkdir()
     for f in files[:3]:
         os.symlink(f, src / os.path.basename(f))
     inline, ray_data = str(tmp_path / "inline"), str(tmp_path / "ray_data")
-    # fresh: parts {0: files 0-1, 1: file 2}; append: file 3 joins part 1,
-    # which alone rebuilds (two tokenize blocks under concurrency=2)
+    # fresh: parts {0: files 0-1, 1: file 2}; append: file 3 folds into
+    # part 1 and file 4 opens part 2 — only those two files are tokenized
+    # (two tokenize blocks under concurrency=2)
     for step in ("fresh", "append"):
         if step == "append":
-            os.symlink(files[3], src / os.path.basename(files[3]))
+            for f in files[3:5]:
+                os.symlink(f, src / os.path.basename(f))
         build_index(str(src), inline, SPEC, concurrency=1)
         assert build.LAST_BUILD_STATS["executor"] == "inline", step
         build_index(str(src), ray_data, SPEC, concurrency=2)
         assert build.LAST_BUILD_STATS["executor"] == "ray_data", step
         a_files, a_manifests = _segments(inline)
         b_files, b_manifests = _segments(ray_data)
-        assert a_files.keys() == b_files.keys() and len(a_files) == 2 * len(DATA_FILES)
+        assert a_files.keys() == b_files.keys()
+        assert len(a_files) == len(a_manifests) * len(DATA_FILES)
         for key in a_files:
             assert a_files[key] == b_files[key], (step, key)
         assert a_manifests == b_manifests, step
         assert sum(m["multi_chunk_terms"] for m in a_manifests.values()) > 0, step
         assert [len(m["input_path"]) for m in a_manifests.values()] == \
-            [2, 1 if step == "fresh" else 2]
+            ([2, 1] if step == "fresh" else [2, 2, 1])
 
 
 def _counter_heads(shards, spec, analyzer: str) -> set:
