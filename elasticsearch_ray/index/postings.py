@@ -361,30 +361,6 @@ def decode_postings(blob: bytes | memoryview):
     return decode_blocks_range(blob, headers, offsets, 0, len(headers))
 
 
-def concat_blobs(blobs: list[bytes]) -> bytes:
-    """Logically concatenate posting chunks of one term (doc ranges in order)
-    WITHOUT re-encoding payload bytes — merges the header arrays.
-
-    Used when head-term salting produced multiple chunks per (partition, term).
-    """
-    blobs = [b for b in blobs if b is not None]
-    if len(blobs) == 1:
-        return blobs[0]
-    all_headers = []
-    all_payloads = []
-    for b in blobs:
-        h = read_headers(b)
-        if len(h) == 0:
-            continue
-        all_headers.append(h)
-        start = 4 + h.nbytes
-        all_payloads.append(bytes(memoryview(b)[start:]))
-    if not all_headers:
-        return np.uint32(0).tobytes()
-    headers = np.concatenate(all_headers)
-    return b"".join([np.uint32(len(headers)).tobytes(), headers.tobytes(), *all_payloads])
-
-
 def reencode_canonical(blobs: list[bytes], norm_lookup: np.ndarray) -> bytes:
     """Re-encode one term's posting chunks into canonical full-size blocks
     (a one-group ``reencode_many``).

@@ -103,6 +103,17 @@ class Snapshot:
             os.path.exists(os.path.join(part_dir(self.index_dir, p), t.format(field)))
             for p in self.part_ids for t in SIDECAR_FILES[kind])
 
+    def sidecar_recorded(self, kind: str, field: str) -> bool:
+        """True iff a root record of the sidecar covers this commit's parts:
+        this snapshot holds it, or the index's current commit holds it and
+        has the same part commits (a sidecar built after this snapshot was
+        taken). A part rewrite drops every record, so parts kept since the
+        record was dropped still hold files no record covers."""
+        if (kind, field) in self.sidecars:
+            return True
+        now = snapshot(self.index_dir)
+        return (kind, field) in now.sidecars and now.stamps == self.stamps
+
 
 def load_manifest(pdir: str) -> tuple[dict | None, tuple | None]:
     """(manifest, stamp) of the segment in ``pdir``; (None, None) when it is

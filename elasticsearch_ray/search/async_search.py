@@ -17,12 +17,13 @@ a snapshot of the engine (``QueryEngine._pinned``) behind the same gate as
 snapshot. The engine's candidate selection (``_candidate_parts``) decides
 which partitions can match; the rest count as completed up front, like
 the reference's can_match-skipped shards. A background thread walks the
-candidates, adding each partition's top-k to a mutable response under a
-lock (MutableSearchResponse.updatePartialResponse); readers snapshot it
-without blocking the runner. Partial hits go through the engine's one
-hit merge (``engine._merge_hits``: score desc, part, doc) over COMPLETED
-partitions, so a partial response is always a correct prefix view of the
-partitions it covers.
+candidates, one step per partition: the engine's top-k pass
+(``PartitionSearcher.topk``) over that partition alone, added to a mutable
+response under a lock (MutableSearchResponse.updatePartialResponse);
+readers snapshot it without blocking the runner. Partial hits are the
+completed steps merged as a fan-out's passes are (``engine._pass_table``:
+score desc, part, doc; empty before the first step), so a partial response
+is always a correct prefix view of the partitions it covers.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import itertools
 import threading
 import time
 
-from elasticsearch_ray.search.engine import _hits_table, _merge_hits
+from elasticsearch_ray.search.engine import _pass_table
 
 
 class AsyncSearchError(KeyError):
@@ -45,7 +46,7 @@ class _Task:
         self.done = threading.Event()
         self.total_shards = len(engine.parts)
         self.completed = 0
-        self.results = []  # (part, (docs, scores))
+        self.results = []  # one top-k pass (parts, locals, scores) per partition
         self.error: Exception | None = None
         self.cancelled = False
         self.start_time = time.time()
@@ -91,9 +92,9 @@ class AsyncSearchService:
             for p in cand:
                 if task.cancelled:
                     return
-                d, s = eng._searcher(p).topk(q, scorers, k, mode)
+                hits = eng._searcher(p).topk(q, scorers, k, mode)
                 with task.lock:
-                    task.results.append((p, (d, s)))
+                    task.results.append(hits)
                     task.completed += 1
                 if _between_parts is not None:
                     _between_parts(p)
@@ -156,7 +157,7 @@ class AsyncSearchService:
         with task.lock:
             results = list(task.results)
             completed = task.completed
-        tbl = task.engine._attach_fetch(_merge_hits(_hits_table(results), k), fetch)
+        tbl = task.engine._attach_fetch(_pass_table(results, k), fetch)
         return {"id": task_id, "is_running": running,
                 "is_partial": running,
                 "start_time": task.start_time,

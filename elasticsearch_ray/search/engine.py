@@ -59,10 +59,13 @@ reads of given hits, on the driver's readers), and ``_all_hits_ds`` (one
 Ray Data task per partition over ALL hits of a query, for scan_dataset,
 highlight_scan, significant_text and delete/update_by_query). Every
 search, whatever its options, runs one query phase
-(``QueryEngine._query_phase``) and ranks its hits through ``_merge_hits``.
-The profiler and async search keep their own per-partition loops (for
-per-partition timings and partial responses), behind the same gate
-(``_read_gate``) and on the same snapshot (``_pinned``) as ``search``.
+(``QueryEngine._query_phase``), whose top-k is one pass per process
+(``PartitionSearcher.topk``: (parts, locals, scores) in merge order), and
+the profiler is that same query phase with timing switched on. Async
+search runs the same top-k pass one partition at a time (the reference's
+per-shard partial responses) and merges its steps like a fan-out's passes
+(``_pass_table``); both sit behind the same gate (``_read_gate``) and on
+the same snapshot (``_pinned``) as ``search``.
 """
 
 from __future__ import annotations
@@ -196,49 +199,27 @@ def _rank_within(vals) -> np.ndarray:
     return pd.Series(vals).groupby(vals, dropna=False, sort=False).cumcount().to_numpy()
 
 
-class SegmentSpace:
-    """The doc space of one process's scoring pass (``PartitionSearcher.
-    topk``): the segments of one commit that the process holds (the
-    driver: every part of its engine's commit; a searcher actor: its share
-    of a view) laid end to end in part-id order, so local doc i of part p
-    is space doc ``base[p] + i``, and (score desc, space doc asc) is the
-    merge order (score desc, part asc, local asc). The driver's bases are
-    the snapshot's ``PartState.base``. A segment a pass does not visit is an
-    empty gap."""
+_NO_HITS = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
 
-    def __init__(self, n_docs: dict):
-        self.parts = np.array(sorted(n_docs), np.int64)
-        sizes = np.array([n_docs[p] for p in self.parts.tolist()], np.int64)
-        self.bases = np.cumsum(sizes) - sizes
-        self.base = dict(zip(self.parts.tolist(), self.bases.tolist()))
 
-    def locate(self, docs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Space docs → (parts, locals)."""
-        i = np.searchsorted(self.bases, docs, side="right") - 1
-        return self.parts[i], docs - self.bases[i]
-
-    def hits(self, searchers, q, scorers, k: int, mode: str):
-        """One scoring pass over ``searchers`` (this process's candidate
-        segments) → top-k (parts, locals, scores) in merge order."""
-        if not searchers:
-            return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
-        segs = sorted(searchers, key=lambda s: s.part)
-        docs, scores = segs[0].topk(q, scorers, k, mode, segs[1:], self)
-        return (*self.locate(docs), scores)
+def _no_lap(*_phase) -> None:
+    """``QueryEngine._query_phase``'s phase callback when nothing profiles."""
 
 
 def _pass_table(results, k: int, min_score: float | None = None) -> pa.Table:
-    """The hits (rank, score, part, local) of the processes' top-k passes
-    ``[(parts, locals, scores)]`` (``SegmentSpace.hits``), cut at
-    ``min_score``. One pass is already in merge order; the passes of a
-    fan-out are merged by ``_merge_hits``."""
+    """The hits (rank, score, part, local) of top-k passes ``[(parts,
+    locals, scores)]`` (``PartitionSearcher.topk``), cut at ``min_score``.
+    Returns the first ``k``: one pass is already in merge order; several (a
+    fan-out's, or async search's steps) are merged by ``_merge_hits``; none
+    give an empty table."""
     if min_score is not None:
         results = [(p[s >= min_score], d[s >= min_score], s[s >= min_score])
                    for p, d, s in results]
-    parts, locs, scores = (np.concatenate(c) for c in zip(*results))
+    parts, locs, scores = (np.concatenate(c) for c in zip(_NO_HITS, *results))
     hits = pa.table({"score": np.asarray(scores, np.float64), "part": parts, "local": locs})
     if len(results) > 1:
         return _merge_hits(hits, k)
+    hits = hits.slice(0, k)
     return hits.add_column(0, "rank", pa.array(np.arange(1, len(hits) + 1, dtype=np.int64)))
 
 
@@ -1383,23 +1364,22 @@ class PartitionSearcher:
             base_docs, base_scores = base_docs[keep], base_scores[keep]
         return base_docs, (base_scores * q.boost).astype(dtype)
 
-    def topk(self, q: Query, scorers, k: int, mode: str = "bmw", others=(),
-             space: "SegmentSpace | None" = None):
-        """Top-k by (score desc, doc asc) in one scoring pass: the
+    def topk(self, q: Query, scorers, k: int, mode: str = "bmw", others=()):
+        """One top-k scoring pass over this segment and ``others`` (the
+        process's other candidate segments of one commit) → (parts, locals,
+        scores) in merge order (score desc, part asc, local asc): the
         score-ordered collector of every search whose options need no full
-        candidate set. Alone (no ``others``, no ``space``) it scores this
-        segment in local docs: the profiler's and async search's
-        per-partition calls. With ``space``, the ``SegmentSpace`` of this
-        segment and ``others`` (the process's other candidate segments), it
-        scores each segment as alone (BMW per segment), shifts its hits
-        into space docs and makes one ``topk_select`` over all of them.
+        candidate set. Each segment is scored on its own (BMW per segment),
+        then one ``topk_select`` runs over the key ``part << 32 | local``
+        (locals fit in u32: the postings header's doc fields are u32).
         perfbench times the query phase's scoring by wrapping this method
         by name."""
-        base = space.base if space is not None else {self.part: 0}
         segs = [self, *others]
         docs, scores = zip(*(s._eval_scoring(q, scorers, k=k, mode=mode) for s in segs))
-        return topk_select(np.concatenate([d + base[s.part] for d, s in zip(docs, segs)]),
-                           np.concatenate(scores), k)
+        keys, scores = topk_select(
+            np.concatenate([np.add(d, s.part << 32, dtype=np.int64) for d, s in zip(docs, segs)]),
+            np.concatenate(scores), k)
+        return keys >> 32, keys & 0xFFFFFFFF, scores
 
     def window_scores(self, q: Query, scorers, window: dict) -> np.ndarray:
         """Rescore pass over this partition's rows of the rescore window
@@ -1917,7 +1897,6 @@ class QueryEngine:
             "avgdl": meta["sum_dl"] / max(meta["n_docs"], 1),
             "sum_dl_fields": meta.get("sum_dl_fields") or {},
             "_stamps": snap.stamps,
-            "_space": SegmentSpace({p.part: p.n_docs for p in snap.parts}),
         }
 
     # -- local backend --
@@ -2109,6 +2088,16 @@ class QueryEngine:
             an = (self.spec.get("field_analyzers") or {}).get(q.field)
             return q if an is None or q.analyzer is not None else \
                 dataclasses.replace(q, analyzer=an)
+        if isinstance(q, (WeightedTokensQuery, SparseVectorQuery)) or (
+                isinstance(q, RankFeatureQuery) and "." in q.field):
+            # a rank_features field scores only from a sidecar recorded as
+            # complete for this commit: a build that writes a part drops the
+            # record, and the parts it kept still hold their old files
+            field = q.field.split(".", 1)[0] if isinstance(q, RankFeatureQuery) else q.field
+            if not self.snap.sidecar_recorded("rankfeat", field):
+                raise ValueError(
+                    f"rank_features field {field!r}: no complete sidecar in this "
+                    f"commit of the index (build_rank_features builds it)")
         if isinstance(q, RankFeatureQuery) and q.pivot is None:
             # Lucene FeatureField.newSaturationQuery with no pivot:
             # computePivotFeatureValue = decode(sumTotalTermFreq / docFreq)
@@ -2307,9 +2296,10 @@ class QueryEngine:
         (default: all) → ``[(part, result), ...]``: a driver loop over the
         cached local searchers, or ONE ray.get over an actor pool (view
         key, actor calls). ``topk`` instead runs one scoring pass per
-        process over its share of ``parts`` (``SegmentSpace.hits``) →
-        ``[(parts, locals, scores), ...]``, one entry per process: the
-        driver, or each actor. Each call ships one request tuple: Ray serializes
+        process that holds some of ``parts``, entered through the ``topk``
+        of its first candidate searcher → ``[(parts, locals, scores),
+        ...]``, one pass for the driver, or one per such actor. Each call
+        ships one request tuple: Ray serializes
         every positional argument on its own, measured at ≈50 µs per
         argument of a searcher call on one pinned CPU (raw, host factor
         ≈2). ``pool`` defaults to pool 0 (every partition
@@ -2319,9 +2309,10 @@ class QueryEngine:
         parts = self.parts if parts is None else parts
         pool = self._actors if pool is None else pool
         if not pool:
+            segs = [self._searcher(p) for p in parts]
             if method == "topk":
-                return [self._space.hits([self._searcher(p) for p in parts], *args)]
-            return [(p, getattr(self._searcher(p), method)(*args)) for p in parts]
+                return [segs[0].topk(*args, segs[1:])] if segs else []
+            return [(s.part, getattr(s, method)(*args)) for s in segs]
         import ray
 
         key, calls = pool
@@ -2638,7 +2629,8 @@ class QueryEngine:
             with self._inflight_lock:
                 self._inflight -= 1
 
-    def _query_phase(self, q: Query, k: int, mode: str, opts: dict) -> pa.Table:
+    def _query_phase(self, q: Query, k: int, mode: str, opts: dict,
+                     lap=_no_lap) -> pa.Table:
         """The query phase of every search, run by this engine (the driver,
         or a coordinator's inner engine): DFS scorers → can_match → ONE
         fan-out of a collector, placed by ``_place`` (this engine's own
@@ -2647,19 +2639,25 @@ class QueryEngine:
         options (``opts``, as built by ``coordinator_request``) need no full
         candidate set — none, or only min_score and rescore: one scoring
         pass per process over all of its candidate partitions
-        (``SegmentSpace.hits``), whose top-k is already in merge order, so a
-        search placed on this engine's readers sorts nothing more and the
-        passes of a fan-out meet in one ``_merge_hits`` (``_pass_table``).
+        (``PartitionSearcher.topk``), whose top-k is already in merge order,
+        so a search placed on this engine's readers sorts nothing more and
+        the passes of a fan-out meet in one ``_merge_hits`` (``_pass_table``).
         ``extended_candidates`` collects per partition for sort,
         search_after, collapse, post_filter and terminate_after, merged by
-        ``_merge_hits``."""
+        ``_merge_hits``. ``lap(phase, *info)`` marks the end of each phase
+        for the profiler: "create_weight", "can_match", "query" (with the
+        candidate parts, the placement and the fan-out's results) and
+        "merge" (merge and rescore)."""
         scorers = self._scorers_cached(q)
+        lap("create_weight")
         parts = self._candidate_parts(q)
+        lap("can_match")
         pool = self._place(parts)
         rescore = opts.get("rescore")
         n = k if rescore is None else max(k, rescore[1])
         if opts.keys() <= {"min_score", "rescore"}:
             results = self._fanout("topk", q, scorers, n, mode, parts=parts, pool=pool)
+            lap("query", parts, pool, results)
             hits = _pass_table(results, n, opts.get("min_score"))
         else:
             sort = opts.get("sort") or [("_score", "desc")]
@@ -2679,6 +2677,7 @@ class QueryEngine:
                 and not opts.keys() & {"rescore", "collapse", "min_score"})
             results = self._fanout("extended_candidates", q, scorers, n, copts,
                                    parts=parts, pool=pool)
+            lap("query", parts, pool, results)
             keys = [("score" if col == "_score" else f"key{i}", d)
                     for i, (col, d) in enumerate(sort)]
             names = [c for c, _ in keys if c != "score"] + ["collapse"] * ("collapse" in opts)
@@ -2686,6 +2685,7 @@ class QueryEngine:
                                ("collapse", 1) if "collapse" in opts else None)
         if rescore is not None:
             hits = self._rescore(hits, rescore, pool)
+        lap("merge")
         return hits.select(["rank", "score", "part", "local"]).slice(0, k)
 
     def _rescore(self, hits: pa.Table, rescore: tuple, pool) -> pa.Table:
@@ -2727,15 +2727,20 @@ class QueryEngine:
         process's GIL with the first. Counted in ``placements``."""
         pool = self._qpool()
         if pool is not None:
-            n, cand = len(pool[1]), set(parts)
-            # _open_view deals parts round-robin over a pool's actors
-            width = min(len({i % n for i, p in enumerate(self.parts) if p in cand}),
-                        self._cpus)
+            width = min(len(self._actor_shares(parts, pool)), self._cpus)
             if self._overlap or width > 1:
                 self.placements["fanout"] += 1
                 return pool
         self.placements["driver"] += 1
         return ()
+
+    def _actor_shares(self, parts, pool) -> dict:
+        """{actor index in ``pool``: its candidate ``parts``}, for the actors
+        that hold any (``_open_view`` deals the commit's parts round-robin
+        over a pool's actors), in actor order."""
+        n, cand = len(pool[1]), set(parts)
+        shares = {a: [p for p in self.parts[a::n] if p in cand] for a in range(n)}
+        return {a: ps for a, ps in shares.items() if ps}
 
     def analyze(self, text: str, analyzer: str | None = None,
                 explain: bool = False):
@@ -3857,7 +3862,7 @@ class SearcherActor:
     def __init__(self):
         import threading
 
-        self.views: dict = {}  # view key → ({part: searcher}, their SegmentSpace)
+        self.views: dict = {}  # view key → {part: searcher}
         self.readers: dict = {}
         self._lock = threading.Lock()  # reopen/release only, never call
 
@@ -3874,38 +3879,38 @@ class SearcherActor:
                         SegmentReader(part_dir(index_dir, p), stamp), p, spec, dtype,
                         runtime_fields=runtime_fields)
                 view[p] = s
-            self.views[key] = view, SegmentSpace({p: s.r.n_docs for p, s in view.items()})
+            self.views[key] = view
 
     def release(self, keys):
         """Drop views ``keys`` and every reader no remaining view holds."""
         with self._lock:
             for k in keys:
                 self.views.pop(k, None)
-            live = {id(s) for v, _sp in self.views.values() for s in v.values()}
+            live = {id(s) for v in self.views.values() for s in v.values()}
             self.readers = {rk: s for rk, s in self.readers.items() if id(s) in live}
 
     def held(self) -> dict:
         """{view key: [(index_dir, part), ...]} of the open views."""
         with self._lock:
-            return {k: [(s.r.dir, p) for p, s in v.items()] for k, (v, _sp) in self.views.items()}
+            return {k: [(s.r.dir, p) for p, s in v.items()] for k, v in self.views.items()}
 
     def call(self, req):
         """``[(part, PartitionSearcher.<method>(*args)), ...]`` over the
         requested partitions of the view, for ``req`` = (view key, method,
         parts, args) (QueryEngine._fanout reduces). ``topk`` is one scoring
-        pass over this actor's share of the partitions instead
-        (``SegmentSpace.hits``): ``[(parts, locals, scores)]``, its top-k in
-        merge order."""
+        pass over this actor's share of the partitions instead, entered
+        through the first one's ``topk``: ``[(parts, locals, scores)]`` in
+        merge order, or ``[]`` when the actor holds none of them."""
         key, method, parts, args = req
-        got = self.views.get(key)
-        if got is None:
+        view = self.views.get(key)
+        if view is None:
             raise LookupError(f"searcher view {key} was released: its engine closed, "
                               "or reopened twice while this call was in flight")
-        view, space = got
         wanted = set(parts)
+        segs = [s for p, s in view.items() if p in wanted]
         if method == "topk":
-            return [space.hits([s for p, s in view.items() if p in wanted], *args)]
-        return [(p, getattr(s, method)(*args)) for p, s in view.items() if p in wanted]
+            return [segs[0].topk(*args, segs[1:])] if segs else []
+        return [(s.part, getattr(s, method)(*args)) for s in segs]
 
 
 class _CombinedScorer:

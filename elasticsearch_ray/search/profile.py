@@ -2,21 +2,19 @@
 
 Profiler (``server/.../search/profile/ProfileResult.java``,
 ``query/QueryProfiler.java``, SearchSourceBuilder ``profile: true``):
-``profile_search`` runs the engine's local top-k path with per-phase wall
-timing — rewrite, weight creation (the stats/scorer phase), can_match
-pruning, per-partition scoring (one entry per shard, like the reference's
-per-shard ProfileShardResult), merge, fetch. It keeps its own
-per-partition loop (for the per-shard timings): each partition is a
-one-segment top-k pass (``PartitionSearcher.topk`` alone, in local docs),
-where a search scores all of a process's candidate partitions in one pass
-(``SegmentSpace.hits``) — the same hits, since BMW is exact either way.
-It passes the same gate
-as a search (``QueryEngine._read_gate``: a closed or read-blocked index
-refuses it), runs on a snapshot of the engine (``_pinned``) and reuses the
-engine's query preparation (``_prepare``), candidate selection
-(``_candidate_parts``), top-k collector (``PartitionSearcher.topk``) and
-hit merge (``engine._merge_hits``), so it scores the same partitions and
-returns the SAME hits a plain search returns, plus the profile tree.
+``profile_search`` is the engine's own query phase with timing switched on.
+It passes the same gate as a search (``QueryEngine._read_gate``: a closed
+or read-blocked index refuses it), runs on a snapshot of the engine
+(``_pinned``), prepares the query with ``_prepare`` and runs
+``QueryEngine._query_phase`` with a ``lap`` callback that timestamps each
+phase, so it scores the same partitions, is placed the same way (the
+driver's readers or a fan-out to the searcher actors) and returns the SAME
+hits a plain search returns, plus the profile tree. ``phases`` times
+rewrite, weight creation (the stats/scorer phase), can_match pruning, merge
+(and rescore) and fetch. ``shards`` has one entry per scoring pass, like
+the reference's per-shard ProfileShardResult: one for the driver, or one per
+actor of a fan-out, each naming the candidate partitions it scored, with
+its ``collected_hits`` and the fan-out's wall time as the driver saw it.
 
 _cat (``rest/action/cat/RestIndicesAction.java``,
 ``RestSegmentsAction.java``, ``RestCountAction.java``): fixed-column
@@ -31,69 +29,52 @@ import time
 
 import pandas as pd
 
-from elasticsearch_ray.search.engine import _hits_table, _merge_hits
-
 
 def profile_search(eng, q, k: int = 10, mode: str = "bmw",
                    fetch: tuple = ("doc_id",)) -> dict:
     """Profile a top-k search. Returns ``{"hits", "took_ms",
     "profile"}`` where profile mirrors the reference's shape: a
-    ``shards`` list with per-partition query timings plus coordinator
+    ``shards`` list with one query timing per scoring pass plus coordinator
     ``phases``."""
     return eng._read_gate(lambda: _profile(eng._pinned(), q, k, mode, fetch))
 
 
 def _profile(eng, q, k, mode, fetch) -> dict:
-    t_start = time.perf_counter_ns()
+    t = {"start": time.perf_counter_ns()}
+    passes = []
 
-    t0 = time.perf_counter_ns()
-    q2 = eng._prepare(q)
-    rewrite_ns = time.perf_counter_ns() - t0
+    def lap(phase, *info):
+        t[phase] = time.perf_counter_ns()
+        if phase == "query":
+            parts, pool, results = info
+            owners = ({f"actor={a}": ps for a, ps in eng._actor_shares(parts, pool).items()}
+                      if pool else {"driver": parts} if parts else {})
+            passes.extend(zip(owners.items(), results))
 
-    t0 = time.perf_counter_ns()
-    scorers = eng._scorers_cached(q2)
-    create_weight_ns = time.perf_counter_ns() - t0
-
-    t0 = time.perf_counter_ns()
-    cand = eng._candidate_parts(q2)
-    can_match_ns = time.perf_counter_ns() - t0
-
-    shards = []
-    results = []
-    for p in cand:
-        t0 = time.perf_counter_ns()
-        d, s = eng._searcher(p).topk(q2, scorers, k, mode)
-        score_ns = time.perf_counter_ns() - t0
-        shards.append({
-            "id": f"[part={p}]",
-            "searches": [{"query": [{
-                "type": type(q2).__name__,
-                "description": repr(q2),
-                "time_in_nanos": score_ns,
-                "breakdown": {"score": score_ns,
-                              "collected_hits": int(len(d))},
-            }]}],
-        })
-        results.append((p, (d, s)))
-
-    t0 = time.perf_counter_ns()
-    tbl = _merge_hits(_hits_table(results), k)
-    merge_ns = time.perf_counter_ns() - t0
-
-    t0 = time.perf_counter_ns()
-    tbl = eng._attach_fetch(tbl, fetch)
-    fetch_ns = time.perf_counter_ns() - t0
-
-    took = time.perf_counter_ns() - t_start
+    q = eng._prepare(q)
+    t["rewrite"] = time.perf_counter_ns()
+    hits = eng._attach_fetch(eng._query_phase(q, k, mode, {}, lap), fetch)
+    t["fetch"] = time.perf_counter_ns()
+    query_ns = t["query"] - t["can_match"]
     return {
-        "hits": tbl,
-        "took_ms": took / 1e6,
+        "hits": hits,
+        "took_ms": (t["fetch"] - t["start"]) / 1e6,
         "profile": {
-            "phases": {"rewrite": rewrite_ns,
-                       "create_weight": create_weight_ns,
-                       "can_match": can_match_ns,
-                       "merge": merge_ns, "fetch": fetch_ns},
-            "shards": shards,
+            "phases": {"rewrite": t["rewrite"] - t["start"],
+                       "create_weight": t["create_weight"] - t["rewrite"],
+                       "can_match": t["can_match"] - t["create_weight"],
+                       "merge": t["merge"] - t["query"],
+                       "fetch": t["fetch"] - t["merge"]},
+            "shards": [{
+                "id": f"[{who}][part={','.join(map(str, ps))}]",
+                "searches": [{"query": [{
+                    "type": type(q).__name__,
+                    "description": repr(q),
+                    "time_in_nanos": query_ns,
+                    "breakdown": {"score": query_ns,
+                                  "collected_hits": int(len(r[0]))},
+                }]}],
+            } for (who, ps), r in passes],
         },
     }
 

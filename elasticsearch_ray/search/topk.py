@@ -1,9 +1,9 @@
 """Per-partition vectorized scoring kernels: exhaustive and Block-Max-WAND.
 
 A search's top-k pass over several partitions of one process
-(``search.engine.SegmentSpace``) calls these kernels once per partition,
-shifts each partition's hits into one doc space and makes one
-``topk_select`` there, which gives the (score desc, part, local) merge order.
+(``search.engine.PartitionSearcher.topk``) calls these kernels once per
+partition and makes one ``topk_select`` over the key ``part << 32 | local``,
+which gives the (score desc, part, local) merge order.
 
 The BMW variant here is impact-ordered ("score-at-a-time") rather than
 Lucene's document-at-a-time pointer machine — the public Block-Max WAND
@@ -18,7 +18,7 @@ the inner work stays in numpy kernels:
      threshold θ exceeds the next window's bound, every remaining window is
      pruned — no posting bytes of theirs are ever decoded.
 
-A space of one window has nothing to prune, so it is scored directly.
+A segment of one window has nothing to prune, so it is scored directly.
 
 Equality with the exhaustive scorer (including float32 narrowing and the
 (score desc, doc asc) tie-break) is property-tested.

@@ -88,6 +88,38 @@ def test_partial_prefix_then_completion(async_engine):
                             fetch=("doc_id",)).to_pylist()
 
 
+def test_get_before_any_partition_completes(async_engine, monkeypatch):
+    """Before the first partition completes, a get returns no hits, in the
+    table a search that matches nothing returns (rank, score, part,
+    local)."""
+    from elasticsearch_ray.search.engine import PartitionSearcher
+
+    entered, release = threading.Event(), threading.Event()
+    topk = PartitionSearcher.topk
+
+    def held(self, *args, **kw):
+        entered.set()
+        release.wait(30.0)
+        return topk(self, *args, **kw)
+
+    monkeypatch.setattr(PartitionSearcher, "topk", held)
+    svc = AsyncSearchService(async_engine)
+    sid = svc.submit(MatchQuery("spark"), k=10, wait_for_completion_timeout=0.0)["id"]
+    try:
+        assert entered.wait(30.0)
+        early = svc.get(sid)
+    finally:
+        release.set()
+    final = svc.get(sid, wait_for_completion_timeout=30.0)
+    assert early["is_running"] is True and final["is_running"] is False
+    assert early["response"]["successful_shards"] < early["response"]["total_shards"]
+    assert early["response"]["hits"].num_rows == 0
+    assert final["response"]["hits"].num_rows == 10
+    none = async_engine.search(MatchQuery("zzznothing"), k=10, fetch=("doc_id",))
+    assert early["response"]["hits"].schema == none.schema
+    assert none.column_names == ["rank", "score", "part", "local"]
+
+
 def test_status_and_delete(async_engine):
     svc = AsyncSearchService(async_engine)
     resp = svc.submit(MatchQuery("spark"), wait_for_completion_timeout=30.0)

@@ -350,7 +350,9 @@ def test_profile_prunes_like_search(zipf):
     assert len(cand) < len(eng.parts)
     want = eng.search(q, k=10, fetch=("doc_id",)).to_pylist()
     out = profile_search(eng, q, k=10)
-    assert [s["id"] for s in out["profile"]["shards"]] == [f"[part={p}]" for p in cand]
+    # one scoring pass on the driver, over exactly the candidate partitions
+    assert [s["id"] for s in out["profile"]["shards"]] == \
+        [f"[driver][part={','.join(map(str, cand))}]"]
     assert out["hits"].to_pylist() == want
     scored = []
     resp = AsyncSearchService(eng).submit(q, k=10, wait_for_completion_timeout=30.0,
@@ -358,6 +360,32 @@ def test_profile_prunes_like_search(zipf):
     assert scored == cand
     assert resp["response"]["successful_shards"] == resp["response"]["total_shards"]
     assert resp["response"]["hits"].to_pylist() == want
+
+
+def test_profile_on_the_actor_backend_matches_search(zipf, backends):
+    """profile_search is the search's own query phase, so on the actor
+    backend it is placed like a search: candidates on both actors fan out
+    (the test cluster has 4 CPUs), one shard entry per actor pass naming
+    the partitions that actor scored, and the hits of ``search()``."""
+    _idx, v = zipf
+    eng = backends["actors"]
+    q = MatchQuery(f"{v[0]} {v[3]}")
+    assert eng._cpus >= 2 and eng.can_match_parts([v[0]]) == eng.parts
+    want = eng.search(q, k=10, fetch=("doc_id",)).to_pylist()
+    assert want == backends["local"].search(q, k=10, fetch=("doc_id",)).to_pylist()
+    before = dict(eng.placements)
+    out = profile_search(eng, q, k=10)
+    assert eng.placements == {**before, "fanout": before["fanout"] + 1}
+    assert out["hits"].to_pylist() == want
+    n = len(eng._actors[1])
+    assert n == 2
+    shards = out["profile"]["shards"]
+    assert [s["id"] for s in shards] == [
+        f"[actor={a}][part={','.join(map(str, eng.parts[a::n]))}]" for a in range(n)]
+    for s in shards:
+        node = s["searches"][0]["query"][0]
+        assert node["breakdown"]["collected_hits"] == 10
+        assert node["time_in_nanos"] == shards[0]["searches"][0]["query"][0]["time_in_nanos"] > 0
 
 
 def test_dfs_gather_once_per_fresh_term(zipf, tmp_path, monkeypatch):

@@ -168,7 +168,7 @@ def test_bmw_scores_windows_whose_bound_is_zero():
         assert np.array_equal(got[0], e[0]) and np.array_equal(got[1], e[1])
 
 
-# ---- one scoring pass over several segments (SegmentSpace) ----
+# ---- one scoring pass over several segments (PartitionSearcher.topk) ----
 
 _SEG_SIZES = (4500, 5300, 4700)  # two BMW windows each
 
@@ -223,10 +223,11 @@ def seg_index(tmp_path_factory):
 ])
 def test_one_pass_over_segments(seg_index, monkeypatch, dtype, text, opts):
     """One top-k pass over every candidate segment (BMW per segment, one
-    ``topk_select`` in the space) == the exhaustive pass == per-partition
-    top-k merged by ``_merge_hits``, bit for bit, over all the segments and
-    over subsets with a pruned partition's gap; BMW prunes inside the
-    segment that holds the rare term."""
+    ``topk_select`` over ``part << 32 | local``) == the exhaustive pass ==
+    each partition's exhaustive ``topk_select`` merged by ``_merge_hits``,
+    bit for bit, over all the segments and over subsets with a pruned
+    partition's gap, whichever segment the pass enters through; BMW prunes
+    inside the segment that holds the rare term."""
     from elasticsearch_ray.search import engine as engine_mod
     from elasticsearch_ray.search.engine import QueryEngine, _hits_table, _merge_hits
     from elasticsearch_ray.search.query import MatchQuery
@@ -234,7 +235,6 @@ def test_one_pass_over_segments(seg_index, monkeypatch, dtype, text, opts):
     eng = QueryEngine(seg_index, dtype=dtype)
     assert eng.parts == [0, 1, 2]
     assert [s.r.n_docs for s in map(eng._searcher, eng.parts)] == list(_SEG_SIZES)
-    assert eng._space.base == {p.part: p.base for p in eng.snap.parts}
     runs = {}
 
     def counted(cursors, norms, k, n_docs, *a, **kw):
@@ -246,15 +246,17 @@ def test_one_pass_over_segments(seg_index, monkeypatch, dtype, text, opts):
     monkeypatch.setattr(engine_mod, "bmw_topk", counted)
     q = eng._prepare(MatchQuery(text, **opts))
     scorers = eng._scorers_cached(q)
-    for parts in ([0, 1, 2], [0, 2], [1, 2]):
+    for parts in ([0, 1, 2], [0, 2], [1, 2], [2, 0, 1]):
         segs = [eng._searcher(p) for p in parts]
-        runs.clear()
-        bmw = eng._space.hits(segs, q, scorers, 10, "bmw")
-        exh = eng._space.hits(segs, q, scorers, 10, "exhaustive")
-        merged = _merge_hits(_hits_table([(s.part, s.topk(q, scorers, 10)) for s in segs]), 10)
+        merged = _merge_hits(_hits_table(
+            [(s.part, topk_select(*s._eval_scoring(q, scorers, None, "exhaustive"), 10))
+             for s in segs]), 10)
         want = (merged["part"].to_numpy(), merged["local"].to_numpy(),
                 merged["score"].to_numpy())
-        assert len(want[0]) == 10 or parts != [0, 1, 2]
+        assert len(want[0]) == 10 or sorted(parts) != [0, 1, 2]
+        runs.clear()
+        bmw = segs[0].topk(q, scorers, 10, "bmw", segs[1:])
+        exh = segs[0].topk(q, scorers, 10, "exhaustive", segs[1:])
         for got in (bmw, exh):
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             assert got[2].dtype == np.dtype(dtype)

@@ -402,3 +402,51 @@ def test_fold_drops_sidecars_until_rebuilt(ray_session, tmp_path):
     build_index(str(src), fresh, spec, concurrency=1)
     sidecars(fresh)
     assert hits(idx) == hits(fresh) and len(hits(idx)[0]) == 80
+
+
+def test_rank_features_refuse_a_sidecar_the_commit_does_not_record(ray_session, tmp_path):
+    """An append drops the rank_features record while the kept parts still
+    hold their sidecar files: a sidecar-scored query names the field in a
+    ValueError instead of scoring the kept parts' files (or failing in the
+    new part); rebuilt, it answers over every part, also on an engine opened
+    before the rebuild."""
+    import numpy as np
+
+    from elasticsearch_ray.index import state
+    from elasticsearch_ray.index.build import build_index
+    from elasticsearch_ray.index.rank_features import build_rank_features
+    from elasticsearch_ray.search.engine import QueryEngine
+    from elasticsearch_ray.search.query import (RankFeatureQuery, SparseVectorQuery,
+                                                WeightedTokensQuery)
+
+    def sidecar(idx):
+        ids = np.arange(state.snapshot(idx).n_docs, dtype=np.int64)
+        build_rank_features(idx, "tags", pa.table({
+            "doc_id": ids, "feature": ["f"] * len(ids), "weight": 1.0 + (ids % 3) * 0.5}))
+
+    queries = (RankFeatureQuery("tags.f", pivot=1.0), RankFeatureQuery("tags.f"),
+               WeightedTokensQuery(field="tags", tokens=(("f", 1.0),)),
+               SparseVectorQuery(field="tags", tokens=(("f", 1.0),), prune=True))
+    spec = IndexSpec(use_html=False, text_column="text", doc_columns=("id",),
+                     files_per_partition=1)
+    src = tmp_path / "src"
+    src.mkdir()
+    for i in range(2):
+        _write_random(src, f"f-{i:02d}.parquet", seed=60 + i, base=20 * i)
+    idx = str(tmp_path / "idx")
+    build_index(str(src), idx, spec, concurrency=1)
+    sidecar(idx)
+    assert len(QueryEngine(idx).search(queries[0], k=100)) == 40
+    _write_random(src, "f-02.parquet", seed=62, base=40)
+    build_index(str(src), idx, spec, concurrency=1)  # opens part 2
+    eng = QueryEngine(idx)
+    assert eng.parts == [0, 1, 2]
+    for q in queries:
+        with pytest.raises(ValueError, match="rank_features field 'tags'"):
+            eng.search(q, k=100)
+        with pytest.raises(ValueError, match="rank_features field 'tags'"):
+            eng.count(q)
+    sidecar(idx)  # the engine opened before the rebuild sees it: same part commits
+    for q in queries:
+        hits = eng.search(q, k=100)
+        assert len(hits) == 60 and set(hits["part"].to_pylist()) == {0, 1, 2}

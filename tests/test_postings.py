@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from elasticsearch_ray.index import postings
 from elasticsearch_ray.index.postings import (
-    concat_blobs,
     decode_many,
     decode_postings,
     encode_many,
@@ -58,8 +57,6 @@ def test_chunked_concat_equals_whole():
         encode_postings(docs[cut1:cut2], tfs[cut1:cut2], norms[cut1:cut2]),
         encode_postings(docs[cut2:], tfs[cut2:], norms[cut2:]),
     ]
-    d, t = decode_postings(concat_blobs(chunks))
-    assert np.array_equal(d, docs) and np.array_equal(t, tfs)
     # canonical re-encode is byte-identical to direct encode (determinism)
     lookup = np.zeros(1_000_001, dtype=np.uint8)
     lookup[docs] = norms

@@ -46,6 +46,19 @@ def test_profile_structure(prof_engine):
     assert node["breakdown"]["collected_hits"] >= 0
 
 
+def test_profiler_has_no_copy_of_the_query_loop():
+    """The profiler times the engine's own query phase
+    (``QueryEngine._query_phase`` with a lap callback): it picks no
+    candidates, builds no scorers and scores no partition itself."""
+    import inspect
+
+    from elasticsearch_ray.search import profile
+
+    src = inspect.getsource(profile)
+    for name in ("_candidate_parts", "_scorers_cached", "_searcher", ".topk("):
+        assert name not in src, name
+
+
 def test_cat_apis(prof_engine):
     idx = cat_indices({"docs": prof_engine})
     assert idx.iloc[0]["index"] == "docs"
