@@ -99,6 +99,7 @@ from elasticsearch_ray.index.segments import (
     atomic_write_json,
     atomic_write_table,
     part_dir,
+    read_json,
 )
 from elasticsearch_ray.index.spec import FIELD_SEP, IndexSpec
 from elasticsearch_ray.sources.webpages import corpus_files, plan_shards
@@ -521,8 +522,6 @@ def _stage_sorted_corpus(corpus_dir: str, staged_dir: str, spec: IndexSpec,
     early-terminate. Resumable: a marker records the input identity;
     unchanged inputs reuse the staged files (and with them the downstream
     per-partition manifests)."""
-    import json
-
     files = corpus_files(corpus_dir, file_pattern)
     ident = {
         "files": [os.path.basename(f) for f in files],
@@ -530,13 +529,8 @@ def _stage_sorted_corpus(corpus_dir: str, staged_dir: str, spec: IndexSpec,
         "sort": [spec.sort_field, spec.sort_order],
     }
     marker = os.path.join(staged_dir, "_staged.json")
-    if os.path.exists(marker):
-        try:
-            with open(marker) as fh:
-                if json.load(fh) == ident:
-                    return staged_dir
-        except (OSError, ValueError):
-            pass
+    if read_json(marker) == ident:
+        return staged_dir
     shutil.rmtree(staged_dir, ignore_errors=True)
     os.makedirs(staged_dir, exist_ok=True)
     ds = rd.read_parquet(files)

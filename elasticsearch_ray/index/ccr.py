@@ -26,12 +26,11 @@ Followers are read-only (the reference blocks writes on followers):
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 
 from elasticsearch_ray.index import state
-from elasticsearch_ray.index.segments import part_dir
+from elasticsearch_ray.index.segments import atomic_write_json, part_dir, read_json
 
 FOLLOW_MARKER = "follow.json"
 
@@ -62,11 +61,10 @@ def _copy_part(src: str, dst: str) -> None:
 def poll_follow(follower_dir: str) -> dict:
     """Sync the follower from its leader. Returns
     ``{"copied": [...], "removed": [...], "unchanged": [...]}``."""
-    marker = os.path.join(follower_dir, FOLLOW_MARKER)
-    if not os.path.exists(marker):
+    marker = read_json(os.path.join(follower_dir, FOLLOW_MARKER))
+    if marker is None:
         raise FollowerError(f"{follower_dir} is not a follower")
-    with open(marker) as f:
-        leader_dir = json.load(f)["leader"]
+    leader_dir = marker["leader"]
     if not state.exists(leader_dir):
         raise FollowerError(f"leader {leader_dir!r} has no index")
     leader = state.snapshot(leader_dir)
@@ -99,8 +97,8 @@ def follow(leader_dir: str, follower_dir: str) -> dict:
         raise FollowerError("cannot follow a follower (the reference "
                             "requires the leader index to be a leader)")
     os.makedirs(follower_dir, exist_ok=True)
-    with open(os.path.join(follower_dir, FOLLOW_MARKER), "w") as f:
-        json.dump({"leader": os.path.abspath(leader_dir)}, f)
+    atomic_write_json(os.path.join(follower_dir, FOLLOW_MARKER),
+                      {"leader": os.path.abspath(leader_dir)})
     return poll_follow(follower_dir)
 
 
@@ -135,19 +133,12 @@ class AutoFollowService:
         self.root = follower_root
         os.makedirs(follower_root, exist_ok=True)
         self._path = os.path.join(follower_root, self.STATE)
-        if os.path.exists(self._path):
-            with open(self._path) as f:
-                self.state = json.load(f)
-        else:
-            self.state = {"patterns": {}, "stats": {
-                "number_of_successful_follow_indices": 0,
-                "recent_auto_follow_errors": []}}
+        self.state = read_json(self._path, {"patterns": {}, "stats": {
+            "number_of_successful_follow_indices": 0,
+            "recent_auto_follow_errors": []}})
 
     def _save(self) -> None:
-        tmp = self._path + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(self.state, f, indent=1)
-        os.replace(tmp, self._path)
+        atomic_write_json(self._path, self.state)
 
     def put_pattern(self, name: str, leader_root: str,
                     leader_index_patterns: list[str],

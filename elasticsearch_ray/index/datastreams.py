@@ -19,7 +19,6 @@ generation search rides the alias's DFS-combined engine.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 
@@ -28,6 +27,7 @@ import pyarrow.parquet as pq
 
 from elasticsearch_ray.index import state
 from elasticsearch_ray.index.ilm import RolloverAlias
+from elasticsearch_ray.index.segments import atomic_write_json, read_json
 from elasticsearch_ray.index.spec import IndexSpec
 
 
@@ -45,11 +45,9 @@ class DataStreamService:
         return os.path.join(self._dir(name), "datastream.json")
 
     def _meta(self, name: str) -> dict:
-        p = self._meta_path(name)
-        if not os.path.exists(p):
+        if (meta := read_json(self._meta_path(name))) is None:
             raise KeyError(f"data stream [{name}] not found")
-        with open(p) as f:
-            return json.load(f)
+        return meta
 
     # ---- CRUD ----
     def create(self, name: str, timestamp_field: str = "@timestamp",
@@ -63,10 +61,7 @@ class DataStreamService:
                                  files_per_partition=1)
         meta = {"name": name, "timestamp_field": timestamp_field,
                 "spec": spec.to_dict(), "seq": 0}
-        tmp = self._meta_path(name) + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(meta, f, sort_keys=True)
-        os.replace(tmp, self._meta_path(name))
+        atomic_write_json(self._meta_path(name), meta)
         RolloverAlias(os.path.join(d, "alias"))
         return meta
 
@@ -119,10 +114,7 @@ class DataStreamService:
         corpus = gen_dir + "-corpus"
         os.makedirs(corpus, exist_ok=True)
         meta["seq"] += 1
-        tmpm = self._meta_path(name) + ".tmp"
-        with open(tmpm, "w") as f:
-            json.dump(meta, f, sort_keys=True)
-        os.replace(tmpm, self._meta_path(name))
+        atomic_write_json(self._meta_path(name), meta)
         fp = os.path.join(corpus, f"part-{meta['seq']:06d}.parquet")
         pq.write_table(table, fp + ".tmp")
         os.replace(fp + ".tmp", fp)

@@ -25,12 +25,13 @@ oldest generations beyond ``keep_last`` (never the write generation).
 
 from __future__ import annotations
 
-import json
+import errno
 import os
 import shutil
 import time
 
 from elasticsearch_ray.index import state
+from elasticsearch_ray.index.segments import atomic_write_json, read_json
 
 GEN_FMT = "gen-{:06d}"
 
@@ -41,19 +42,14 @@ class RolloverAlias:
         os.makedirs(base_dir, exist_ok=True)
         self._alias_file = os.path.join(base_dir, "alias.json")
         if not os.path.exists(self._alias_file):
-            self._write_state({"generation": 1,
-                               "created": {"1": time.time()}})
+            atomic_write_json(self._alias_file,
+                              {"generation": 1, "created": {"1": time.time()}})
 
     # -- state --
     def _state(self) -> dict:
-        with open(self._alias_file) as f:
-            return json.load(f)
-
-    def _write_state(self, st: dict) -> None:
-        tmp = self._alias_file + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(st, f, sort_keys=True)
-        os.replace(tmp, self._alias_file)
+        if (st := read_json(self._alias_file)) is None:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), self._alias_file)
+        return st
 
     # -- write side --
     def current(self) -> str:
@@ -107,7 +103,7 @@ class RolloverAlias:
         st = self._state()
         st["generation"] += 1
         st["created"][str(st["generation"])] = time.time()
-        self._write_state(st)
+        atomic_write_json(self._alias_file, st)
         return self.current()
 
     # -- read side --
@@ -231,17 +227,8 @@ class IlmExecutor:
         return os.path.join(index_dir, "ilm_state.json")
 
     def _state(self, index_dir: str) -> dict:
-        p = self._state_path(index_dir)
-        if os.path.exists(p):
-            with open(p) as f:
-                return json.load(f)
-        return {"policy": self.policy.name, "executed": {}}
-
-    def _write_state(self, index_dir: str, st: dict) -> None:
-        tmp = self._state_path(index_dir) + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(st, f, indent=1)
-        os.replace(tmp, self._state_path(index_dir))
+        return read_json(self._state_path(index_dir),
+                         {"policy": self.policy.name, "executed": {}})
 
     def explain(self, index_dir: str, now: float) -> dict:
         """GET <index>/_ilm/explain analog."""
@@ -278,7 +265,7 @@ class IlmExecutor:
                 applied.append(f"{ph}.{name}")
                 if deleted:
                     return applied  # index is gone; no state to write
-            self._write_state(index_dir, st)
+            atomic_write_json(self._state_path(index_dir), st)
         return applied
 
     def _run(self, index_dir: str, phase: str, name: str,

@@ -102,10 +102,26 @@ def part_dir(index_dir: str, part: int) -> str:
 
 
 def atomic_write_json(path: str, obj) -> None:
+    """Write ``obj`` to ``path`` as JSON through a temp file and one
+    ``os.replace``: readers see the old file or the whole new one, never a
+    torn one. With ``read_json`` it is the package's only JSON file I/O
+    (``state.load_manifest`` and ``state.snapshot`` also read the handle's
+    ``fstat`` for their stamps)."""
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
         json.dump(obj, f, indent=1, default=str)
     os.replace(tmp, path)
+
+
+def read_json(path: str, default=None):
+    """The JSON in ``path``, or ``default`` when there is no such file (a
+    parent that is a file counts too): the reading half of
+    ``atomic_write_json``, the package's only JSON file I/O."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (FileNotFoundError, NotADirectoryError):
+        return default
 
 
 def atomic_write_table(tbl: pa.Table, path: str, **write_options) -> None:

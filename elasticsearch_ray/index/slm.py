@@ -23,15 +23,17 @@ segment blobs.
 
 from __future__ import annotations
 
-import json
+import errno
 import os
 
 import pandas as pd
 
+from elasticsearch_ray.index.segments import atomic_write_json, read_json
 from elasticsearch_ray.index.snapshot import (
     snapshot_create,
     snapshot_delete,
     snapshot_list,
+    tag_snapshot,
 )
 
 
@@ -41,17 +43,12 @@ class SlmService:
         os.makedirs(repo_dir, exist_ok=True)
         self._pfile = os.path.join(repo_dir, "slm_policies.json")
         if not os.path.exists(self._pfile):
-            self._write({})
+            atomic_write_json(self._pfile, {})
 
     def _read(self) -> dict:
-        with open(self._pfile) as f:
-            return json.load(f)
-
-    def _write(self, st: dict) -> None:
-        tmp = self._pfile + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(st, f, sort_keys=True)
-        os.replace(tmp, self._pfile)
+        if (st := read_json(self._pfile)) is None:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), self._pfile)
+        return st
 
     # ---- policy CRUD ----
     def put_policy(self, policy_id: str, policy: dict) -> None:
@@ -70,7 +67,7 @@ class SlmService:
             "stats": prev.get("stats",
                               {"snapshots_taken": 0, "snapshots_deleted": 0}),
         }
-        self._write(st)
+        atomic_write_json(self._pfile, st)
 
     def get_policy(self, policy_id: str) -> dict:
         return self._read()[policy_id]
@@ -78,7 +75,7 @@ class SlmService:
     def delete_policy(self, policy_id: str) -> None:
         st = self._read()
         st.pop(policy_id, None)
-        self._write(st)
+        atomic_write_json(self._pfile, st)
 
     # ---- execution ----
     def _policy_snapshots(self, policy_id: str) -> list[dict]:
@@ -96,20 +93,12 @@ class SlmService:
         name = f"{pol.get('name', policy_id)}-{ent['seq']:06d}"
         info = snapshot_create(pol["config"]["index_dir"], self.repo, name)
         # tag policy ownership + time into the snapshot manifest
-        mpath = os.path.join(self.repo, name, "snapshot.json")
-        with open(mpath) as f:
-            m = json.load(f)
-        m["slm_policy"] = policy_id
-        m["slm_seq"] = ent["seq"]
-        m["slm_time"] = str(pd.Timestamp(now) if now is not None
-                            else pd.Timestamp.now())
-        tmp = mpath + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(m, f, sort_keys=True)
-        os.replace(tmp, mpath)
+        tag_snapshot(self.repo, name, slm_policy=policy_id, slm_seq=ent["seq"],
+                     slm_time=str(pd.Timestamp(now) if now is not None
+                                  else pd.Timestamp.now()))
         ent["last_run"] = str(pd.Timestamp(now)) if now is not None else None
         ent["stats"]["snapshots_taken"] += 1
-        self._write(st)
+        atomic_write_json(self._pfile, st)
         return {"snapshot_name": name, **info}
 
     def execute_retention(self, policy_id: str, now=None) -> list[str]:
@@ -141,7 +130,7 @@ class SlmService:
         for name in delete:
             snapshot_delete(self.repo, name)
         ent["stats"]["snapshots_deleted"] += len(delete)
-        self._write(st)
+        atomic_write_json(self._pfile, st)
         return delete
 
     def run_pending(self, now) -> list[dict]:
@@ -149,7 +138,7 @@ class SlmService:
         whose schedule elapsed."""
         now = pd.Timestamp(now)
         out = []
-        for pid, ent in self._read().items():
+        for pid, ent in sorted(self._read().items()):  # policy-id order
             interval = pd.Timedelta(ent["policy"].get("schedule", "1d"))
             last = ent.get("last_run")
             if last is None or now - pd.Timestamp(last) >= interval:

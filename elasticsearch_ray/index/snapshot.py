@@ -21,15 +21,17 @@ manifest then garbage-collects blobs no remaining snapshot references
 
 from __future__ import annotations
 
+import errno
 import hashlib
-import json
 import os
 import shutil
 import time
 
 from elasticsearch_ray.index import state
+from elasticsearch_ray.index.segments import atomic_write_json, read_json
 
 _RESERVED = {"blobs"}
+_MANIFEST = "snapshot.json"
 
 # repositories-metering-api analog (x-pack repositories-metering-api
 # RepositoriesMeteringResponse / RepositoryStatsSnapshot): per-repository
@@ -120,22 +122,34 @@ def snapshot_create(index_dir: str, repo_dir: str, name: str) -> dict:
                 "reused_files": reused,
                 "created_unix": int(time.time()),
                 "file_map": file_map}
-    tmp = dst + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    os.makedirs(tmp)
-    with open(os.path.join(tmp, "snapshot.json"), "w") as f:
-        json.dump(manifest, f, indent=1)
-    os.replace(tmp, dst)  # atomic completion marker
+    _publish(dst, manifest)
     return manifest
 
 
+def _publish(dst: str, manifest: dict) -> None:
+    """Write a new snapshot's manifest in a temp dir, then rename the dir
+    to ``dst``: the rename is what makes the snapshot complete."""
+    tmp = dst + ".tmp"
+    shutil.rmtree(tmp, ignore_errors=True)
+    os.makedirs(tmp)
+    atomic_write_json(os.path.join(tmp, _MANIFEST), manifest)
+    os.replace(tmp, dst)
+
+
 def _manifest(repo_dir: str, name: str) -> dict:
-    mpath = os.path.join(_snap_dir(repo_dir, name), "snapshot.json")
-    if not os.path.exists(mpath):
+    man = read_json(os.path.join(_snap_dir(repo_dir, name), _MANIFEST))
+    if man is None:
         raise FileNotFoundError(f"no complete snapshot {name!r} in "
                                 f"{repo_dir}")
-    with open(mpath) as f:
-        return json.load(f)
+    return man
+
+
+def tag_snapshot(repo_dir: str, name: str, **tags) -> dict:
+    """Set ``tags`` in a complete snapshot's manifest (provenance such as
+    the owning SLM policy; the file map is untouched); returns it."""
+    man = {**_manifest(repo_dir, name), **tags}
+    atomic_write_json(os.path.join(_snap_dir(repo_dir, name), _MANIFEST), man)
+    return man
 
 
 def snapshot_list(repo_dir: str) -> list[dict]:
@@ -146,10 +160,9 @@ def snapshot_list(repo_dir: str) -> list[dict]:
         return out
     _meter(repo_dir, "ListObjects")
     for d in sorted(os.listdir(repo_dir)):
-        mpath = os.path.join(repo_dir, d, "snapshot.json")
-        if not d.endswith(".tmp") and os.path.exists(mpath):
-            with open(mpath) as f:
-                out.append(json.load(f))
+        man = None if d.endswith(".tmp") else read_json(os.path.join(repo_dir, d, _MANIFEST))
+        if man is not None:
+            out.append(man)
     return out
 
 
@@ -212,12 +225,7 @@ def snapshot_clone(repo_dir: str, source: str, target: str,
                 "reused_files": len(file_map),  # everything is shared
                 "created_unix": int(time.time()),
                 "file_map": dict(file_map)}
-    tmp = dst + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    os.makedirs(tmp)
-    with open(os.path.join(tmp, "snapshot.json"), "w") as f:
-        json.dump(manifest, f, indent=1)
-    os.replace(tmp, dst)
+    _publish(dst, manifest)
     return manifest
 
 
@@ -379,8 +387,10 @@ def recover_part_from_snapshot(index_dir: str, part: int, repo_dir: str,
         if info is None:
             raise FileNotFoundError(
                 f"snapshot {name!r} has no file {rel!r}")
-        with open(os.path.join(blobs, info["hash"])) as f:
-            return json.load(f)
+        blob = os.path.join(blobs, info["hash"])
+        if (obj := read_json(blob)) is None:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), blob)
+        return obj
 
     if state.exists(index_dir) and \
             _blob_json(state.META).get("spec") != state.snapshot(index_dir).spec:

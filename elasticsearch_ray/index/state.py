@@ -29,7 +29,7 @@ import time
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from elasticsearch_ray.index.segments import FORMAT_VERSION, atomic_write_json, part_dir
+from elasticsearch_ray.index.segments import FORMAT_VERSION, atomic_write_json, part_dir, read_json
 
 META = "index_meta.json"
 _FROZEN = "frozen.json"
@@ -168,14 +168,6 @@ def exists(index_dir: str) -> bool:
     return os.path.exists(os.path.join(index_dir, META))
 
 
-def _read_json(path: str, default=None):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except FileNotFoundError:
-        return default
-
-
 def _sidecar_records(index_dir: str) -> dict[str, tuple[str, str]]:
     """{root record file name: (kind, field)}."""
     out = {}
@@ -197,8 +189,8 @@ def snapshot(index_dir: str) -> Snapshot:
                                *load_manifest(part_dir(index_dir, p["part"]))))
         base += p["n_docs"]
     sidecars = {key: rec for name, key in _sidecar_records(index_dir).items()
-                if (rec := _read_json(os.path.join(index_dir, name))) is not None}
-    frozen = bool((_read_json(os.path.join(index_dir, _FROZEN)) or {}).get("frozen"))
+                if (rec := read_json(os.path.join(index_dir, name))) is not None}
+    frozen = bool((read_json(os.path.join(index_dir, _FROZEN)) or {}).get("frozen"))
     return Snapshot(index_dir, meta, tuple(parts), sidecars, frozen, mtime)
 
 
@@ -235,7 +227,7 @@ def resume(index_dir: str, wanted: dict[int, dict], extend=frozenset()) -> list[
     records = _sidecar_records(index_dir) if todo else {}
     for name in records:
         os.remove(os.path.join(index_dir, name))
-    listed = [p["part"] for p in (_read_json(os.path.join(index_dir, META)) or {}).get("parts", ())]
+    listed = [p["part"] for p in (read_json(os.path.join(index_dir, META)) or {}).get("parts", ())]
     for part in todo + [p for p in listed if p not in wanted]:
         if part in extend:
             retract_part(index_dir, part)
@@ -254,7 +246,7 @@ def commit_parts(index_dir: str, parts: list[int], spec: dict) -> dict:
     commit stamps ``created_unix`` (the ILM age); later ones carry it, or
     the mtime of a meta written before it was recorded."""
     path = os.path.join(index_dir, META)
-    prev = _read_json(path)
+    prev = read_json(path)
     created = time.time() if prev is None else prev.get("created_unix",
                                                         os.path.getmtime(path))
     manifests = [_committed(index_dir, p) for p in parts]
@@ -299,7 +291,7 @@ def admin_state(index_dir: str) -> dict:
         return {}
     hit = _ADMIN_CACHE.get(p)
     if hit is None or hit[0] != mt:
-        hit = _ADMIN_CACHE[p] = (mt, _read_json(p, {}))
+        hit = _ADMIN_CACHE[p] = (mt, read_json(p, {}))
     return hit[1]
 
 

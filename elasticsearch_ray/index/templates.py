@@ -26,10 +26,10 @@ template the way index creation does in the reference.
 from __future__ import annotations
 
 import fnmatch
-import json
 import os
 from dataclasses import fields as dc_fields
 
+from elasticsearch_ray.index.segments import atomic_write_json, read_json
 from elasticsearch_ray.index.spec import IndexSpec
 
 
@@ -37,19 +37,9 @@ class TemplateError(ValueError):
     pass
 
 
-def _load(path: str) -> dict:
-    if not os.path.exists(path):
-        return {}
-    with open(path) as f:
-        return json.load(f)
-
-
 def _save(path: str, data: dict) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(data, f, indent=1, sort_keys=True)
-    os.replace(tmp, path)
+    atomic_write_json(path, dict(sorted(data.items())))  # templates by name
 
 
 def _comp_path(registry: str) -> str:
@@ -73,7 +63,7 @@ def _check_settings(settings: dict, what: str) -> None:
 def put_component_template(registry: str, name: str,
                            settings: dict) -> None:
     _check_settings(settings, f"component template {name!r}")
-    comps = _load(_comp_path(registry))
+    comps = read_json(_comp_path(registry), {})
     comps[name] = {"settings": settings}
     _save(_comp_path(registry), comps)
 
@@ -84,12 +74,12 @@ def put_index_template(registry: str, name: str, index_patterns: list,
     settings = settings or {}
     composed_of = list(composed_of or [])
     _check_settings(settings, f"index template {name!r}")
-    comps = _load(_comp_path(registry))
+    comps = read_json(_comp_path(registry), {})
     missing = [c for c in composed_of if c not in comps]
     if missing:
         raise TemplateError(f"index template {name!r} composed_of missing "
                             f"component templates {missing}")
-    tmpls = _load(_index_path(registry))
+    tmpls = read_json(_index_path(registry), {})
     for other_name, other in tmpls.items():
         if other_name == name or other["priority"] != priority:
             continue
@@ -109,7 +99,7 @@ def put_index_template(registry: str, name: str, index_patterns: list,
 
 
 def delete_index_template(registry: str, name: str) -> None:
-    tmpls = _load(_index_path(registry))
+    tmpls = read_json(_index_path(registry), {})
     if name not in tmpls:
         raise TemplateError(f"no index template {name!r}")
     del tmpls[name]
@@ -117,13 +107,13 @@ def delete_index_template(registry: str, name: str) -> None:
 
 
 def get_index_templates(registry: str) -> dict:
-    return _load(_index_path(registry))
+    return read_json(_index_path(registry), {})
 
 
 def find_template(registry: str, index_name: str) -> str | None:
     """Highest-priority matching template name (findV2Template); ties
     broken by name for determinism."""
-    tmpls = _load(_index_path(registry))
+    tmpls = read_json(_index_path(registry), {})
     best = None
     for name, t in sorted(tmpls.items()):
         if any(fnmatch.fnmatch(index_name, p)
@@ -139,8 +129,8 @@ def simulate_index(registry: str, index_name: str) -> dict:
     name = find_template(registry, index_name)
     if name is None:
         return {"template": None, "settings": {}}
-    tmpls = _load(_index_path(registry))
-    comps = _load(_comp_path(registry))
+    tmpls = read_json(_index_path(registry), {})
+    comps = read_json(_comp_path(registry), {})
     t = tmpls[name]
     merged: dict = {}
     for c in t["composed_of"]:

@@ -37,7 +37,7 @@ like postings segments (index/segments.py).
 
 from __future__ import annotations
 
-import json
+import errno
 import os
 
 import numpy as np
@@ -49,7 +49,7 @@ import ray
 from ray.data import Dataset
 
 from elasticsearch_ray.index import lanes
-from elasticsearch_ray.index.segments import atomic_write_json, atomic_write_table
+from elasticsearch_ray.index.segments import atomic_write_json, atomic_write_table, read_json
 from elasticsearch_ray.ops.ann import _batch_matrix, _normalize
 from elasticsearch_ray.ops.hnsw import HNSWGraph
 
@@ -75,13 +75,9 @@ def _read_vpart_manifest(index_dir: str, part: int,
     trusting it would silently serve a wrong or partial index (the
     inverted index guards the same way via spec_fingerprint,
     index/build.py)."""
-    p = os.path.join(vpart_dir(index_dir, part), "manifest.json")
-    if not os.path.exists(p):
-        return None
-    with open(p) as f:
-        m = json.load(f)
-    if m.get("format") != VEC_FORMAT_VERSION:
-        return None  # stale layout → partition rebuilds
+    m = read_json(os.path.join(vpart_dir(index_dir, part), "manifest.json"))
+    if m is None or m.get("format") != VEC_FORMAT_VERSION:
+        return None  # missing, or stale layout → partition (re)builds
     if spec is not None:
         for k, want in spec.items():
             if m.get(k) != want:
@@ -446,8 +442,9 @@ def build_vector_index_files(src, index_dir: str, id_col: str = "vec_id",
 
 
 def read_vector_meta(index_dir: str) -> dict:
-    with open(os.path.join(index_dir, "vector_meta.json")) as f:
-        meta = json.load(f)
+    p = os.path.join(index_dir, "vector_meta.json")
+    if (meta := read_json(p)) is None:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), p)
     if meta.get("format") != VEC_FORMAT_VERSION:
         raise ValueError(f"vector index at {index_dir} has stale format "
                          f"{meta.get('format')} (want {VEC_FORMAT_VERSION})")
@@ -461,8 +458,10 @@ class VPartSearcher:
     model applied to vectors."""
 
     def __init__(self, pdir: str):
-        with open(os.path.join(pdir, "manifest.json")) as f:
-            self.manifest = mf = json.load(f)
+        p = os.path.join(pdir, "manifest.json")
+        if (mf := read_json(p)) is None:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), p)
+        self.manifest = mf
         if mf.get("format") != VEC_FORMAT_VERSION:
             raise ValueError(f"stale vector partition format at {pdir}")
         v = np.load(os.path.join(pdir, "vnorm.npy"), mmap_mode="r")

@@ -10,7 +10,6 @@
 
 from __future__ import annotations
 
-import json
 import os
 
 import pyarrow as pa
@@ -18,6 +17,7 @@ import pyarrow.parquet as pq
 
 import ray.data as rd
 
+from elasticsearch_ray.index.segments import atomic_write_json, read_json
 from elasticsearch_ray.ops.processors import Pipeline
 from elasticsearch_ray.sources.webpages import plan_shards
 
@@ -37,12 +37,10 @@ def reindex(
     todo = []
     skipped = 0
     for s in shards:
-        mpath = os.path.join(dst_dir, f"part-{s['part']:05d}.manifest.json")
-        if os.path.exists(mpath):
-            with open(mpath) as f:
-                if json.load(f).get("input_rows") == s["rows"]:
-                    skipped += 1
-                    continue
+        man = read_json(os.path.join(dst_dir, f"part-{s['part']:05d}.manifest.json"), {})
+        if man.get("input_rows") == s["rows"]:
+            skipped += 1
+            continue
         todo.append(s)
 
     def one_shard(batch: pa.Table) -> pa.Table:
@@ -54,9 +52,9 @@ def reindex(
             tmp = out_path + ".tmp"
             pq.write_table(pa.Table.from_pandas(df, preserve_index=False), tmp)
             os.replace(tmp, out_path)
-            man = {"input_path": row["path"], "input_rows": row["rows"], "output_rows": len(df)}
-            with open(out_path.replace(".parquet", ".manifest.json"), "w") as f:
-                json.dump(man, f)
+            atomic_write_json(out_path.replace(".parquet", ".manifest.json"),
+                              {"input_path": row["path"], "input_rows": row["rows"],
+                               "output_rows": len(df)})
             outs.append({"part": row["part"], "rows": len(df)})
         return pa.Table.from_pylist(outs)
 

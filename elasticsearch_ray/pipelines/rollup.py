@@ -25,13 +25,14 @@ the already-tiny rollup frame.
 
 from __future__ import annotations
 
-import json
+import errno
 import os
 
 import pandas as pd
 
+from elasticsearch_ray.index.segments import atomic_write_json, read_json
 from elasticsearch_ray.ops.analytics import calendar_floor
-from elasticsearch_ray.pipelines.transform import pivot_transform
+from elasticsearch_ray.pipelines.transform import _dest_manifest, pivot_transform
 
 # unit → the set of units a rollup AT that unit can serve (itself + all
 # calendar-aligned coarser units)
@@ -82,19 +83,19 @@ def run_rollup_job(ds, dest_dir: str, ts_field: str, interval: str,
                             date_floor={ts_field: interval},
                             aggs=aggs,
                             input_fingerprint=input_fingerprint)
-    cfg = {"ts_field": ts_field, "interval": interval,
-           "terms": list(terms), "metrics": stored,
-           "index_pattern": index_pattern}
-    tmp = os.path.join(dest_dir, "rollup_job.json.tmp")
-    with open(tmp, "w") as f:
-        json.dump(cfg, f, sort_keys=True)
-    os.replace(tmp, os.path.join(dest_dir, "rollup_job.json"))
+    # metrics sorted by field: rollup_search serves their columns in this order
+    atomic_write_json(os.path.join(dest_dir, "rollup_job.json"),
+                      {"ts_field": ts_field, "interval": interval,
+                       "terms": list(terms), "metrics": dict(sorted(stored.items())),
+                       "index_pattern": index_pattern})
     return frame
 
 
 def rollup_config(dest_dir: str) -> dict:
-    with open(os.path.join(dest_dir, "rollup_job.json")) as f:
-        return json.load(f)
+    p = os.path.join(dest_dir, "rollup_job.json")
+    if (cfg := read_json(p)) is None:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), p)
+    return cfg
 
 
 def _job_caps(dest_dir: str) -> dict:
@@ -160,10 +161,10 @@ def rollup_search(dest_dir: str, interval: str,
         raise ValueError(
             f"rollup at {job_unit!r} cannot serve calendar interval "
             f"{interval!r} (alignment: {_SERVES.get(job_unit)})")
-    man_file = os.path.join(dest_dir, "transform_manifest.json")
-    with open(man_file) as f:
-        data_file = json.load(f)["data_file"]
-    frame = pd.read_parquet(os.path.join(dest_dir, data_file))
+    man = _dest_manifest(dest_dir)
+    if man is None:
+        raise FileNotFoundError(f"rollup {dest_dir!r} has no transform manifest")
+    frame = pd.read_parquet(os.path.join(dest_dir, man["data_file"]))
     ts, terms = cfg["ts_field"], cfg["terms"]
     frame[ts] = calendar_floor(frame[ts], interval)
     if metrics is None:

@@ -28,17 +28,17 @@ import ray.data as rd
 from ray.data import Dataset
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
-from elasticsearch_ray.index.segments import atomic_write_json
+from elasticsearch_ray.index.segments import atomic_write_json, read_json
 
 _AGGS = {"sum": Sum, "avg": Mean, "min": Min, "max": Max}
 
 
+def _manifest_path(dest_dir: str) -> str:
+    return os.path.join(dest_dir, "transform_manifest.json")
+
+
 def _dest_manifest(dest_dir: str) -> dict | None:
-    p = os.path.join(dest_dir, "transform_manifest.json")
-    if not os.path.exists(p):
-        return None
-    with open(p) as f:
-        return json.load(f)
+    return read_json(_manifest_path(dest_dir))
 
 
 def _spec_key(spec: dict, fingerprint: str | None) -> str:
@@ -72,7 +72,7 @@ def _publish(dest_dir: str, spec: dict, fingerprint: str | None,
     tmp = os.path.join(dest_dir, data_file + ".tmp")
     frame.to_parquet(tmp, index=False)
     os.replace(tmp, os.path.join(dest_dir, data_file))
-    atomic_write_json(os.path.join(dest_dir, "transform_manifest.json"),
+    atomic_write_json(_manifest_path(dest_dir),
                       {"spec": spec, "input_fingerprint": fingerprint,
                        "data_file": data_file, "n_rows": int(len(frame))})
 
@@ -276,7 +276,7 @@ def _publish_checkpoint(dest_dir: str, spec: dict, checkpoint: int,
     tmp = os.path.join(dest_dir, data_file + ".tmp")
     frame.to_parquet(tmp, index=False)
     os.replace(tmp, os.path.join(dest_dir, data_file))
-    atomic_write_json(os.path.join(dest_dir, "transform_manifest.json"),
+    atomic_write_json(_manifest_path(dest_dir),
                       {"spec": spec, "checkpoint": int(checkpoint),
                        "sync_upper": str(upper), "data_file": data_file,
                        "n_rows": int(len(frame))})

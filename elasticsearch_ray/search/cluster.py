@@ -33,12 +33,12 @@ nothing opens segments, matching the reference's cheap admin endpoints.
 
 from __future__ import annotations
 
-import glob
 import os
 
 import pandas as pd
 
 from elasticsearch_ray.index import state
+from elasticsearch_ray.index.segments import part_dir
 
 _SEGMENT_FILES = ("terms.parquet", "postings.bin", "docs.parquet",
                   "manifest.json")
@@ -55,18 +55,16 @@ def _index_store_bytes(index_dir: str) -> int:
     return total
 
 
-def _part_dirs(index_dir: str) -> list[str]:
-    return sorted(glob.glob(os.path.join(index_dir, "parts", "part=*")))
-
-
 def index_health(index_dir: str) -> dict:
-    """Per-index health: active vs unassigned partition count."""
+    """Per-index health: active vs unassigned count of the partitions the
+    committed part list names (a part directory it does not list, left by a
+    crashed build or merge, is not a shard)."""
     snap = state.snapshot(index_dir)
     expected = len(snap.parts)
     active = 0
-    for d in _part_dirs(index_dir):
-        if all(os.path.exists(os.path.join(d, f))
-               for f in _SEGMENT_FILES):
+    for p in snap.parts:
+        d = part_dir(index_dir, p.part)
+        if all(os.path.exists(os.path.join(d, f)) for f in _SEGMENT_FILES):
             active += 1
     frozen = snap.frozen
     if active == expected:
@@ -353,7 +351,7 @@ def get_shutdown_status(indices: dict[str, str] | None = None) -> dict:
         if rec["type"] == "restart":
             migration = {"status": "COMPLETE", "shard_migrations_remaining": 0}
         else:
-            remaining = sum(len(_part_dirs(d)) for d in
+            remaining = sum(len(state.snapshot(d).parts) for d in
                             (indices or {}).values())
             migration = {
                 "status": "COMPLETE" if remaining == 0 else "IN_PROGRESS",

@@ -3266,8 +3266,9 @@ class QueryEngine:
 
     def _attach_fetch(self, tbl, fetch):
         """Fetch phase: append the ``fetch`` doc columns of each hit of a
-        hits table, read per partition by ``_gather``."""
-        if not fetch or len(tbl) == 0:
+        hits table, read per partition by ``_gather`` (an empty table gets
+        the columns too)."""
+        if not fetch:
             return tbl
         fetched = self._gather(tbl["part"].to_numpy(), tbl["local"].to_numpy(),
                                lambda s, locs: s.r.doc_fields(locs, fetch))

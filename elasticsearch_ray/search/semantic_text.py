@@ -145,7 +145,7 @@ def build_semantic_text_index(ds: Dataset, index_dir: str,
     from elasticsearch_ray.index import state
     from elasticsearch_ray.index.build import build_index
     from elasticsearch_ray.index.rank_features import build_rank_features
-    from elasticsearch_ray.index.segments import part_dir
+    from elasticsearch_ray.index.segments import atomic_write_json, part_dir, read_json
     from elasticsearch_ray.index.spec import IndexSpec
     from elasticsearch_ray.ops.chunking import chunk_documents
     from elasticsearch_ray.search.engine import QueryEngine
@@ -158,19 +158,13 @@ def build_semantic_text_index(ds: Dataset, index_dir: str,
     # review r5f #4). Input-corpus changes flow through build_index's
     # own input fingerprints once the stage regenerates; callers
     # swapping the input under the same dir must use a fresh index_dir.
-    import json
-
     params = {"max_words": max_words, "overlap": overlap,
               "inference_id": inference_id, "field": field,
               "weight_quantum": weight_quantum, "version": 1}
     marker = stage + ".params.json"
-    stale = True
-    if os.path.isdir(stage) and os.path.exists(marker):
-        with open(marker) as f:
-            stale = json.load(f) != params
-    if stale or not (os.path.isdir(stage)
-                     and any(f.endswith(".parquet")
-                             for f in os.listdir(stage))):
+    if read_json(marker) != params or not (os.path.isdir(stage)
+                                           and any(f.endswith(".parquet")
+                                                   for f in os.listdir(stage))):
         chunks = chunk_documents(ds, text_col=text_col, id_col=id_col,
                                  strategy="word", max_words=max_words,
                                  overlap=overlap)
@@ -195,13 +189,9 @@ def build_semantic_text_index(ds: Dataset, index_dir: str,
         os.makedirs(stage + ".tmp", exist_ok=True)
         chunks.map_batches(prep, batch_format="pandas") \
             .write_parquet(stage + ".tmp")
-        import shutil as _sh
-
-        _sh.rmtree(stage, ignore_errors=True)
+        shutil.rmtree(stage, ignore_errors=True)
         os.replace(stage + ".tmp", stage)
-        with open(marker + ".tmp", "w") as f:
-            json.dump(params, f)
-        os.replace(marker + ".tmp", marker)
+        atomic_write_json(marker, params)
     spec = IndexSpec(use_html=False, text_column="chunk",
                      doc_columns=("url", "parent_id", "chunk_ix",
                                   "chunk"))

@@ -19,13 +19,14 @@ by (seed, doc_id, rep) so regeneration is byte-stable.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+
+from elasticsearch_ray.index.segments import atomic_write_json, read_json
 
 SCHEMA = pa.schema(
     [
@@ -145,10 +146,8 @@ def synthesize_webpages(
         "seed": seed,
         "version": 5,
     }
-    if not force and os.path.exists(meta_path):
-        with open(meta_path) as f:
-            if json.load(f).get("params") == params:
-                return out_dir
+    if not force and read_json(meta_path, {}).get("params") == params:
+        return out_dir
     if os.path.exists(out_dir):
         shutil.rmtree(out_dir)
     os.makedirs(out_dir)
@@ -181,8 +180,7 @@ def synthesize_webpages(
     else:
         file_rows = [_generate_file(docs, out_dir, s, seed) for s in file_specs]
 
-    with open(meta_path, "w") as f:
-        json.dump({"params": params, "rows": n_total, "files": file_rows}, f, indent=1)
+    atomic_write_json(meta_path, {"params": params, "rows": n_total, "files": file_rows})
     return out_dir
 
 

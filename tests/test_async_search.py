@@ -90,8 +90,8 @@ def test_partial_prefix_then_completion(async_engine):
 
 def test_get_before_any_partition_completes(async_engine, monkeypatch):
     """Before the first partition completes, a get returns no hits, in the
-    table a search that matches nothing returns (rank, score, part,
-    local)."""
+    table a search that matches nothing returns (rank, score, part, local
+    and the fetched columns)."""
     from elasticsearch_ray.search.engine import PartitionSearcher
 
     entered, release = threading.Event(), threading.Event()
@@ -117,7 +117,7 @@ def test_get_before_any_partition_completes(async_engine, monkeypatch):
     assert final["response"]["hits"].num_rows == 10
     none = async_engine.search(MatchQuery("zzznothing"), k=10, fetch=("doc_id",))
     assert early["response"]["hits"].schema == none.schema
-    assert none.column_names == ["rank", "score", "part", "local"]
+    assert none.column_names == ["rank", "score", "part", "local", "doc_id"]
 
 
 def test_status_and_delete(async_engine):

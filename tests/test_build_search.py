@@ -162,6 +162,18 @@ def test_term_query_and_float32_close(built_index, oracle):
         assert abs(row["score"] - ws) < 1e-5 * ws
 
 
+def test_fetch_columns_do_not_depend_on_whether_a_search_matched(built_index):
+    """A search that matches nothing has the same columns, the fetched ones
+    included, as one that matches."""
+    from elasticsearch_ray.search.engine import QueryEngine
+
+    eng = QueryEngine(built_index[1], dtype="float64")
+    hit = eng.search(TermQuery("spark"), k=5, fetch=("doc_id",))
+    miss = eng.search(TermQuery("zzzznotaterm"), k=5, fetch=("doc_id",))
+    assert len(hit) > 0 and len(miss) == 0
+    assert miss.schema == hit.schema
+
+
 def test_phrase_query(built_index, oracle):
     from elasticsearch_ray.search.engine import QueryEngine
 

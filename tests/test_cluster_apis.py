@@ -65,6 +65,27 @@ def test_health_degrades_on_missing_segment_file(built_idx, tmp_path):
     assert ch["status"] == "red"
 
 
+def test_health_ignores_a_part_dir_the_commit_does_not_list(built_idx, tmp_path):
+    """A crashed incremental build or merge can leave a part directory the
+    index meta does not list: health counts the committed parts only."""
+    from elasticsearch_ray.search.cluster import (_SHUTDOWNS, get_shutdown_status,
+                                                  put_node_shutdown)
+
+    stray = str(tmp_path / "stray")
+    shutil.copytree(built_idx, stray)
+    shutil.copytree(os.path.join(stray, "parts", "part=00000"),
+                    os.path.join(stray, "parts", "part=00007"))
+    h, want = index_health(stray), index_health(built_idx)
+    assert h == want and h["status"] == "green" and h["unassigned_shards"] == 0
+    _SHUTDOWNS.clear()
+    put_node_shutdown("n1", "remove", "decommission")
+    try:
+        n1 = get_shutdown_status({"idx": stray})["nodes"][0]
+        assert n1["shard_migration"]["shard_migrations_remaining"] == want["number_of_shards"]
+    finally:
+        _SHUTDOWNS.clear()
+
+
 def test_health_frozen_is_yellow(built_idx, tmp_path):
     fz = str(tmp_path / "fz")
     shutil.copytree(built_idx, fz)

@@ -2,6 +2,7 @@
 boundary itself, the round trip of every state file, sidecars across
 merges, a pinned search across a merge, and build stats of a no-op build."""
 
+import inspect
 import json
 import os
 import re
@@ -37,6 +38,36 @@ def test_only_the_state_module_names_state_files():
                     offenders += [f"{os.path.relpath(path, root)}:{i}"
                                   for i, line in enumerate(fh, 1) if pat.search(line)]
     assert offenders == []
+
+
+def _grep(pat: str) -> list[str]:
+    """``file:line`` of each package source line that matches ``pat``."""
+    root = os.path.dirname(elasticsearch_ray.__file__)
+    hits = []
+    for d, _dirs, files in os.walk(root):
+        for f in sorted(files):
+            if f.endswith(".py"):
+                with open(os.path.join(d, f)) as fh:
+                    hits += [f"{os.path.relpath(os.path.join(d, f), root)}:{i}"
+                             for i, line in enumerate(fh, 1) if re.search(pat, line)]
+    return hits
+
+
+def test_one_read_write_pair_for_json_files():
+    """Every JSON file goes through segments.atomic_write_json / read_json;
+    only state.load_manifest and state.snapshot open theirs by hand, for the
+    fstat stamp. Each file shared by two modules is named by one of them."""
+    assert {h.split(":")[0] for h in _grep(r"json\.dump\(")} == {"index/segments.py"}
+    loads = _grep(r"json\.load\(")
+    assert {h.split(":")[0] for h in loads} == {"index/segments.py", "index/state.py"}
+    stamped = set()
+    for fn in (state.load_manifest, state.snapshot):
+        lines, start = inspect.getsourcelines(fn)
+        stamped |= {f"index/state.py:{i}" for i in range(start, start + len(lines))}
+    assert {h for h in loads if h.startswith("index/state.py")} <= stamped
+    assert {h.split(":")[0] for h in _grep(r'"snapshot\.json"')} == {"index/snapshot.py"}
+    assert {h.split(":")[0] for h in _grep(r'"transform_manifest\.json"')} == \
+        {"pipelines/transform.py"}
 
 
 def _three_part_index(root) -> str:
